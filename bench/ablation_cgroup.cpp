@@ -60,6 +60,6 @@ int main() {
             << "\nReading: with the aggregation cost at zero the vanilla "
                "container loses most of its penalty; the pinning benefit "
                "for IO workloads scales with this mechanism.\n";
-  std::cout << "bench wall time: " << stopwatch.seconds() << " s\n";
+  std::cerr << "bench wall time: " << stopwatch.seconds() << " s\n";
   return 0;
 }

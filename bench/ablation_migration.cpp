@@ -63,6 +63,6 @@ int main() {
             << "\nReading: the vanilla/pinned gap for CPU-bound work grows "
                "with locality costs; with them at zero, pinning stops "
                "mattering for compute.\n";
-  std::cout << "bench wall time: " << stopwatch.seconds() << " s\n";
+  std::cerr << "bench wall time: " << stopwatch.seconds() << " s\n";
   return 0;
 }

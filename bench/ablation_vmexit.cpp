@@ -70,6 +70,6 @@ int main() {
             << "\nReading: the FFmpeg VM ratio tracks the compute "
                "inflation (the paper's platform-type overhead); the IO "
                "workload is far less sensitive to it.\n";
-  std::cout << "bench wall time: " << stopwatch.seconds() << " s\n";
+  std::cerr << "bench wall time: " << stopwatch.seconds() << " s\n";
   return 0;
 }

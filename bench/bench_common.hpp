@@ -18,6 +18,7 @@
 //               tombstone pops, deferred re-arms, peak heap) after the run
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -44,60 +46,76 @@ struct BenchOptions {
   bool engine_stats = false;  // print aggregated engine counters at exit
 };
 
-inline int env_int_or(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    const int value = std::atoi(env);
-    if (value >= 1) return value;
+inline constexpr const char* kUsageFlags =
+    "[--jobs N] [--shards N] [--reps N] [--json PATH] [--stats]";
+
+/// Report a CLI or environment error with the usage line and exit 2.
+[[noreturn]] inline void usage_error(const std::string& what,
+                                     const char* program = "<bench>") {
+  std::cerr << what << "\nusage: " << program << ' ' << kUsageFlags
+            << "\n  (PINSIM_JOBS, PINSIM_SHARDS and PINSIM_REPS take the "
+               "same N >= 1)\n";
+  std::exit(2);
+}
+
+/// Parse all of `text` as a base-10 integer >= 1, or exit 2 naming
+/// `what`: "4x", "abc", "" and "-1" are errors, never a silent 4 or 0.
+inline int parse_count(const char* what, const char* text,
+                       const char* program = "<bench>") {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < 1) {
+    usage_error(std::string(what) + " must be an integer >= 1, got '" +
+                    text + "'",
+                program);
   }
-  return fallback;
+  return value;
+}
+
+/// `name` from the environment via parse_count; unset or empty means
+/// `fallback`.
+inline int env_int_or(const char* name, int fallback,
+                      const char* program = "<bench>") {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  return parse_count(name, env, program);
 }
 
 /// Parse the common bench flags; exits with a usage message on errors so
 /// every bench binary behaves the same.
 inline BenchOptions parse_cli(int argc, char** argv) {
+  const char* program = argv[0];
   BenchOptions options;
-  options.jobs = env_int_or("PINSIM_JOBS", 1);
-  options.shards = env_int_or("PINSIM_SHARDS", 1);
+  options.jobs = env_int_or("PINSIM_JOBS", 1, program);
+  options.shards = env_int_or("PINSIM_SHARDS", 1, program);
+  // Validated here so a bad value fails before any work starts;
+  // make_runner reads it again.
+  env_int_or("PINSIM_REPS", 1, program);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        std::exit(2);
+        usage_error(std::string("missing value for ") + flag, program);
       }
       return argv[++i];
     };
     if (arg == "--jobs" || arg == "-j") {
-      options.jobs = std::atoi(value("--jobs"));
+      options.jobs = parse_count("--jobs", value("--jobs"), program);
     } else if (arg == "--shards") {
-      options.shards = std::atoi(value("--shards"));
+      options.shards = parse_count("--shards", value("--shards"), program);
     } else if (arg == "--reps") {
-      options.reps_override = std::atoi(value("--reps"));
+      options.reps_override = parse_count("--reps", value("--reps"), program);
     } else if (arg == "--json") {
       options.json_path = value("--json");
     } else if (arg == "--stats") {
       options.engine_stats = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--jobs N] [--shards N] [--reps N] [--json PATH] "
-                   "[--stats]\n";
+      std::cout << "usage: " << program << ' ' << kUsageFlags << "\n";
       std::exit(0);
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      std::exit(2);
+      usage_error("unknown argument: " + arg, program);
     }
-  }
-  if (options.jobs < 1) {
-    std::cerr << "--jobs must be >= 1\n";
-    std::exit(2);
-  }
-  if (options.shards < 1) {
-    std::cerr << "--shards must be >= 1\n";
-    std::exit(2);
-  }
-  if (options.reps_override < 0) {
-    std::cerr << "--reps must be >= 1\n";
-    std::exit(2);
   }
   return options;
 }
@@ -116,7 +134,7 @@ inline core::ExperimentRunner make_runner(int paper_reps,
               << " repetitions (paper protocol: " << paper_reps << ")\n";
   }
   if (options.jobs > 1) {
-    std::cout << "[note] sweeping with " << options.jobs
+    std::cerr << "[note] sweeping with " << options.jobs
               << " worker threads (results identical to --jobs 1)\n";
   }
   config.shards = options.shards;

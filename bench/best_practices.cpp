@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   std::cout << (all_hold ? "All verified practices hold.\n"
                          : "Some practices did not verify; see above.\n");
   const double wall = stopwatch.seconds();
-  std::cout << "bench wall time: " << wall << " s\n";
+  std::cerr << "bench wall time: " << wall << " s\n";
   bench::maybe_write_json(options, "Best practices",
                           runner.config().repetitions, wall,
                           {&cpu_figure, &io_figure});

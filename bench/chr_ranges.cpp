@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
             << "\nFinding: IO-intensive applications need a higher CHR than "
                "CPU-intensive ones (paper §IV-A).\n";
   const double wall = stopwatch.seconds();
-  std::cout << "bench wall time: " << wall << " s\n";
+  std::cerr << "bench wall time: " << wall << " s\n";
   bench::maybe_write_json(options, "CHR ranges",
                           runner.config().repetitions, wall, {&ratio_figure});
   bench::maybe_print_engine_stats(options);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::cout << '\n';
   core::print_figure_report(std::cout, figure);
   const double wall = stopwatch.seconds();
-  std::cout << "bench wall time: " << wall << " s\n";
+  std::cerr << "bench wall time: " << wall << " s\n";
   bench::maybe_write_json(options, "Figure 3",
                           runner.config().repetitions, wall, {&figure});
   bench::maybe_print_engine_stats(options);

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     return report_options;
   }());
   const double wall = stopwatch.seconds();
-  std::cout << "bench wall time: " << wall << " s\n";
+  std::cerr << "bench wall time: " << wall << " s\n";
   bench::maybe_write_json(options, "Figure 5",
                           runner.config().repetitions, wall, {&figure});
   bench::maybe_print_engine_stats(options);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     return report_options;
   }());
   const double wall = stopwatch.seconds();
-  std::cout << "bench wall time: " << wall << " s\n";
+  std::cerr << "bench wall time: " << wall << " s\n";
   bench::maybe_write_json(options, "Figure 6",
                           runner.config().repetitions, wall, {&figure});
   bench::maybe_print_engine_stats(options);

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
             << "Finding: the same container imposes a higher overhead at "
                "the lower CHR (paper §IV-A).\n";
   const double wall = stopwatch.seconds();
-  std::cout << "bench wall time: " << wall << " s\n";
+  std::cerr << "bench wall time: " << wall << " s\n";
   bench::maybe_write_json(options, "Figure 7",
                           runner.config().repetitions, wall, {&figure});
   bench::maybe_print_engine_stats(options);

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                "makespans shrink; the PSO comparison is the meaningful "
                "signal here — see EXPERIMENTS.md.)\n";
   const double wall = stopwatch.seconds();
-  std::cout << "bench wall time: " << wall << " s\n";
+  std::cerr << "bench wall time: " << wall << " s\n";
   bench::maybe_write_json(options, "Figure 8",
                           runner.config().repetitions, wall, {&figure});
   bench::maybe_print_engine_stats(options);

@@ -37,6 +37,6 @@ int main() {
   std::cout << table.render() << '\n'
             << "(measured on a Vanilla BM 4xLarge instance; cpu%/blocked% "
                "are fractions of summed task lifetimes)\n";
-  std::cout << "bench wall time: " << stopwatch.seconds() << " s\n";
+  std::cerr << "bench wall time: " << stopwatch.seconds() << " s\n";
   return 0;
 }

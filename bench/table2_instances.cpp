@@ -36,6 +36,6 @@ int main() {
                    ok ? "yes" : "NO"});
   }
   std::cout << table.render();
-  std::cout << "bench wall time: " << stopwatch.seconds() << " s\n";
+  std::cerr << "bench wall time: " << stopwatch.seconds() << " s\n";
   return 0;
 }

@@ -63,6 +63,6 @@ int main() {
             << "\n(Software stack as in the paper: Ubuntu 18.04.3 / kernel "
                "5.4.5, QEMU 2.11.1 + Libvirt 4, Docker 19.03.6 — modelled "
                "by the simulator's cost constants.)\n";
-  std::cout << "bench wall time: " << stopwatch.seconds() << " s\n";
+  std::cerr << "bench wall time: " << stopwatch.seconds() << " s\n";
   return 0;
 }

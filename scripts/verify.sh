@@ -54,7 +54,9 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan --target pinsim_tests pinsim_examples \
     pinsim_lint pinsim_lint_tests -j
-  (cd build-asan && ctest --output-on-failure -j --timeout 300)
+  # This tree builds no bench binaries, so the "bench" label (golden
+  # stdout hashes, CLI rejection) runs in the tier-1 stage only.
+  (cd build-asan && ctest --output-on-failure -j --timeout 300 -LE bench)
   echo "== quantum-boundary fuzz oracle under ASan+UBSan =="
   ./build-asan/tests/pinsim_tests --gtest_filter='*BoundaryFuzz*'
 

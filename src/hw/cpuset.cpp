@@ -1,5 +1,6 @@
 #include "hw/cpuset.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -10,10 +11,20 @@ CpuSet CpuSet::first_n(int n) { return range(0, n); }
 
 CpuSet CpuSet::range(int lo, int hi) {
   PINSIM_CHECK(lo >= 0 && hi <= kMaxCpus && lo <= hi);
+  // Word w gets the bits of [max(lo, 64w), min(hi, 64w + 64)) in one
+  // step. Shift counts stay in [0, 63]: a word filled to its top bit
+  // takes ~0 instead of (1 << 64) - 1.
   CpuSet set;
-  for (int cpu = lo; cpu < hi; ++cpu) {
-    set.words_[static_cast<std::size_t>(cpu / 64)] |= std::uint64_t{1}
-                                                      << (cpu % 64);
+  for (int w = 0; w < kWords; ++w) {
+    const int base = w * 64;
+    const int from = std::max(lo, base);
+    const int to = std::min(hi, base + 64);
+    if (from >= to) continue;
+    const std::uint64_t below_to = to - base == 64
+                                       ? ~std::uint64_t{0}
+                                       : (std::uint64_t{1} << (to - base)) - 1;
+    set.words_[static_cast<std::size_t>(w)] =
+        below_to & (~std::uint64_t{0} << (from - base));
   }
   return set;
 }

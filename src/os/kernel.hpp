@@ -219,6 +219,13 @@ class Kernel {
   void refresh_cpu_masks(hw::CpuId cpu);
 
   // --- balancing & cgroup periodic work (kernel_balance.cpp) --------------
+  /// Whether a steal or balance move may put queued `task` on `cpu`: the
+  /// task is allowed there and its cgroup is not throttled there
+  /// (parking it on arrival would just churn).
+  bool steal_eligible(const Task& task, hw::CpuId cpu) const {
+    if (!allowed_cpus(task).contains(cpu)) return false;
+    return task.cgroup == nullptr || !task.cgroup->throttled_on(cpu);
+  }
   void steal_for(hw::CpuId cpu);
   void periodic_balance();
   void housekeeping_tick();

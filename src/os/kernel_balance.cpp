@@ -35,15 +35,9 @@ void Kernel::steal_for(hw::CpuId cpu) {
   queued_.for_each([&](hw::CpuId other) {
     auto& rq = rq_[static_cast<std::size_t>(other)];
     if (rq.size() <= best_load) return;
-    // Find the most-serviced task allowed to run here whose group is not
-    // throttled (parking them here would just churn).
-    Task* found = rq.max_where([&](const Task& task) {
-      if (!allowed_cpus(task).contains(cpu)) return false;
-      if (task.cgroup != nullptr && task.cgroup->throttled_on(cpu)) {
-        return false;
-      }
-      return true;
-    });
+    // The most-serviced task that may move here.
+    Task* found = rq.max_where(
+        [&](const Task& task) { return steal_eligible(task, cpu); });
     if (found != nullptr) {
       best_load = rq.size();
       victim = other;
@@ -102,13 +96,8 @@ void Kernel::periodic_balance() {
   }
 
   auto& from_rq = rq_[static_cast<std::size_t>(busiest)];
-  Task* candidate = from_rq.max_where([&](const Task& task) {
-    if (!allowed_cpus(task).contains(idlest)) return false;
-    if (task.cgroup != nullptr && task.cgroup->throttled_on(idlest)) {
-      return false;
-    }
-    return true;
-  });
+  Task* candidate = from_rq.max_where(
+      [&](const Task& task) { return steal_eligible(task, idlest); });
   if (candidate == nullptr) return;
 
   auto& to_rq = rq_[static_cast<std::size_t>(idlest)];

@@ -70,6 +70,22 @@ struct EngineStats {
   std::int64_t boundaries_batched = 0;  // same-instant peers drained batched
   std::int64_t boundaries_skipped = 0;  // boundary fires elided by quiet cores
   std::int64_t quiet_windows = 0;       // quiet-core fast-forwards entered
+
+  /// Field-wise sum, peak_heap included: the fold of engines whose heaps
+  /// coexist (the shards of one ShardedEngine). The process-wide
+  /// aggregate_engine_stats() takes the max of peak_heap instead.
+  EngineStats& operator+=(const EngineStats& other) {
+    scheduled += other.scheduled;
+    fired += other.fired;
+    tombstone_pops += other.tombstone_pops;
+    deferred_rearms += other.deferred_rearms;
+    reschedules += other.reschedules;
+    peak_heap += other.peak_heap;
+    boundaries_batched += other.boundaries_batched;
+    boundaries_skipped += other.boundaries_skipped;
+    quiet_windows += other.quiet_windows;
+    return *this;
+  }
 };
 
 /// Process-wide totals across every Engine destroyed so far (each engine

@@ -241,15 +241,7 @@ bool ShardedEngine::run_until(const std::function<bool()>& predicate,
 
 EngineStats ShardedEngine::engine_stats() const {
   EngineStats total;
-  for (const auto& engine : engines_) {
-    const EngineStats s = engine->stats();
-    total.scheduled += s.scheduled;
-    total.fired += s.fired;
-    total.tombstone_pops += s.tombstone_pops;
-    total.deferred_rearms += s.deferred_rearms;
-    total.reschedules += s.reschedules;
-    total.peak_heap += s.peak_heap;
-  }
+  for (const auto& engine : engines_) total += engine->stats();
   return total;
 }
 

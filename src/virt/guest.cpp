@@ -17,6 +17,7 @@ GuestKernel::GuestKernel(Host& host, Config config)
   PINSIM_CHECK(config.vcpus <= hw::CpuSet::kMaxCpus);
   PINSIM_CHECK(config.compute_inflation >= 1.0);
   PINSIM_CHECK(config.burst_cap > 0);
+  all_vcpus_ = hw::CpuSet::first_n(config.vcpus);
 }
 
 int GuestKernel::shard() const { return host_->shard(); }
@@ -32,7 +33,7 @@ os::Cgroup& GuestKernel::create_cgroup(os::Cgroup::Config config) {
   // group list is still empty so the replayed ticks stay no-ops.
   exit_guest_quiet();
   if (!config.cpuset.empty()) {
-    PINSIM_CHECK_MSG(config.cpuset.subset_of(hw::CpuSet::first_n(vcpus())),
+    PINSIM_CHECK_MSG(config.cpuset.subset_of(all_vcpus_),
                      "guest cgroup cpuset outside vCPU range");
   }
   cgroups_.push_back(
@@ -49,9 +50,8 @@ os::Task& GuestKernel::create_task(std::string name,
   os::Task& task = *tasks_.back();
   task.affinity = config.affinity;  // over vCPU ids
   if (!task.affinity.empty()) {
-    PINSIM_CHECK_MSG(
-        !(task.affinity & hw::CpuSet::first_n(vcpus())).empty(),
-        "guest task affinity disjoint from vCPUs");
+    PINSIM_CHECK_MSG(!(task.affinity & all_vcpus_).empty(),
+                     "guest task affinity disjoint from vCPUs");
   }
   task.weight = config.weight;
   task.working_set_mb = config.working_set_mb;
@@ -109,7 +109,7 @@ void GuestKernel::wake(os::Task& task, SimDuration extra_debt) {
 // --- scheduling --------------------------------------------------------------
 
 hw::CpuSet GuestKernel::allowed_vcpus(const os::Task& task) const {
-  hw::CpuSet allowed = hw::CpuSet::first_n(vcpus());
+  hw::CpuSet allowed = all_vcpus_;
   if (!task.affinity.empty()) allowed = allowed & task.affinity;
   if (task.cgroup != nullptr && !task.cgroup->cpuset().empty()) {
     allowed = allowed & task.cgroup->cpuset();
@@ -227,13 +227,8 @@ os::Task* GuestKernel::pick_next(int vcpu) {
     if (other == vcpu) continue;
     auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
     if (rq.size() <= best_load) continue;
-    os::Task* found = rq.max_where([&](const os::Task& task) {
-      if (!allowed_vcpus(task).contains(vcpu)) return false;
-      if (task.cgroup != nullptr && task.cgroup->throttled_on(vcpu)) {
-        return false;
-      }
-      return true;
-    });
+    os::Task* found = rq.max_where(
+        [&](const os::Task& task) { return steal_eligible(task, vcpu); });
     if (found != nullptr) {
       best_load = rq.size();
       victim = other;
@@ -566,13 +561,8 @@ void GuestKernel::balance_idle_vcpus() {
       if (other == vcpu) continue;
       auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
       if (rq.size() < best_load) continue;
-      os::Task* found = rq.max_where([&](const os::Task& task) {
-        if (!allowed_vcpus(task).contains(vcpu)) return false;
-        if (task.cgroup != nullptr && task.cgroup->throttled_on(vcpu)) {
-          return false;
-        }
-        return true;
-      });
+      os::Task* found = rq.max_where(
+          [&](const os::Task& task) { return steal_eligible(task, vcpu); });
       if (found != nullptr) {
         best_load = rq.size() + 1;
         victim = other;
@@ -612,13 +602,8 @@ void GuestKernel::rotate_surplus_task() {
   if (busiest < 0 || idlest < 0 || max_load - min_load < 1) return;
   auto& from = vcpus_[static_cast<std::size_t>(busiest)];
   if (from.rq.empty()) return;
-  os::Task* candidate = from.rq.max_where([&](const os::Task& task) {
-    if (!allowed_vcpus(task).contains(idlest)) return false;
-    if (task.cgroup != nullptr && task.cgroup->throttled_on(idlest)) {
-      return false;
-    }
-    return true;
-  });
+  os::Task* candidate = from.rq.max_where(
+      [&](const os::Task& task) { return steal_eligible(task, idlest); });
   if (candidate == nullptr) return;
   auto& to = vcpus_[static_cast<std::size_t>(idlest)];
   from.rq.remove(*candidate);

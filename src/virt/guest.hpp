@@ -142,6 +142,13 @@ class GuestKernel {
   SimDuration slice_for(const VcpuState& v) const;
   SimDuration remaining_cost(const os::Task& task) const;
   hw::CpuSet allowed_vcpus(const os::Task& task) const;
+  /// Whether a steal or balance move may put queued `task` on `vcpu`:
+  /// the task is allowed there and its cgroup is not throttled there
+  /// (parking it on arrival would just churn).
+  bool steal_eligible(const os::Task& task, int vcpu) const {
+    if (!allowed_vcpus(task).contains(vcpu)) return false;
+    return task.cgroup == nullptr || !task.cgroup->throttled_on(vcpu);
+  }
 
   void ensure_housekeeping();
   void housekeeping_tick();
@@ -169,6 +176,9 @@ class GuestKernel {
   Config config_;
   Rng rng_;
   std::vector<VcpuState> vcpus_;
+  /// {0, ..., vcpus()-1}, built once: every allowed-mask query starts
+  /// from it instead of rebuilding it per call.
+  hw::CpuSet all_vcpus_;
   std::vector<std::unique_ptr<os::Task>> tasks_;
   std::vector<std::function<void(os::Task&)>> on_exit_;
   std::vector<std::unique_ptr<os::Cgroup>> cgroups_;

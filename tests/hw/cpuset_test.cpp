@@ -128,5 +128,41 @@ TEST(CpuSetTest, WordExposesRawBits) {
   EXPECT_EQ(set.word(2), 0ull);
 }
 
+// Bit-by-bit reference for the word-wise range construction.
+CpuSet range_by_bits(int lo, int hi) {
+  CpuSet set;
+  for (int cpu = lo; cpu < hi; ++cpu) set.add(cpu);
+  return set;
+}
+
+TEST(CpuSetTest, RangeMatchesBitByBitAcrossWordBoundaries) {
+  const int edges[] = {0, 1, 63, 64, 65, 127, 128, 191, 192, 255, 256};
+  for (const int lo : edges) {
+    for (const int hi : edges) {
+      if (lo > hi) continue;
+      const CpuSet expected = range_by_bits(lo, hi);
+      EXPECT_EQ(CpuSet::range(lo, hi), expected) << "[" << lo << ", " << hi
+                                                 << ")";
+      EXPECT_EQ(CpuSet::range(lo, hi).count(), hi - lo);
+      if (lo == 0) {
+        EXPECT_EQ(CpuSet::first_n(hi), expected) << "first_n(" << hi << ")";
+      }
+    }
+  }
+}
+
+TEST(CpuSetTest, FirstNBounds) {
+  EXPECT_TRUE(CpuSet::first_n(0).empty());
+  EXPECT_EQ(CpuSet::first_n(CpuSet::kMaxCpus).count(), CpuSet::kMaxCpus);
+  EXPECT_EQ(CpuSet::first_n(CpuSet::kMaxCpus), ~CpuSet());
+}
+
+TEST(CpuSetTest, RangeRejectsBadBounds) {
+  EXPECT_THROW(CpuSet::range(5, 4), InvariantViolation);
+  EXPECT_THROW(CpuSet::range(0, CpuSet::kMaxCpus + 1), InvariantViolation);
+  EXPECT_THROW(CpuSet::range(-1, 3), InvariantViolation);
+  EXPECT_THROW(CpuSet::first_n(-1), InvariantViolation);
+}
+
 }  // namespace
 }  // namespace pinsim::hw

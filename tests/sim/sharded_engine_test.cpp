@@ -246,6 +246,73 @@ TEST(ShardedEngineStatsTest, EngineStatsFoldEqualsPerShardSum) {
   EXPECT_EQ(folded.fired, 35);
 }
 
+TEST(ShardedEngineStatsTest, EngineStatsFoldCoversEveryField) {
+  // Every counter is driven to a different nonzero value per shard:
+  // cancels (tombstones), tracked timers moved later (deferred re-arms,
+  // reschedules), same-instant cookied peers (batched boundaries), and
+  // the quiet-core notes. The fold must match a field-by-field sum.
+  constexpr int kShards = 3;
+  ShardedEngine sharded(config_for(kShards));
+  std::vector<EventHandle> handles;
+  for (int s = 0; s < kShards; ++s) {
+    Engine& engine = sharded.shard(s);
+    for (int i = 0; i < 4 + s; ++i) {
+      engine.schedule_detached(usec(10 + i), [] {});
+    }
+    for (int i = 0; i <= s; ++i) {
+      handles.push_back(engine.schedule(usec(20 + i), [] {}));
+      handles.back().cancel();
+      handles.push_back(engine.schedule_tracked(usec(30 + i), [] {}));
+      EXPECT_TRUE(engine.reschedule(handles.back(), usec(40 + i)));
+    }
+    const std::uint32_t domain = engine.new_batch_domain();
+    for (int peer = 0; peer < 2 + s; ++peer) {
+      engine.schedule_tracked_at(
+          usec(60), (domain << 16) | static_cast<std::uint32_t>(peer),
+          [&engine, domain] {
+            while (engine.pop_batched_peer(domain) >= 0) {
+            }
+          });
+    }
+    engine.note_boundaries_skipped(5 + s);
+    for (int i = 0; i <= s; ++i) engine.note_quiet_window();
+  }
+  sharded.run();
+
+  EngineStats manual;
+  for (int s = 0; s < kShards; ++s) {
+    const EngineStats per = sharded.shard(s).stats();
+    EXPECT_GT(per.tombstone_pops, 0) << "shard " << s;
+    EXPECT_GT(per.deferred_rearms, 0) << "shard " << s;
+    EXPECT_GT(per.boundaries_batched, 0) << "shard " << s;
+    manual.scheduled += per.scheduled;
+    manual.fired += per.fired;
+    manual.tombstone_pops += per.tombstone_pops;
+    manual.deferred_rearms += per.deferred_rearms;
+    manual.reschedules += per.reschedules;
+    manual.peak_heap += per.peak_heap;
+    manual.boundaries_batched += per.boundaries_batched;
+    manual.boundaries_skipped += per.boundaries_skipped;
+    manual.quiet_windows += per.quiet_windows;
+  }
+  const EngineStats folded = sharded.engine_stats();
+  EXPECT_EQ(folded.scheduled, manual.scheduled);
+  EXPECT_EQ(folded.fired, manual.fired);
+  EXPECT_EQ(folded.tombstone_pops, manual.tombstone_pops);
+  EXPECT_EQ(folded.deferred_rearms, manual.deferred_rearms);
+  EXPECT_EQ(folded.reschedules, manual.reschedules);
+  EXPECT_EQ(folded.peak_heap, manual.peak_heap);
+  EXPECT_EQ(folded.boundaries_batched, manual.boundaries_batched);
+  EXPECT_EQ(folded.boundaries_skipped, manual.boundaries_skipped);
+  EXPECT_EQ(folded.quiet_windows, manual.quiet_windows);
+  // Closed forms of the pattern above, summed over shards 0..2.
+  EXPECT_EQ(folded.tombstone_pops, 1 + 2 + 3);
+  EXPECT_EQ(folded.reschedules, 1 + 2 + 3);
+  EXPECT_EQ(folded.boundaries_batched, 1 + 2 + 3);
+  EXPECT_EQ(folded.boundaries_skipped, 5 + 6 + 7);
+  EXPECT_EQ(folded.quiet_windows, 1 + 2 + 3);
+}
+
 TEST(ShardedEngineStatsTest, AggregateFoldMatchesSerialTotals) {
   // The same event pattern run serially on plain Engines and sharded:
   // the process-wide aggregate (folded atomically per engine at
