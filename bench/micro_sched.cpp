@@ -3,12 +3,15 @@
 // Targets the three structures the figure sweeps hammer on every
 // simulated scheduling event: wakeup placement (idle scan + random
 // pick), the per-cpu runqueue (enqueue / pick / remove), and the cgroup
-// usage accounting (charge, period refill, aggregation). Before/after
-// numbers for the word-scan CpuSet + idle-mask + flat-heap overhaul are
-// recorded in BENCH_sched.json.
+// usage accounting (charge, period refill, aggregation), plus one
+// request's spawn-to-exit path against how many came before it.
+// Before/after numbers for the word-scan CpuSet + idle-mask + flat-heap
+// overhaul are recorded in BENCH_sched.json.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hw/topology.hpp"
@@ -190,6 +193,42 @@ void BM_WakeSleepCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 100);
 }
 BENCHMARK(BM_WakeSleepCycle)->Arg(8)->Arg(32);
+
+void BM_SpawnFinish(benchmark::State& state) {
+  // One short request's life on a 16-cpu host: join the pinned
+  // container's cgroup, start, compute briefly, exit. The argument is
+  // how many requests the host already served. Finished tasks stay in
+  // the kernel and in their cgroup (workloads read their stats after the
+  // run), so a flat row means a spawn costs O(live tasks), not O(tasks
+  // ever created). Fixed iterations keep the growth during measurement
+  // below the smallest nonzero gap between arguments.
+  const auto served = state.range(0);
+  sim::Engine engine;
+  const hw::Topology topo(1, 16, 1, 16.0);
+  const hw::CostModel costs;
+  os::Kernel kernel(engine, topo, costs, Rng(5));
+  os::Cgroup& group = kernel.create_cgroup(
+      os::Cgroup::Config{"cn", 0.0, hw::CpuSet::range(0, 4)});
+  auto spawn_and_finish = [&] {
+    auto done = std::make_shared<bool>(false);
+    os::TaskConfig config;
+    config.cgroup = &group;
+    os::Task& task = kernel.create_task(
+        "req",
+        std::make_unique<os::LambdaDriver>([done](os::Task&) {
+          if (*done) return os::Action::exit();
+          *done = true;
+          return os::Action::compute(usec(20));
+        }),
+        std::move(config));
+    kernel.start_task(task);
+    kernel.run_until_quiescent();
+  };
+  for (std::int64_t i = 0; i < served; ++i) spawn_and_finish();
+  for (auto _ : state) spawn_and_finish();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpawnFinish)->Arg(1)->Arg(1000)->Arg(10000)->Iterations(5000);
 
 }  // namespace
 

@@ -136,10 +136,12 @@ std::vector<Task*> Cgroup::take_parked() {
 
 void Cgroup::add_member(Task& task) {
   PINSIM_CHECK(task.cgroup == nullptr || task.cgroup == this);
+  // A task is a member exactly when its cgroup points here, so a repeat
+  // join is a no-op without scanning members_ (which keeps every task
+  // that ever joined).
+  if (task.cgroup == this) return;
   task.cgroup = this;
-  if (std::find(members_.begin(), members_.end(), &task) == members_.end()) {
-    members_.push_back(&task);
-  }
+  members_.push_back(&task);
 }
 
 void Cgroup::remove_member(Task& task) {

@@ -83,9 +83,6 @@ Task& Kernel::create_task(std::string name,
   tasks_.push_back(
       std::make_unique<Task>(id, std::move(name), std::move(driver)));
   Task& task = *tasks_.back();
-  // Every queue could in the worst case hold every task; pre-sizing
-  // here keeps Runqueue::enqueue allocation-free on the hot path.
-  for (Runqueue& rq : rq_) rq.reserve(tasks_.size());
   task.affinity = config.affinity;
   if (!task.affinity.empty()) {
     PINSIM_CHECK_MSG(!(task.affinity & topology_->all_cpus()).empty(),
@@ -107,6 +104,16 @@ void Kernel::start_task(Task& task) {
   PINSIM_CHECK_MSG(task.state == TaskState::Created,
                    "task " << task.name() << " started twice");
   ++live_tasks_;
+  // Only started, unfinished tasks can be queued, so live_tasks_ bounds
+  // every runqueue. Reserving geometrically on that bound keeps
+  // Runqueue::enqueue allocation-free on the hot path at O(live) memory
+  // and amortized O(1) cost per spawn. Finished tasks stay in tasks_, so
+  // its size is no bound to reserve on.
+  const auto live = static_cast<std::size_t>(live_tasks_);
+  if (live > rq_reserved_) {
+    rq_reserved_ = 2 * live;
+    for (Runqueue& rq : rq_) rq.reserve(rq_reserved_);
+  }
   task.stats.started_at = now();
   task.overhead_debt += costs_->sched_pick;  // fork/exec placement work
   hw::CpuId hint = -1;

@@ -144,6 +144,10 @@ class Kernel {
 
   int live_tasks() const { return live_tasks_; }
   bool idle_cpu(hw::CpuId cpu) const;
+  /// Run queue of `cpu`, read-only (its reservation is observable).
+  const Runqueue& runqueue(hw::CpuId cpu) const {
+    return rq_[static_cast<std::size_t>(cpu)];
+  }
   const KernelStats& stats() const { return stats_; }
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
 
@@ -305,6 +309,7 @@ class Kernel {
   std::vector<std::function<void(Task&)>> on_exit_;
 
   int live_tasks_ = 0;
+  std::size_t rq_reserved_ = 0;  // capacity reserved on every runqueue
   hw::CpuId irq_rr_ = 0;  // round-robin irq distribution for unpinned IO
   bool housekeeping_active_ = false;
   sim::EventHandle housekeeping_;

@@ -27,9 +27,11 @@ class Runqueue {
   bool contains(const Task& task) const;
 
   /// Pre-size the heap so enqueue never reallocates on the hot path.
-  /// The kernel calls this as tasks are created: n = total task count
-  /// is a safe upper bound for any single queue.
+  /// The kernel calls this as tasks start: the live task count bounds
+  /// any single queue, and it reserves twice that as the count grows.
   void reserve(std::size_t n) { heap_.reserve(n); }
+  /// Slots the heap holds before enqueue would reallocate.
+  std::size_t capacity() const { return heap_.capacity(); }
 
   /// Task with the smallest vruntime, or nullptr when empty.
   Task* peek_min() const;

@@ -58,6 +58,7 @@ Engine::~Engine() {
   }
 }
 
+template <bool kTimer>
 Engine::Entry Engine::pop_min() {
   // Bottom-up extraction: walk the hole left by the root down the
   // min-child path to a leaf (child comparisons only), then bubble the
@@ -66,10 +67,11 @@ Engine::Entry Engine::pop_min() {
   // this skips the per-level value comparison of a classic sift-down.
   // The min-child scan is written so each step is a conditional move,
   // not a data-dependent branch.
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
+  std::vector<Entry>& h = heap<kTimer>();
+  const Entry top = h.front();
+  const Entry last = h.back();
+  h.pop_back();
+  const std::size_t n = h.size();
   if (n == 0) return top;
   std::size_t hole = 0;
   while (true) {
@@ -77,63 +79,66 @@ Engine::Entry Engine::pop_min() {
     if (first + 4 <= n) {
       // Full fan-out: pairwise tournament so the two halves race in
       // parallel instead of one serial cmov chain over four children.
-      const unsigned __int128 k0 = heap_[first].key;
-      const unsigned __int128 k1 = heap_[first + 1].key;
-      const unsigned __int128 k2 = heap_[first + 2].key;
-      const unsigned __int128 k3 = heap_[first + 3].key;
+      const unsigned __int128 k0 = h[first].key;
+      const unsigned __int128 k1 = h[first + 1].key;
+      const unsigned __int128 k2 = h[first + 2].key;
+      const unsigned __int128 k3 = h[first + 3].key;
       const std::size_t a = k1 < k0 ? first + 1 : first;
       const unsigned __int128 ka = k1 < k0 ? k1 : k0;
       const std::size_t b = k3 < k2 ? first + 3 : first + 2;
       const unsigned __int128 kb = k3 < k2 ? k3 : k2;
       const std::size_t best = kb < ka ? b : a;
-      put(hole, heap_[best]);
+      put<kTimer>(hole, h[best]);
       hole = best;
       continue;
     }
     if (first >= n) break;
     std::size_t best = first;
-    unsigned __int128 best_key = heap_[first].key;
+    unsigned __int128 best_key = h[first].key;
     for (std::size_t c = first + 1; c < n; ++c) {
-      const unsigned __int128 ck = heap_[c].key;
+      const unsigned __int128 ck = h[c].key;
       const bool lt = ck < best_key;
       best = lt ? c : best;
       best_key = lt ? ck : best_key;
     }
-    put(hole, heap_[best]);
+    put<kTimer>(hole, h[best]);
     hole = best;
   }
   while (hole > 0) {
     const std::size_t parent = (hole - 1) >> 2;
-    if (last.key >= heap_[parent].key) break;
-    put(hole, heap_[parent]);
+    if (last.key >= h[parent].key) break;
+    put<kTimer>(hole, h[parent]);
     hole = parent;
   }
-  put(hole, last);
+  put<kTimer>(hole, last);
   return top;
 }
+
+template Engine::Entry Engine::pop_min<true>();
+template Engine::Entry Engine::pop_min<false>();
 
 void Engine::sift_down(std::size_t i) {
   // Only reached from reschedule() re-keying an entry to the same
   // instant (fresh seq grows the key), so the walk is usually short.
-  const Entry value = heap_[i];
-  const std::size_t n = heap_.size();
+  const Entry value = timers_[i];
+  const std::size_t n = timers_.size();
   while (true) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
     const std::size_t end = std::min(first + 4, n);
     std::size_t best = first;
-    unsigned __int128 best_key = heap_[first].key;
+    unsigned __int128 best_key = timers_[first].key;
     for (std::size_t c = first + 1; c < end; ++c) {
-      const unsigned __int128 ck = heap_[c].key;
+      const unsigned __int128 ck = timers_[c].key;
       const bool lt = ck < best_key;
       best = lt ? c : best;
       best_key = lt ? ck : best_key;
     }
     if (value.key <= best_key) break;
-    put(i, heap_[best]);
+    put<true>(i, timers_[best]);
     i = best;
   }
-  put(i, value);
+  put<true>(i, value);
 }
 
 // Cold: one call per 256 nodes. Out of line (and never inlined) so
@@ -147,9 +152,11 @@ __attribute__((noinline)) void Engine::grow_slab() {
   deferred_.resize(chunks_.size() << kChunkShift);
   cookie_.resize(chunks_.size() << kChunkShift);
   // Every heap entry and every free-list entry refers to a live node,
-  // so node capacity bounds both. Reserving here makes push_event /
-  // release_node allocation-free between slab growths.
-  heap_.reserve(chunks_.size() << kChunkShift);
+  // so node capacity bounds each heap and the free list. Reserving here
+  // makes push_event / release_node allocation-free between slab
+  // growths.
+  timers_.reserve(chunks_.size() << kChunkShift);
+  events_.reserve(chunks_.size() << kChunkShift);
   free_nodes_.reserve(chunks_.size() << kChunkShift);
 }
 
@@ -184,19 +191,26 @@ __attribute__((noinline)) void Engine::resolve_tagged(
   // push (still tracked, so later reschedules keep working), no firing.
   ++stats_.deferred_rearms;
   const Deferred d = deferred_[id];
-  heap_.push_back(Entry{make_key(d.when, d.seq), id | kTrackedBit});
-  sift_up(heap_.size() - 1);
+  timers_.push_back(Entry{make_key(d.when, d.seq), id});
+  sift_up<true>(timers_.size() - 1);
 }
 
 bool Engine::step(SimTime horizon) {
-  while (!heap_.empty()) {
-    if (when_of(heap_.front()) > horizon) return false;
-    const Entry top = pop_min();
+  while (true) {
+    // Fire whichever top has the smaller (when, seq) key: the order one
+    // merged heap would give. Keys are unique, so there are no ties.
+    const bool from_timers =
+        !timers_.empty() &&
+        (events_.empty() || timers_.front().key < events_.front().key);
+    const std::vector<Entry>& next = from_timers ? timers_ : events_;
+    if (next.empty() || when_of(next.front()) > horizon) return false;
+    const Entry top = from_timers ? pop_min<true>() : pop_min<false>();
+    // Only timer-heap entries carry the tag.
     if (top.node & kDeferredBit) [[unlikely]] {
       resolve_tagged(top.node);
       continue;
     }
-    const std::uint32_t id = top.node & kNodeIdMask;
+    const std::uint32_t id = top.node;
     Node& n = node(id);
     if (n.cancelled) {
       ++stats_.tombstone_pops;
@@ -213,7 +227,6 @@ bool Engine::step(SimTime horizon) {
     fn();
     return true;
   }
-  return false;
 }
 
 std::int64_t Engine::run(SimTime horizon) {
@@ -221,7 +234,7 @@ std::int64_t Engine::run(SimTime horizon) {
   while (step(horizon)) {
     ++fired;
   }
-  if (horizon != kNoHorizon && now_ < horizon && heap_.empty()) {
+  if (horizon != kNoHorizon && now_ < horizon && empty()) {
     now_ = horizon;
   }
   return fired;

@@ -1,15 +1,18 @@
 // Discrete-event simulation engine.
 //
-// A single monotonically advancing clock and a binary heap of events.
-// Events scheduled at the same instant fire in scheduling order (FIFO by
-// sequence number) so the simulation is fully deterministic. Events can be
-// cancelled through the returned handle — the kernel uses this to retract
-// a core's quantum-expiry event when the core reschedules early.
+// A single monotonically advancing clock and two 4-ary min-heaps of
+// events keyed by (when, seq): one for re-armable timers, one for
+// fire-once events. step() fires whichever top has the smaller key, so
+// the two heaps fire in exactly the order one merged heap would. Events
+// scheduled at the same instant fire in scheduling order (FIFO by
+// sequence number) so the simulation is fully deterministic. Events can
+// be cancelled through the returned handle — the kernel uses this to
+// retract a core's quantum-expiry event when the core reschedules early.
 //
 // Hot-path design: each event's callback (a small-buffer-optimized
 // move-only util::MoveFunction) and cancellation flag live in a slab
 // node recycled through a free list — no shared_ptr control block per
-// event. The heap itself holds only trivially-copyable entries (time,
+// event. The heaps hold only trivially-copyable entries (time,
 // sequence, node index) packed into one 128-bit key, so sift-up/down
 // moves are plain copies instead of type-erased callback moves.
 // Generation counters on the nodes make stale handles to recycled nodes
@@ -18,26 +21,29 @@
 //
 // Timer re-arming is tombstone-free: reschedule() moves a pending
 // event's deadline in place. Re-armable events are scheduled through
-// schedule_tracked()/schedule_tracked_at(), which tag the heap entry;
-// tracked entries maintain a dense node→heap-slot back-pointer array
-// (updated on every heap move, the Task::rq_index trick) that lets
+// schedule_tracked()/schedule_tracked_at() into the timer heap, whose
+// entries maintain a dense node→heap-slot back-pointer array (updated
+// on every timer-heap move, the Task::rq_index trick) that lets
 // reschedule() find the live entry in O(1). Moving a deadline *earlier*
 // is then an O(log n) decrease-key on the live entry. Moving it *later*
 // is a lazy deferral: the new (deadline, seq) pair goes into a dense
-// side array, the live entry gets a second tag bit, and the heap entry
-// is otherwise left alone; when the stale entry reaches the top, step()
+// side array, the live entry gets a tag bit, and the heap entry is
+// otherwise left alone; when the stale entry reaches the top, step()
 // re-arms it with a single push instead of firing. Either way the event
 // keeps the fire-order key (when, seq-at-reschedule-time) that a
 // cancel() + fresh schedule() would have produced, so simulations are
 // bit-identical to the historical cancel+push pattern — without its
 // dead heap entries.
 //
-// Tracking is opt-in because it is not free: maintaining back-pointers
-// for every entry would add a store to every sift move of every pop,
-// which measurably slows all simulation. A typical kernel has a handful
-// of re-armable timers (per-core boundary timers, the housekeeping
-// tick) among millions of fire-once events, so untracked entries pay
-// only a predicted-not-taken branch per heap move.
+// Why two heaps: a kernel has a handful of re-armable timers (per-core
+// boundary timers, the housekeeping tick) that fire and re-arm every
+// millisecond or so, among many fire-once events that mostly wait far
+// longer (a serving host holds hundreds of sleeping requests). In one
+// heap every timer pop sifts through all of them, and every heap move
+// pays a back-pointer branch that mispredicts as often as timers are
+// mixed in. Split, a timer pop sifts through the timers only, the timer
+// heap stores its back-pointer on every move unconditionally, and the
+// fire-once heap never stores one.
 //
 // Handles must not outlive the engine that issued them (they hold a raw
 // pointer into it); default-constructed handles are inert.
@@ -168,25 +174,27 @@ class Engine {
     return next_batch_domain_++;
   }
 
-  /// Batched same-instant drain: if the top heap entry is an un-deferred
-  /// tracked entry armed at exactly now() whose cookie belongs to
-  /// `domain`, pop it without dispatching its callback and return the
-  /// cookie's 16-bit payload; otherwise return -1 and leave the heap
-  /// alone. Cancelled matching entries are tombstoned and the scan
-  /// continues. Callers loop until -1, handling each payload inline —
-  /// one at a time, so a handler that cancels or defers a peer's entry
-  /// is observed before that peer is popped, exactly like the
-  /// one-step()-per-fire path this replaces.
+  /// Batched same-instant drain: if the next event to fire is an
+  /// un-deferred tracked entry armed at exactly now() whose cookie
+  /// belongs to `domain`, pop it without dispatching its callback and
+  /// return the cookie's 16-bit payload; otherwise return -1 and leave
+  /// the heaps alone (a fire-once event keyed ahead of the timer top
+  /// fires first, through step()). Cancelled matching entries are
+  /// tombstoned and the scan continues. Callers loop until -1, handling
+  /// each payload inline — one at a time, so a handler that cancels or
+  /// defers a peer's entry is observed before that peer is popped,
+  /// exactly like the one-step()-per-fire path this replaces.
   // pinsim-lint: hot
   int pop_batched_peer(std::uint32_t domain) {
-    while (!heap_.empty()) {
-      const Entry top = heap_.front();
+    while (!timers_.empty()) {
+      const Entry top = timers_.front();
       if (when_of(top) != now_) return -1;
-      if (!(top.node & kTrackedBit) || (top.node & kDeferredBit)) return -1;
-      const std::uint32_t id = top.node & kNodeIdMask;
+      if (!events_.empty() && events_.front().key < top.key) return -1;
+      if (top.node & kDeferredBit) return -1;
+      const std::uint32_t id = top.node;
       const std::uint32_t cookie = cookie_[id];
       if ((cookie >> 16) != domain) return -1;
-      pop_min();
+      pop_min<true>();
       if (node(id).cancelled) {
         ++stats_.tombstone_pops;
         release_node(id);
@@ -236,16 +244,21 @@ class Engine {
     return predicate();
   }
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t pending_events() const { return heap_.size(); }
+  bool empty() const { return timers_.empty() && events_.empty(); }
+  std::size_t pending_events() const {
+    return timers_.size() + events_.size();
+  }
 
-  /// Instant of the earliest pending heap entry, or kNoHorizon when the
-  /// queue is empty. For an entry whose deadline was deferred later (see
-  /// reschedule()) this reports the stale armed instant — a lower bound
-  /// on when the event can actually fire, which is exactly what the
-  /// sharded round loop needs for a conservative window.
+  /// Instant of the earliest pending heap entry of either kind, or
+  /// kNoHorizon when both heaps are empty. For an entry whose deadline
+  /// was deferred later (see reschedule()) this reports the stale armed
+  /// instant — a lower bound on when the event can actually fire, which
+  /// is exactly what the sharded round loop needs for a conservative
+  /// window.
   SimTime peek_next() const {
-    return heap_.empty() ? kNoHorizon : when_of(heap_.front());
+    const SimTime t = timers_.empty() ? kNoHorizon : when_of(timers_.front());
+    const SimTime e = events_.empty() ? kNoHorizon : when_of(events_.front());
+    return t < e ? t : e;
   }
 
   /// Jump the clock forward to `when` without firing anything. Only
@@ -296,7 +309,7 @@ class Engine {
   };
 
   /// Deferred re-arm key for a node whose deadline moved later while its
-  /// heap entry stayed armed. Only valid while the entry carries
+  /// timer-heap entry stayed armed. Only valid while the entry carries
   /// kDeferredBit; stale contents are harmless once the bit clears.
   struct Deferred {
     SimTime when;
@@ -311,20 +324,17 @@ class Engine {
   /// starts at zero and only advances), so the unsigned compare is safe.
   struct Entry {
     unsigned __int128 key;
-    /// Node id, with kTrackedBit tagged in for rescheduleable entries
-    /// and kDeferredBit tagged in when the event's deadline moved later
-    /// than this entry's key (see reschedule()).
+    /// Node id, with kDeferredBit tagged in (timer heap only) when the
+    /// event's deadline moved later than this entry's key (see
+    /// reschedule()).
     std::uint32_t node;
   };
 
-  /// Tag bits on Entry::node. kTrackedBit marks an entry that maintains
-  /// its node→slot back-pointer in slot_of_; kDeferredBit marks an
-  /// entry whose node has a pending deferral in deferred_ (implies
-  /// tracked). Node ids stay far below 2^30 (the slab would exceed
-  /// memory long before), so the bits are free.
+  /// Tag bit on a timer-heap Entry::node whose node has a pending
+  /// deferral in deferred_. Node ids stay far below 2^31 (the slab would
+  /// exceed memory long before), so the bit is free.
   static constexpr std::uint32_t kDeferredBit = 0x80000000u;
-  static constexpr std::uint32_t kTrackedBit = 0x40000000u;
-  static constexpr std::uint32_t kNodeIdMask = kTrackedBit - 1;
+  static constexpr std::uint32_t kNodeIdMask = kDeferredBit - 1;
   static unsigned __int128 make_key(SimTime when, std::uint64_t seq) {
     return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(when))
             << 64) |
@@ -343,40 +353,51 @@ class Engine {
   /// of line so step()'s fast path stays small enough to inline well.
   void resolve_tagged(std::uint32_t tagged_node);
 
-  /// Store `e` at heap index `i`, and for tracked entries point the
+  /// The timer heap (kTimer) or the fire-once heap.
+  template <bool kTimer>
+  std::vector<Entry>& heap() {
+    if constexpr (kTimer) {
+      return timers_;
+    } else {
+      return events_;
+    }
+  }
+
+  /// Store `e` at index `i` of its heap; a timer entry also points its
   /// node back at the slot. The back-pointers live in `slot_of_` — a
-  /// dense 4-bytes-per-node array, not the slab nodes — and untracked
-  /// entries (the vast majority) skip the store entirely: one
-  /// predicted-not-taken branch per heap move instead of an
-  /// unconditional extra store, which benchmarked ~1.5x slower on
-  /// schedule/fire-heavy workloads.
+  /// dense 4-bytes-per-node array, not the slab nodes.
+  template <bool kTimer>
   void put(std::size_t i, const Entry& e) {
-    heap_[i] = e;
-    if (e.node & kTrackedBit) [[unlikely]] {
+    heap<kTimer>()[i] = e;
+    if constexpr (kTimer) {
       slot_of_[e.node & kNodeIdMask] = static_cast<std::uint32_t>(i);
     }
   }
 
-  // 4-ary min-heap: half the depth of a binary heap and the four
+  // 4-ary min-heaps: half the depth of a binary heap and the four
   // children share cache lines, so drain-heavy workloads sift faster.
+  template <bool kTimer>
   void sift_up(std::size_t i) {
-    const Entry value = heap_[i];
+    std::vector<Entry>& h = heap<kTimer>();
+    const Entry value = h[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) >> 2;
-      if (value.key >= heap_[parent].key) break;
-      put(i, heap_[parent]);
+      if (value.key >= h[parent].key) break;
+      put<kTimer>(i, h[parent]);
       i = parent;
     }
-    put(i, value);
+    put<kTimer>(i, value);
   }
+  /// Timer heap only: reschedule() is the one caller.
   void sift_down(std::size_t i);
+  template <bool kTimer>
   Entry pop_min();
 
   std::uint32_t push_event(SimTime when, Callback&& fn) {
     const std::uint32_t slot = acquire_node();
     node(slot).fn = std::move(fn);
-    heap_.push_back(Entry{make_key(when, next_seq_++), slot});
-    sift_up(heap_.size() - 1);
+    events_.push_back(Entry{make_key(when, next_seq_++), slot});
+    sift_up<false>(events_.size() - 1);
     return slot;
   }
   std::uint32_t push_event_tracked(SimTime when, Callback&& fn,
@@ -388,8 +409,8 @@ class Engine {
     // Unconditional store: a recycled node may carry a previous tenant's
     // cookie, and pop_batched_peer() must never match a stale one.
     cookie_[slot] = cookie;
-    heap_.push_back(Entry{make_key(when, next_seq_++), slot | kTrackedBit});
-    sift_up(heap_.size() - 1);
+    timers_.push_back(Entry{make_key(when, next_seq_++), slot});
+    sift_up<true>(timers_.size() - 1);
     return slot;
   }
   std::uint32_t acquire_node() {
@@ -432,8 +453,10 @@ class Engine {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::vector<Entry> heap_;  // 4-ary min-heap ordered by (when, seq)
-  /// node id -> index of its live heap entry (valid while pending).
+  // 4-ary min-heaps ordered by (when, seq); keys are unique across both.
+  std::vector<Entry> timers_;  // tracked (re-armable) entries
+  std::vector<Entry> events_;  // fire-once entries
+  /// node id -> index of its live timer-heap entry (valid while pending).
   std::vector<std::uint32_t> slot_of_;
   /// node id -> deferred re-arm key (valid while the entry is tagged).
   std::vector<Deferred> deferred_;
@@ -521,23 +544,23 @@ inline bool Engine::reschedule(EventHandle& handle, SimTime when) {
   const std::uint64_t seq = next_seq_++;
   ++stats_.reschedules;
   const std::uint32_t slot = slot_of_[handle.slot_];
-  const SimTime armed = when_of(heap_[slot]);
+  const SimTime armed = when_of(timers_[slot]);
   if (when > armed) {
     // Later than the live entry: defer lazily. step() re-arms with one
     // push when the tagged entry surfaces at `armed`. Repeated
     // deferrals just overwrite the side-array key.
     deferred_[handle.slot_] = Deferred{when, seq};
-    heap_[slot].node = handle.slot_ | kTrackedBit | kDeferredBit;
+    timers_[slot].node = handle.slot_ | kDeferredBit;
     return true;
   }
   // At or before the live entry: re-key in place (clearing any deferral
   // tag from an earlier move). Equal-time re-arms still grow the key
   // (fresh seq), so they sift down, never up.
-  heap_[slot].node = handle.slot_ | kTrackedBit;
+  timers_[slot].node = handle.slot_;
   const bool earlier = when < armed;
-  heap_[slot].key = make_key(when, seq);
+  timers_[slot].key = make_key(when, seq);
   if (earlier) {
-    sift_up(slot);
+    sift_up<true>(slot);
   } else {
     sift_down(slot);
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -111,6 +113,34 @@ TEST(CgroupTest, MembershipMaintained) {
   group.remove_member(task);
   EXPECT_EQ(task.cgroup, nullptr);
   EXPECT_TRUE(group.members().empty());
+}
+
+TEST(CgroupTest, RepeatJoinKeepsOneMember) {
+  const auto costs = default_costs();
+  Cgroup group(Cgroup::Config{"cn", 0.0, {}}, costs);
+  Cgroup other(Cgroup::Config{"other", 0.0, {}}, costs);
+  auto make = [](Task::Id id) {
+    return Task(id, "t" + std::to_string(id),
+                std::make_unique<LambdaDriver>(
+                    [](Task&) { return Action::exit(); }));
+  };
+  Task a = make(0);
+  Task b = make(1);
+  group.add_member(a);
+  group.add_member(a);
+  group.add_member(b);
+  group.add_member(a);
+  EXPECT_EQ(group.members(), (std::vector<Task*>{&a, &b}));
+  // A task belongs to one group at a time.
+  EXPECT_THROW(other.add_member(a), InvariantViolation);
+  EXPECT_TRUE(other.members().empty());
+  group.remove_member(a);
+  EXPECT_EQ(a.cgroup, nullptr);
+  EXPECT_EQ(group.members(), (std::vector<Task*>{&b}));
+  // After leaving, the task may join again (and only once).
+  group.add_member(a);
+  group.add_member(a);
+  EXPECT_EQ(group.members(), (std::vector<Task*>{&b, &a}));
 }
 
 TEST(CgroupTest, ThrottleOverrunBoundedByOneCharge) {

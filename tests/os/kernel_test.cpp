@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -289,6 +291,104 @@ TEST(KernelTest, RunawayDriverDetected) {
                      [](Task&) { return Action::compute(0); }));
   h.kernel.start_task(t);
   EXPECT_THROW(h.kernel.run_until_quiescent(), InvariantViolation);
+}
+
+/// What a request-churn run produced, for comparing runs.
+struct ChurnRun {
+  std::vector<SimTime> finished_at;
+  std::vector<SimDuration> cpu_time;
+  std::vector<hw::CpuId> last_cpu;
+  std::int64_t context_switches = 0;
+  std::int64_t wakeups = 0;
+  std::int64_t migrations = 0;
+  std::int64_t steals = 0;
+  SimTime end = 0;
+  int peak_live = 0;
+  std::size_t peak_capacity = 0;
+};
+
+/// 5,000 short requests on a 16-cpu host, at most 8 live at a time: each
+/// exit spawns the next request. Even requests are pinned to cpus 0-1 so
+/// some queues hold several tasks. `reserve_eagerly` pre-sizes every
+/// queue for all 5,000 tasks, the reservation the kernel once made.
+ChurnRun run_request_churn(bool reserve_eagerly) {
+  constexpr int kTotal = 5000;
+  constexpr int kLive = 8;
+  Harness h(hw::Topology(1, 16, 1, 16.0));
+  if (reserve_eagerly) {
+    // The queues are the kernel's own non-const members.
+    for (int cpu = 0; cpu < 16; ++cpu) {
+      const_cast<Runqueue&>(h.kernel.runqueue(cpu)).reserve(kTotal);
+    }
+  }
+  ChurnRun out;
+  int created = 0;
+  std::function<void()> spawn = [&] {
+    const int i = created++;
+    auto phase = std::make_shared<int>(0);
+    auto driver = std::make_unique<LambdaDriver>([phase, i](Task&) {
+      switch ((*phase)++) {
+        case 0:
+          return Action::compute(usec(300 + 37 * (i % 11)));
+        case 1:
+          return Action::sleep_for(usec(100 + 13 * (i % 7)));
+        case 2:
+          return Action::compute(usec(150));
+        default:
+          return Action::exit();
+      }
+    });
+    TaskConfig config;
+    if (i % 2 == 0) config.affinity = hw::CpuSet::range(0, 2);
+    // Spawn from a fresh event: on_exit runs inside the kernel.
+    config.on_exit = [&](Task&) {
+      if (created < kTotal) h.engine.schedule_detached(0, [&] { spawn(); });
+    };
+    Task& task = h.kernel.create_task("r" + std::to_string(i),
+                                      std::move(driver), std::move(config));
+    h.kernel.start_task(task);
+    out.peak_live = std::max(out.peak_live, h.kernel.live_tasks());
+  };
+  for (int i = 0; i < kLive; ++i) spawn();
+  EXPECT_TRUE(h.engine.run_until(
+      [&] { return created == kTotal && h.kernel.live_tasks() == 0; }));
+  EXPECT_EQ(static_cast<int>(h.kernel.tasks().size()), kTotal);
+  for (const auto& task : h.kernel.tasks()) {
+    EXPECT_EQ(task->state, TaskState::Finished);
+    out.finished_at.push_back(task->stats.finished_at);
+    out.cpu_time.push_back(task->stats.cpu_time);
+    out.last_cpu.push_back(task->last_cpu);
+  }
+  // A queue's capacity never shrinks, so its final value is its peak.
+  for (int cpu = 0; cpu < 16; ++cpu) {
+    out.peak_capacity =
+        std::max(out.peak_capacity, h.kernel.runqueue(cpu).capacity());
+  }
+  out.context_switches = h.kernel.stats().context_switches;
+  out.wakeups = h.kernel.stats().wakeups;
+  out.migrations = h.kernel.stats().migrations;
+  out.steals = h.kernel.stats().steals;
+  out.end = h.engine.now();
+  return out;
+}
+
+TEST(KernelTest, RunqueueReservationBoundedByLiveTasks) {
+  const ChurnRun lazy = run_request_churn(false);
+  EXPECT_EQ(lazy.peak_live, 8);
+  EXPECT_GT(lazy.peak_capacity, 0u);
+  EXPECT_LE(lazy.peak_capacity, 2u * static_cast<std::size_t>(lazy.peak_live));
+  // Reservation is invisible to the simulation.
+  const ChurnRun eager = run_request_churn(true);
+  EXPECT_GE(eager.peak_capacity, 5000u);
+  EXPECT_EQ(lazy.finished_at, eager.finished_at);
+  EXPECT_EQ(lazy.cpu_time, eager.cpu_time);
+  EXPECT_EQ(lazy.last_cpu, eager.last_cpu);
+  EXPECT_EQ(lazy.context_switches, eager.context_switches);
+  EXPECT_EQ(lazy.wakeups, eager.wakeups);
+  EXPECT_EQ(lazy.migrations, eager.migrations);
+  EXPECT_EQ(lazy.steals, eager.steals);
+  EXPECT_EQ(lazy.end, eager.end);
+  EXPECT_GT(lazy.context_switches, 5000);
 }
 
 }  // namespace

@@ -85,14 +85,19 @@ TEST_P(EngineFuzzTest, HorizonSplitEqualsFullRun) {
 TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
   // Reference model: a std::multimap keyed by (deadline, seq) where seq
   // mirrors the engine's internal sequence counter — one tick per
-  // schedule and per successful reschedule. The engine must fire
-  // exactly the oracle's key order through any interleaving of
-  // schedule / cancel / reschedule-earlier / reschedule-later / run.
+  // schedule (tracked or one-shot) and per successful reschedule. The
+  // engine must fire exactly the oracle's key order through any
+  // interleaving of tracked schedule / one-shot schedule() and
+  // schedule_detached() / cancel / reschedule-earlier /
+  // reschedule-later / run. One-shot delays sit on a coarse grid so they
+  // often tie with each other and with tracked deadlines.
   Rng rng(GetParam() * 1007 + 11);
   Engine engine;
   using Key = std::pair<SimTime, std::uint64_t>;
+  enum class Kind { Tracked, OneShot, Detached };
   std::multimap<Key, int> oracle;
   std::map<int, std::multimap<Key, int>::iterator> live;
+  std::map<int, Kind> kind;
   std::map<int, EventHandle> handles;
   std::vector<int> fired;
   std::vector<int> expected;
@@ -101,25 +106,46 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
   std::int64_t cancelled_count = 0;
   int next_id = 0;
 
-  auto random_live = [&]() -> int {
-    if (live.empty()) return -1;
-    auto it = live.begin();
-    std::advance(it, rng.uniform_int(0, static_cast<int>(live.size()) - 1));
-    return it->first;
+  // A random live event whose kind passes `accept`, or -1.
+  auto random_live = [&](auto accept) -> int {
+    std::vector<int> candidates;
+    for (const auto& entry : live) {
+      if (accept(kind[entry.first])) candidates.push_back(entry.first);
+    }
+    if (candidates.empty()) return -1;
+    return candidates[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(candidates.size()) - 1))];
   };
+  auto cancellable = [](Kind k) { return k != Kind::Detached; };
+  auto tracked = [](Kind k) { return k == Kind::Tracked; };
 
   for (int round = 0; round < 80; ++round) {
     const int ops = static_cast<int>(rng.uniform_int(1, 40));
     for (int op = 0; op < ops; ++op) {
       const std::int64_t dice = rng.uniform_int(0, 99);
-      if (dice < 50 || live.empty()) {
+      if (dice < 35 || live.empty()) {
         const auto delay = static_cast<SimDuration>(rng.uniform_int(0, 5000));
         const int id = next_id++;
         handles[id] = engine.schedule_tracked(
             delay, [&fired, id] { fired.push_back(id); });
+        kind[id] = Kind::Tracked;
+        live[id] = oracle.emplace(Key{engine.now() + delay, seq++}, id);
+      } else if (dice < 55) {
+        const auto delay =
+            static_cast<SimDuration>(rng.uniform_int(0, 50) * 100);
+        const int id = next_id++;
+        auto fire = [&fired, id] { fired.push_back(id); };
+        if (dice < 45) {
+          handles[id] = engine.schedule(delay, fire);
+          kind[id] = Kind::OneShot;
+        } else {
+          engine.schedule_detached(delay, fire);
+          kind[id] = Kind::Detached;
+        }
         live[id] = oracle.emplace(Key{engine.now() + delay, seq++}, id);
       } else if (dice < 65) {
-        const int id = random_live();
+        const int id = random_live(cancellable);
+        if (id < 0) continue;
         handles[id].cancel();
         EXPECT_FALSE(handles[id].pending());
         oracle.erase(live[id]);
@@ -130,7 +156,8 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
         // not consume a sequence number — the oracle would drift).
         EXPECT_FALSE(engine.reschedule(handles[id], engine.now() + 1));
       } else if (dice < 90) {
-        const int id = random_live();
+        const int id = random_live(tracked);
+        if (id < 0) continue;
         const auto when = static_cast<SimTime>(
             engine.now() + rng.uniform_int(0, 5000));
         ASSERT_TRUE(engine.reschedule(handles[id], when));
@@ -138,6 +165,7 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
         live[id] = oracle.emplace(Key{when, seq++}, id);
       } else if (!dead.empty()) {
         // Fired or cancelled events are gone for good.
+        // Detached events never had a handle; theirs is inert.
         const int id = dead[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<int>(dead.size()) - 1))];
         EXPECT_FALSE(engine.reschedule(handles[id], engine.now() + 1));
@@ -146,6 +174,11 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
 
     const auto horizon = static_cast<SimTime>(
         engine.now() + rng.uniform_int(0, 8000));
+    // Tombstones and deferred timers make peek_next() a lower bound.
+    if (!oracle.empty()) {
+      EXPECT_LE(engine.peek_next(), oracle.begin()->first.first);
+    }
+    EXPECT_GE(engine.pending_events(), live.size());
     engine.run(horizon);
     while (!oracle.empty() && oracle.begin()->first.first <= horizon) {
       const int id = oracle.begin()->second;

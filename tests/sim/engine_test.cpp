@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -309,6 +310,60 @@ TEST(EngineTest, RescheduleEarlierLeavesNoTombstone) {
   EXPECT_EQ(engine.stats().tombstone_pops, 0);
   EXPECT_EQ(engine.stats().deferred_rearms, 0);
   EXPECT_EQ(engine.stats().fired, 1);
+}
+
+TEST(EngineTest, BatchedPeerNeverOvertakesEarlierOneShot) {
+  // Timers and fire-once events live in separate heaps; a batched drain
+  // must still stop at a same-instant one-shot event whose sequence
+  // number comes before the next timer peer's.
+  Engine engine;
+  const std::uint32_t domain = engine.new_batch_domain();
+  std::vector<std::string> order;
+  auto peer = [&](std::uint32_t payload) {
+    engine.schedule_tracked_at(msec(1), (domain << 16) | payload, [&, payload] {
+      order.push_back("t" + std::to_string(payload));
+      int batched;
+      while ((batched = engine.pop_batched_peer(domain)) >= 0) {
+        order.push_back("b" + std::to_string(batched));
+      }
+    });
+  };
+  auto one_shot = [&](const std::string& name) {
+    engine.schedule_at(msec(1), [&order, name] { order.push_back(name); });
+  };
+  peer(0);
+  one_shot("x");  // seq between peer 0 and peer 1: blocks the drain
+  peer(1);
+  peer(2);
+  one_shot("y");  // seq after every peer: peer 1's drain passes it
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"t0", "x", "t1", "b2", "y"}));
+  EXPECT_EQ(engine.stats().boundaries_batched, 1);
+  EXPECT_EQ(engine.stats().fired, 5);
+}
+
+TEST(EngineTest, PeekNextReportsEarliestEventOfAnyKind) {
+  Engine engine;
+  EXPECT_EQ(engine.peek_next(), Engine::kNoHorizon);
+  EXPECT_TRUE(engine.empty());
+  engine.schedule_tracked(msec(5), [] {});
+  EXPECT_EQ(engine.peek_next(), msec(5));
+  engine.schedule(msec(3), [] {});
+  EXPECT_EQ(engine.peek_next(), msec(3));
+  engine.schedule_tracked(msec(1), [] {});
+  EXPECT_EQ(engine.peek_next(), msec(1));
+  engine.schedule_detached(msec(2), [] {});
+  EXPECT_EQ(engine.pending_events(), 4u);
+  EXPECT_EQ(engine.run(msec(1)), 1);
+  EXPECT_EQ(engine.peek_next(), msec(2));  // the one-shot heap's top
+  EXPECT_EQ(engine.run(msec(3)), 2);
+  EXPECT_EQ(engine.peek_next(), msec(5));  // the timer heap's top
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_THROW(engine.advance_clock_to(msec(5)), InvariantViolation);
+  engine.advance_clock_to(msec(4));
+  EXPECT_EQ(engine.run(), 1);
+  EXPECT_TRUE(engine.empty());
+  EXPECT_EQ(engine.peek_next(), Engine::kNoHorizon);
 }
 
 }  // namespace
