@@ -5,19 +5,9 @@
 
 #include "sim/sharded_engine.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pinsim::core {
-
-namespace {
-
-void debug_sample(const virt::PlatformSpec& spec, int rep, double seconds) {
-  PINSIM_DEBUG(spec.label() << " " << spec.instance.name << " rep " << rep
-                            << ": " << seconds << " s");
-}
-
-}  // namespace
 
 workload::RunResult ExperimentRunner::run_once(
     const virt::PlatformSpec& spec, const WorkloadFactory& factory,
@@ -66,10 +56,8 @@ Measurement ExperimentRunner::measure(const virt::PlatformSpec& spec,
   Measurement measurement;
   measurement.spec = spec;
   for (int rep = 0; rep < config_.repetitions; ++rep) {
-    const workload::RunResult result =
-        run_once(spec, factory, seed_for(rep));
-    measurement.samples.add(result.metric_seconds);
-    debug_sample(spec, rep, result.metric_seconds);
+    measurement.samples.add(
+        run_once(spec, factory, seed_for(rep)).metric_seconds);
   }
   return measurement;
 }
@@ -123,9 +111,7 @@ std::vector<Measurement> ExperimentRunner::measure_all(
   for (std::size_t c = 0; c < cell_count; ++c) {
     measurements[c].spec = cells[c].spec;
     for (int rep = 0; rep < reps; ++rep) {
-      const double seconds = samples[c][static_cast<std::size_t>(rep)];
-      measurements[c].samples.add(seconds);
-      debug_sample(cells[c].spec, rep, seconds);
+      measurements[c].samples.add(samples[c][static_cast<std::size_t>(rep)]);
     }
   }
   return measurements;

@@ -106,6 +106,7 @@ SimDuration Cgroup::aggregate() {
 void Cgroup::park(Task& task) {
   PINSIM_CHECK_MSG(task.park_index < 0,
                    "task " << task.name() << " parked twice");
+  task.state = TaskState::Throttled;
   task.park_index = static_cast<int>(parked_.size());
   parked_.push_back(&task);
 }
@@ -129,8 +130,8 @@ bool Cgroup::is_parked(const Task& task) const {
 
 std::vector<Task*> Cgroup::take_parked() {
   for (Task* task : parked_) task->park_index = -1;
-  std::vector<Task*> taken;
-  taken.swap(parked_);
+  std::vector<Task*> taken = parked_;  // parked_ keeps its reservation
+  parked_.clear();
   return taken;
 }
 
@@ -142,6 +143,9 @@ void Cgroup::add_member(Task& task) {
   if (task.cgroup == this) return;
   task.cgroup = this;
   members_.push_back(&task);
+  // Only members are ever parked, so tracking members_' geometric
+  // growth keeps park() allocation-free on the dispatch path.
+  parked_.reserve(members_.capacity());
 }
 
 void Cgroup::remove_member(Task& task) {

@@ -106,8 +106,9 @@ class Cgroup {
   const std::vector<Task*>& members() const { return members_; }
 
   // --- parked tasks (bandwidth throttling) --------------------------------
-  /// Park a task dequeued by bandwidth throttling. O(1); the task
-  /// records its slot index so a later unpark never scans the list.
+  /// Park a task dequeued by bandwidth throttling and mark it
+  /// Throttled. O(1); the task records its slot index so a later unpark
+  /// never scans the list.
   void park(Task& task);
   /// Remove one parked task out of order (swap-and-pop, O(1)).
   void unpark(Task& task);

@@ -1,4 +1,5 @@
-// Core scheduling: dispatch, charging, slice boundaries, action protocol.
+// Core scheduling: dispatch, charging, slice boundaries, and the host's
+// costs and effects for the shared action protocol.
 #include "os/kernel.hpp"
 
 #include <algorithm>
@@ -6,7 +7,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace pinsim::os {
 
@@ -79,42 +79,22 @@ Cgroup& Kernel::create_cgroup(Cgroup::Config config) {
 Task& Kernel::create_task(std::string name,
                           std::unique_ptr<TaskDriver> driver,
                           TaskConfig config) {
-  const Task::Id id = static_cast<Task::Id>(tasks_.size());
-  tasks_.push_back(
-      std::make_unique<Task>(id, std::move(name), std::move(driver)));
-  Task& task = *tasks_.back();
-  task.affinity = config.affinity;
-  if (!task.affinity.empty()) {
-    PINSIM_CHECK_MSG(!(task.affinity & topology_->all_cpus()).empty(),
-                     "task affinity disjoint from host cpus");
-  }
-  task.weight = config.weight;
-  task.working_set_mb = config.working_set_mb;
-  task.compute_inflation = config.compute_inflation;
-  task.numa_home = config.numa_home;
-  task.device_local_start = config.device_local_start;
-  if (config.cgroup != nullptr) {
-    config.cgroup->add_member(task);
-  }
-  on_exit_.push_back(std::move(config.on_exit));
-  return task;
+  return tasks_.create(std::move(name), std::move(driver), std::move(config),
+                       topology_->all_cpus());
 }
 
 void Kernel::start_task(Task& task) {
-  PINSIM_CHECK_MSG(task.state == TaskState::Created,
-                   "task " << task.name() << " started twice");
-  ++live_tasks_;
-  // Only started, unfinished tasks can be queued, so live_tasks_ bounds
-  // every runqueue. Reserving geometrically on that bound keeps
+  tasks_.start(task, now());
+  // Only started, unfinished tasks can be queued, so the live count
+  // bounds every runqueue. Reserving geometrically on that bound keeps
   // Runqueue::enqueue allocation-free on the hot path at O(live) memory
-  // and amortized O(1) cost per spawn. Finished tasks stay in tasks_, so
-  // its size is no bound to reserve on.
-  const auto live = static_cast<std::size_t>(live_tasks_);
+  // and amortized O(1) cost per spawn. Finished tasks stay in the task
+  // table, so its size is no bound to reserve on.
+  const auto live = static_cast<std::size_t>(tasks_.live());
   if (live > rq_reserved_) {
     rq_reserved_ = 2 * live;
     for (Runqueue& rq : rq_) rq.reserve(rq_reserved_);
   }
-  task.stats.started_at = now();
   task.overhead_debt += costs_->sched_pick;  // fork/exec placement work
   hw::CpuId hint = -1;
   if (task.device_local_start) {
@@ -138,7 +118,7 @@ void Kernel::add_observer(SchedObserver& observer) {
 }
 
 bool Kernel::run_until_quiescent(SimTime horizon) {
-  return engine_->run_until([this] { return live_tasks_ == 0; }, horizon);
+  return engine_->run_until([this] { return tasks_.live() == 0; }, horizon);
 }
 
 SimDuration Kernel::slice_for(hw::CpuId cpu) const {
@@ -186,19 +166,7 @@ void Kernel::dispatch(hw::CpuId cpu) {
   if (rq_[i].empty()) {
     steal_for(cpu);
   }
-  // Park throttled-group tasks encountered at dispatch (lazy parking).
-  Task* next = nullptr;
-  while (!rq_[i].empty()) {
-    Task& candidate = rq_[i].pop_min();
-    candidate.queued_cpu = -1;
-    if (candidate.cgroup != nullptr && candidate.cgroup->throttled_on(cpu)) {
-      candidate.state = TaskState::Throttled;
-      candidate.cgroup->park(candidate);
-      continue;
-    }
-    next = &candidate;
-    break;
-  }
+  Task* next = pop_runnable(rq_[i], cpu);
   if (next == nullptr) {
     boundary_[i].cancel();
     refresh_cpu_masks(cpu);
@@ -277,34 +245,10 @@ void Kernel::charge_up_to(hw::CpuId cpu, SimTime t_end) {
   PINSIM_CHECK(elapsed >= 0);
   if (elapsed == 0) return;
   charged_until_[i] = t_end;
-
-  const SimDuration paid = std::min(task->overhead_debt, elapsed);
-  task->overhead_debt -= paid;
-  task->stats.overhead_paid += paid;
-  const SimDuration worked = elapsed - paid;
-  if (worked > 0) {
-    // On a NUMA-remote socket the same wall time advances the burst more
-    // slowly; the shortfall is remote-access stall time.
-    const double slow = numa_slowdown(*task, cpu);
-    SimDuration effective = static_cast<SimDuration>(
-        std::llround(static_cast<double>(worked) / slow));
-    effective = std::min(effective, task->burst_remaining);
-    task->burst_remaining -= effective;
-    task->burst_consumed += effective;
-    task->stats.overhead_paid += worked - effective;
-    task->stats.work_done = static_cast<SimDuration>(
-        std::llround(static_cast<double>(task->burst_consumed) /
-                     task->compute_inflation));
-  }
-  task->stats.cpu_time += elapsed;
-  task->vruntime += static_cast<SimDuration>(
-      static_cast<double>(elapsed) / task->weight);
-
-  if (task->cgroup != nullptr) {
-    const SimDuration accounting = task->cgroup->charge(cpu, elapsed);
-    if (accounting > 0) task->overhead_debt += accounting;
-    // Throttling is enforced lazily at the next boundary/dispatch.
-  }
+  // On a NUMA-remote socket the same wall time advances the burst more
+  // slowly; the shortfall is remote-access stall time. A cgroup
+  // throttle is enforced lazily at the next boundary/dispatch.
+  charge_task(task, cpu, elapsed, numa_slowdown(*task, cpu));
 }
 
 void Kernel::exit_quiet(hw::CpuId cpu) {
@@ -458,7 +402,6 @@ void Kernel::handle_boundary(hw::CpuId cpu) {
     });
     ++stats_.throttle_events;
     notify([&](SchedObserver& o) { o.on_throttle(*task->cgroup); });
-    task->state = TaskState::Throttled;
     task->cgroup->park(*task);
     current_[i] = nullptr;
     dispatch(cpu);
@@ -506,99 +449,29 @@ void Kernel::stop_running(hw::CpuId cpu, bool requeue) {
 
 bool Kernel::advance_actions(hw::CpuId cpu, Task& task) {
   const auto i = static_cast<std::size_t>(cpu);
-  // Busy-polling receive: burn another poll chunk unless the message
-  // arrived, in which case the Recv completes and the driver proceeds.
-  if (task.spin_recv) {
-    if (task.pending_msgs == 0) {
-      task.overhead_debt += costs_->spin_poll_chunk;
-      return true;
-    }
-    task.spin_recv = false;
-    --task.pending_msgs;
-  }
-  for (int guard = 0; guard < 100000; ++guard) {
-    const Action action = task.driver().next(task);
-    switch (action.kind) {
-      case Action::Kind::Compute: {
-        if (action.work == 0) continue;
-        task.burst_remaining = static_cast<SimDuration>(
-            static_cast<double>(action.work) * task.compute_inflation);
-        return true;
-      }
-      case Action::Kind::Post: {
-        PINSIM_CHECK(action.target != nullptr);
-        deliver(task, *action.target, action.count);
-        continue;
-      }
-      case Action::Kind::Recv: {
-        if (task.pending_msgs > 0) {
-          --task.pending_msgs;
-          continue;
-        }
-        if (action.spin) {
-          task.spin_recv = true;
-          task.overhead_debt += costs_->spin_poll_chunk;
-          return true;
-        }
-        task.recv_waiting = true;
-        block_task(task);
-        notify([&](SchedObserver& o) {
-          o.on_slice(task, cpu, now() - slice_started_[i]);
-        });
-        return false;
-      }
-      case Action::Kind::Io: {
-        submit_io(task, action);
-        block_task(task);
-        notify([&](SchedObserver& o) {
-          o.on_slice(task, cpu, now() - slice_started_[i]);
-        });
-        return false;
-      }
-      case Action::Kind::Sleep: {
+  return run_actions(
+      task, now(), costs_->spin_poll_chunk,
+      [&](Task& to, int count) { deliver(task, to, count); },
+      [&](const Action& io) { submit_io(task, io); },
+      [&](SimDuration duration) {
         Task* woken = &task;
-        engine_->schedule_detached(action.duration,
-                          [this, woken] { wake_common(*woken, 0); });
-        block_task(task);
+        engine_->schedule_detached(duration,
+                                   [this, woken] { wake_common(*woken, 0); });
+      },
+      [&] {
         notify([&](SchedObserver& o) {
           o.on_slice(task, cpu, now() - slice_started_[i]);
         });
-        return false;
-      }
-      case Action::Kind::Exit: {
-        notify([&](SchedObserver& o) {
-          o.on_slice(task, cpu, now() - slice_started_[i]);
-        });
-        finish_task(task);
-        return false;
-      }
-    }
-  }
-  PINSIM_CHECK_MSG(false, "driver for " << task.name()
-                                        << " spun 100000 zero-cost actions");
-  return false;
-}
-
-void Kernel::block_task(Task& task) {
-  PINSIM_CHECK(task.state == TaskState::Running);
-  task.state = TaskState::Blocked;
-  task.blocked_at = now();
-}
-
-void Kernel::finish_task(Task& task) {
-  PINSIM_CHECK(task.state == TaskState::Running);
-  task.state = TaskState::Finished;
-  task.stats.finished_at = now();
-  --live_tasks_;
-  auto& on_exit = on_exit_[static_cast<std::size_t>(task.id())];
-  if (on_exit) on_exit(task);
+      },
+      [&] {
+        tasks_.retire(task, now());
+        tasks_.run_on_exit(task);
+      });
 }
 
 void Kernel::deliver(Task& from, Task& to, int count) {
-  PINSIM_CHECK(count >= 1);
-  from.stats.messages_sent += count;
   // Host-mediated IPC: syscall + wake chain per message, paid by the
-  // sender. (The guest kernel overrides this cost for intra-VM messages.)
+  // sender. (The guest kernel charges its own cost for intra-VM messages.)
   from.overhead_debt += costs_->host_ipc * count;
   if (from.cgroup != nullptr && from.cgroup == to.cgroup) {
     // Intra-container traffic crosses the bridge network path and raises
@@ -606,35 +479,23 @@ void Kernel::deliver(Task& from, Task& to, int count) {
     from.overhead_debt += costs_->container_net_msg * count;
     charge_irq(irq_rr_ = (irq_rr_ + 1) % topology_->num_cpus());
   }
-  to.pending_msgs += count;
-  if (to.state == TaskState::Blocked && to.recv_waiting) {
-    to.recv_waiting = false;
-    --to.pending_msgs;
+  if (accept_messages(to, count)) {
     // The wakeup originates on the sender's cpu.
     wake_common(to, 0, from.last_cpu);
   }
 }
 
 void Kernel::post_external(Task& task, int count) {
-  PINSIM_CHECK(count >= 1);
-  task.pending_msgs += count;
-  if (task.state == TaskState::Blocked && task.recv_waiting) {
-    task.recv_waiting = false;
-    --task.pending_msgs;
-    // External messages arrive through the NIC: the wake originates on
-    // whichever cpu took the interrupt.
-    const hw::CpuId irq_cpu = irq_target(task);
-    charge_irq(irq_cpu);
-    wake_common(task, costs_->kernel_entry, irq_cpu);
-  }
+  if (!accept_messages(task, count)) return;
+  // External messages arrive through the NIC: the wake originates on
+  // whichever cpu took the interrupt.
+  const hw::CpuId irq_cpu = irq_target(task);
+  charge_irq(irq_cpu);
+  wake_common(task, costs_->kernel_entry, irq_cpu);
 }
 
 void Kernel::post_local(Task& task, int count) {
-  PINSIM_CHECK(count >= 1);
-  task.pending_msgs += count;
-  if (task.state == TaskState::Blocked && task.recv_waiting) {
-    task.recv_waiting = false;
-    --task.pending_msgs;
+  if (accept_messages(task, count)) {
     wake_common(task, costs_->kernel_entry, task.last_cpu);
   }
 }

@@ -16,11 +16,12 @@
 // The same class instantiates the bare-metal host, the (GRUB-limited)
 // bare-metal instance sizes, and — with a different Topology — nothing
 // else: the guest kernel inside a VM is virt::GuestKernel, which reuses
-// Task/Runqueue/Cgroup but advances only when its vCPUs are granted host
-// CPU time.
+// Task/Runqueue/Cgroup and the task-action protocol (os/protocol.hpp)
+// but advances only when its vCPUs are granted host CPU time. Both
+// kernels run actions, accept messages, and charge cpu time through that
+// one protocol; each supplies only its own costs and effects.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "hw/topology.hpp"
 #include "os/cgroup.hpp"
 #include "os/observer.hpp"
+#include "os/protocol.hpp"
 #include "os/runqueue.hpp"
 #include "os/task.hpp"
 #include "sim/engine.hpp"
@@ -73,22 +75,6 @@ struct KernelStats {
   std::int64_t unthrottle_events = 0;
   std::int64_t aggregation_events = 0;
   SimDuration migration_penalty_total = 0;
-};
-
-struct TaskConfig {
-  /// Allowed cpus; empty = all cpus of this kernel.
-  hw::CpuSet affinity;
-  Cgroup* cgroup = nullptr;
-  double weight = 1.0;
-  double working_set_mb = 5.0;
-  /// Multiplier from pure work to cpu time (used by the VM layer).
-  double compute_inflation = 1.0;
-  /// First-touch NUMA home shared with sibling threads; null = exempt.
-  std::shared_ptr<int> numa_home;
-  /// Start the task on the device IRQ domain (network-born requests).
-  bool device_local_start = false;
-  /// Invoked when the task exits (response-time collection).
-  std::function<void(Task&)> on_exit;
 };
 
 class Kernel {
@@ -142,14 +128,16 @@ class Kernel {
   int shard() const { return shard_; }
   void bind_shard(int shard) { shard_ = shard; }
 
-  int live_tasks() const { return live_tasks_; }
+  int live_tasks() const { return tasks_.live(); }
   bool idle_cpu(hw::CpuId cpu) const;
   /// Run queue of `cpu`, read-only (its reservation is observable).
   const Runqueue& runqueue(hw::CpuId cpu) const {
     return rq_[static_cast<std::size_t>(cpu)];
   }
   const KernelStats& stats() const { return stats_; }
-  const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
+  const std::vector<std::unique_ptr<Task>>& tasks() const {
+    return tasks_.tasks();
+  }
 
   /// Run the engine until every started task has finished (or `horizon`).
   /// Returns true when all tasks finished.
@@ -188,11 +176,9 @@ class Kernel {
   /// right after it fired. No cancel+push tombstones either way.
   void arm_boundary(hw::CpuId cpu, SimDuration delay);
   void stop_running(hw::CpuId cpu, bool requeue);
-  /// Ask the driver for actions until the task blocks, exits, or has a
-  /// compute burst. Returns true while the task should stay on the cpu.
+  /// The shared action protocol (os::run_actions) with the host's costs
+  /// and effects. Returns true while the task should stay on the cpu.
   bool advance_actions(hw::CpuId cpu, Task& task);
-  void finish_task(Task& task);
-  void block_task(Task& task);
   void deliver(Task& from, Task& to, int count);
   SimDuration slice_for(hw::CpuId cpu) const;
   SimDuration remaining_cost(const Task& task) const;
@@ -303,12 +289,10 @@ class Kernel {
   hw::CpuSet busy_;
   hw::CpuSet queued_;
   std::vector<hw::CpuSet> idle_socket_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  TaskTable tasks_;
   std::vector<std::unique_ptr<Cgroup>> cgroups_;
   std::vector<SchedObserver*> observers_;
-  std::vector<std::function<void(Task&)>> on_exit_;
 
-  int live_tasks_ = 0;
   std::size_t rq_reserved_ = 0;  // capacity reserved on every runqueue
   hw::CpuId irq_rr_ = 0;  // round-robin irq distribution for unpinned IO
   bool housekeeping_active_ = false;

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace pinsim::os {
 
@@ -124,7 +123,6 @@ void Kernel::ensure_housekeeping() {
   for (auto& next : cgroup_next_period_) {
     next = std::max(next, now());
   }
-  PINSIM_INFO("housekeeping armed at t=" << engine_->now());
   arm_housekeeping(costs_->cgroup_aggregate_interval);
 }
 
@@ -136,8 +134,7 @@ void Kernel::arm_housekeeping(SimDuration delay) {
 }
 
 void Kernel::housekeeping_tick() {
-  if (live_tasks_ == 0) {
-    PINSIM_INFO("housekeeping idle-stop at t=" << engine_->now());
+  if (tasks_.live() == 0) {
     housekeeping_active_ = false;
     return;
   }
@@ -187,8 +184,6 @@ void Kernel::cgroup_period(Cgroup& group) {
   const bool released = group.refill_period();
   if (!released) return;
   ++stats_.unthrottle_events;
-  PINSIM_INFO("unthrottle " << group.name() << " at t=" << engine_->now()
-                            << " parked=" << group.parked().size());
   // Unthrottle: every parked task re-enters through the wakeup path;
   // vanilla groups scatter again (and repay cache refills), pinned ones
   // return to their cpuset.

@@ -119,7 +119,6 @@ hw::CpuId Kernel::place_task(Task& task, hw::CpuId hint) {
 void Kernel::enqueue_task(Task& task, hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
   if (task.cgroup != nullptr && task.cgroup->throttled_on(cpu)) {
-    task.state = TaskState::Throttled;
     task.cgroup->park(task);
     return;
   }
@@ -184,9 +183,6 @@ void Kernel::wake_common(Task& task, SimDuration extra_debt,
 void Kernel::wake(Task& task) { wake_common(task, 0); }
 
 void Kernel::submit_io(Task& task, const Action& action) {
-  PINSIM_CHECK(action.device != nullptr);
-  task.io_active = true;
-  ++task.stats.io_ops;
   Task* waiter = &task;
   action.device->submit(action.request,
                         [this, waiter] { io_complete(*waiter); });

@@ -1,0 +1,50 @@
+#include "os/protocol.hpp"
+
+#include <utility>
+
+namespace pinsim::os {
+
+Task& TaskTable::create(std::string name, std::unique_ptr<TaskDriver> driver,
+                        TaskConfig config, const hw::CpuSet& cpus) {
+  const Task::Id id = static_cast<Task::Id>(tasks_.size());
+  tasks_.push_back(
+      std::make_unique<Task>(id, std::move(name), std::move(driver)));
+  Task& task = *tasks_.back();
+  task.affinity = config.affinity;
+  if (!task.affinity.empty()) {
+    PINSIM_CHECK_MSG(!(task.affinity & cpus).empty(),
+                     "task " << task.name()
+                             << " affinity disjoint from the executor's cpus");
+  }
+  task.weight = config.weight;
+  task.working_set_mb = config.working_set_mb;
+  task.compute_inflation = config.compute_inflation;
+  task.numa_home = config.numa_home;
+  task.device_local_start = config.device_local_start;
+  if (config.cgroup != nullptr) {
+    config.cgroup->add_member(task);
+  }
+  on_exit_.push_back(std::move(config.on_exit));
+  return task;
+}
+
+void TaskTable::start(Task& task, SimTime now) {
+  PINSIM_CHECK_MSG(task.state == TaskState::Created,
+                   "task " << task.name() << " started twice");
+  ++live_;
+  task.stats.started_at = now;
+}
+
+void TaskTable::retire(Task& task, SimTime now) {
+  PINSIM_CHECK(task.state == TaskState::Running);
+  task.state = TaskState::Finished;
+  task.stats.finished_at = now;
+  --live_;
+}
+
+void TaskTable::run_on_exit(Task& task) {
+  auto& on_exit = on_exit_[static_cast<std::size_t>(task.id())];
+  if (on_exit) on_exit(task);
+}
+
+}  // namespace pinsim::os

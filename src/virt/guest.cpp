@@ -1,7 +1,6 @@
 #include "virt/guest.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 #include "virt/platform.hpp"
@@ -44,31 +43,15 @@ os::Cgroup& GuestKernel::create_cgroup(os::Cgroup::Config config) {
 os::Task& GuestKernel::create_task(std::string name,
                                    std::unique_ptr<os::TaskDriver> driver,
                                    os::TaskConfig config) {
-  const os::Task::Id id = static_cast<os::Task::Id>(tasks_.size());
-  tasks_.push_back(
-      std::make_unique<os::Task>(id, std::move(name), std::move(driver)));
-  os::Task& task = *tasks_.back();
-  task.affinity = config.affinity;  // over vCPU ids
-  if (!task.affinity.empty()) {
-    PINSIM_CHECK_MSG(!(task.affinity & all_vcpus_).empty(),
-                     "guest task affinity disjoint from vCPUs");
-  }
-  task.weight = config.weight;
-  task.working_set_mb = config.working_set_mb;
-  // The platform layer folds the hypervisor's inflation into the task
-  // configuration (scaled by workload sensitivity).
-  task.compute_inflation = config.compute_inflation;
-  if (config.cgroup != nullptr) {
-    config.cgroup->add_member(task);
-  }
-  on_exit_.push_back(std::move(config.on_exit));
-  return task;
+  // Affinity is over vCPU ids. The platform layer folds the hypervisor's
+  // inflation into config.compute_inflation (scaled by workload
+  // sensitivity).
+  return tasks_.create(std::move(name), std::move(driver), std::move(config),
+                       all_vcpus_);
 }
 
 void GuestKernel::start_task(os::Task& task) {
-  PINSIM_CHECK(task.state == os::TaskState::Created);
-  ++live_tasks_;
-  task.stats.started_at = host_->engine().now();
+  tasks_.start(task, host_->engine().now());
   task.overhead_debt += host_->costs().sched_pick;
   ensure_housekeeping();
   const int vcpu = place_task(task);
@@ -77,11 +60,7 @@ void GuestKernel::start_task(os::Task& task) {
 }
 
 void GuestKernel::post_external(os::Task& task, int count) {
-  PINSIM_CHECK(count >= 1);
-  task.pending_msgs += count;
-  if (task.state == os::TaskState::Blocked && task.recv_waiting) {
-    task.recv_waiting = false;
-    --task.pending_msgs;
+  if (os::accept_messages(task, count)) {
     // Network packet into the guest: one injection (vmexit path) plus
     // the guest-side wake chain.
     wake(task, host_->costs().kernel_entry);
@@ -170,7 +149,6 @@ int GuestKernel::place_task(os::Task& task) {
 
 void GuestKernel::enqueue_task(os::Task& task, int vcpu) {
   if (task.cgroup != nullptr && task.cgroup->throttled_on(vcpu)) {
-    task.state = os::TaskState::Throttled;
     task.cgroup->park(task);
     return;
   }
@@ -202,21 +180,7 @@ void GuestKernel::kick(int vcpu) {
 
 os::Task* GuestKernel::pick_next(int vcpu) {
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
-  auto pop_usable = [this, vcpu](os::Runqueue& rq) -> os::Task* {
-    while (!rq.empty()) {
-      os::Task& candidate = rq.pop_min();
-      candidate.queued_cpu = -1;
-      if (candidate.cgroup != nullptr &&
-          candidate.cgroup->throttled_on(vcpu)) {
-        candidate.state = os::TaskState::Throttled;
-        candidate.cgroup->park(candidate);
-        continue;
-      }
-      return &candidate;
-    }
-    return nullptr;
-  };
-  if (os::Task* task = pop_usable(v.rq)) return task;
+  if (os::Task* task = os::pop_runnable(v.rq, vcpu)) return task;
 
   // Guest new-idle balance: steal the most-serviced compatible task from
   // the busiest sibling vCPU.
@@ -303,7 +267,7 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
 
     os::Task& task = *v.current;
     if (remaining_cost(task) == 0) {
-      if (!advance_actions(vcpu, task)) {
+      if (!advance_actions(task)) {
         v.current = nullptr;
         continue;
       }
@@ -356,131 +320,48 @@ void GuestKernel::complete_burst(int vcpu) {
   v.pending_guest = 0;
   stats_.granted += elapsed;
 
-  const SimDuration paid = std::min(task->overhead_debt, elapsed);
-  task->overhead_debt -= paid;
-  task->stats.overhead_paid += paid;
-  const SimDuration worked = elapsed - paid;
-  if (worked > 0) {
-    PINSIM_CHECK_MSG(worked <= task->burst_remaining,
-                     "guest charged past burst end for " << task->name());
-    task->burst_remaining -= worked;
-    task->burst_consumed += worked;
-    task->stats.work_done = static_cast<SimDuration>(
-        std::llround(static_cast<double>(task->burst_consumed) /
-                     task->compute_inflation));
-  }
-  task->stats.cpu_time += elapsed;
-  task->vruntime += static_cast<SimDuration>(
-      static_cast<double>(elapsed) / task->weight);
+  // next_burst sizes each grant to at most the remaining cost, so the
+  // work part never runs past the burst end; with no slowdown the
+  // shared fold then advances the burst by exactly the work part.
+  PINSIM_CHECK_MSG(elapsed <= remaining_cost(*task),
+                   "guest charged past burst end for " << task->name());
+  os::charge_task(task, vcpu, elapsed, 1.0);
   v.slice_used += elapsed;
-
-  if (task->cgroup != nullptr) {
-    const SimDuration accounting = task->cgroup->charge(vcpu, elapsed);
-    if (accounting > 0) task->overhead_debt += accounting;
-    if (task->cgroup->throttled_on(vcpu)) {
-      ++stats_.throttle_events;
-      park(*task);
-      v.current = nullptr;
-    }
+  if (task->cgroup != nullptr && task->cgroup->throttled_on(vcpu)) {
+    ++stats_.throttle_events;
+    task->cgroup->park(*task);
+    v.current = nullptr;
   }
-}
-
-void GuestKernel::park(os::Task& task) {
-  task.state = os::TaskState::Throttled;
-  PINSIM_CHECK(task.cgroup != nullptr);
-  task.cgroup->park(task);
 }
 
 // --- action protocol ----------------------------------------------------------
 
-bool GuestKernel::advance_actions(int vcpu, os::Task& task) {
-  auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
-  const auto& costs = host_->costs();
-  // Busy-polling receive (see os::Kernel::advance_actions).
-  if (task.spin_recv) {
-    if (task.pending_msgs == 0) {
-      task.overhead_debt += costs.spin_poll_chunk;
-      return true;
-    }
-    task.spin_recv = false;
-    --task.pending_msgs;
-  }
-  for (int guard = 0; guard < 100000; ++guard) {
-    const os::Action action = task.driver().next(task);
-    switch (action.kind) {
-      case os::Action::Kind::Compute: {
-        if (action.work == 0) continue;
-        task.burst_remaining = static_cast<SimDuration>(
-            static_cast<double>(action.work) * task.compute_inflation);
-        return true;
-      }
-      case os::Action::Kind::Post: {
-        PINSIM_CHECK(action.target != nullptr);
-        deliver(task, *action.target, action.count);
-        continue;
-      }
-      case os::Action::Kind::Recv: {
-        if (task.pending_msgs > 0) {
-          --task.pending_msgs;
-          continue;
-        }
-        if (action.spin) {
-          task.spin_recv = true;
-          task.overhead_debt += costs.spin_poll_chunk;
-          return true;
-        }
-        task.recv_waiting = true;
-        block_task(task);
-        return false;
-      }
-      case os::Action::Kind::Io: {
-        submit_io(task, action);
-        block_task(task);
-        return false;
-      }
-      case os::Action::Kind::Sleep: {
+bool GuestKernel::advance_actions(os::Task& task) {
+  return os::run_actions(
+      task, host_->engine().now(), host_->costs().spin_poll_chunk,
+      [&](os::Task& to, int count) { deliver(task, to, count); },
+      [&](const os::Action& io) { submit_io(task, io); },
+      [&](SimDuration duration) {
         os::Task* sleeper = &task;
-        host_->engine().schedule_detached(action.duration,
-                                 [this, sleeper] { wake(*sleeper, 0); });
-        block_task(task);
-        return false;
-      }
-      case os::Action::Kind::Exit: {
-        finish_task(task);
-        return false;
-      }
-    }
-  }
-  PINSIM_CHECK_MSG(false, "guest driver for " << task.name() << " spun");
-  (void)v;
-  (void)costs;
-  return false;
-}
-
-void GuestKernel::block_task(os::Task& task) {
-  PINSIM_CHECK(task.state == os::TaskState::Running);
-  task.state = os::TaskState::Blocked;
-  task.blocked_at = host_->engine().now();
+        host_->engine().schedule_detached(
+            duration, [this, sleeper] { wake(*sleeper, 0); });
+      },
+      [] {}, [&] { finish_task(task); });
 }
 
 void GuestKernel::finish_task(os::Task& task) {
-  PINSIM_CHECK(task.state == os::TaskState::Running);
-  task.state = os::TaskState::Finished;
-  task.stats.finished_at = host_->engine().now();
-  --live_tasks_;
+  tasks_.retire(task, host_->engine().now());
   // Record (don't revoke): the old path's next tick would idle-stop
   // here, but a task starting before it would keep the cadence alive —
   // exit_guest_quiet resolves which happened when the window ends.
-  if (guest_quiet_ && live_tasks_ == 0) {
+  // Recorded before the exit hook, which may start tasks.
+  if (guest_quiet_ && tasks_.live() == 0) {
     guest_quiet_idle_at_ = host_->engine().now();
   }
-  auto& on_exit = on_exit_[static_cast<std::size_t>(task.id())];
-  if (on_exit) on_exit(task);
+  tasks_.run_on_exit(task);
 }
 
 void GuestKernel::deliver(os::Task& from, os::Task& to, int count) {
-  PINSIM_CHECK(count >= 1);
-  from.stats.messages_sent += count;
   // Intra-VM message: hypervisor shared memory, no host kernel on the
   // path (paper §III-B2). An IPI exit is only needed when the target
   // vCPU is halted.
@@ -490,22 +371,16 @@ void GuestKernel::deliver(os::Task& from, os::Task& to, int count) {
     // the guest (its softirq lands on the sender's own vCPU).
     from.overhead_debt += host_->costs().container_net_msg * count;
   }
-  to.pending_msgs += count;
-  if (to.state == os::TaskState::Blocked && to.recv_waiting) {
+  if (os::accept_messages(to, count)) {
     const int target = to.last_cpu >= 0 ? to.last_cpu : 0;
-    const bool target_halted =
-        vcpus_[static_cast<std::size_t>(target)].halted;
-    if (target_halted) from.overhead_debt += host_->costs().vmexit;
-    to.recv_waiting = false;
-    --to.pending_msgs;
+    if (vcpus_[static_cast<std::size_t>(target)].halted) {
+      from.overhead_debt += host_->costs().vmexit;
+    }
     wake(to, 0);
   }
 }
 
 void GuestKernel::submit_io(os::Task& task, const os::Action& action) {
-  PINSIM_CHECK(action.device != nullptr);
-  task.io_active = true;
-  ++task.stats.io_ops;
   ++stats_.io_exits;
   // The IO exit runs on this vCPU: charge the hypervisor's exit cost to
   // the vCPU's host task (paid out of its next host slice).
@@ -617,7 +492,7 @@ void GuestKernel::rotate_surplus_task() {
 }
 
 void GuestKernel::housekeeping_tick() {
-  if (live_tasks_ == 0) {
+  if (tasks_.live() == 0) {
     housekeeping_active_ = false;
     return;
   }
@@ -692,7 +567,7 @@ void GuestKernel::exit_guest_quiet() {
   };
   if (guest_quiet_idle_at_ >= 0) {
     // The fleet drained mid-window. The first tick after that instant
-    // would have found live_tasks_ == 0 and idle-stopped; if it lies in
+    // would have found no live task and idle-stopped; if it lies in
     // the past, emulate the stop so a starting task re-arms from
     // scratch through ensure_housekeeping (fresh cadence, as the old
     // path would).
@@ -705,7 +580,7 @@ void GuestKernel::exit_guest_quiet() {
       housekeeping_ticks_ += skipped;
       engine.note_boundaries_skipped(skipped);
       housekeeping_active_ = false;
-      if (live_tasks_ > 0) ensure_housekeeping();
+      if (tasks_.live() > 0) ensure_housekeeping();
       return;
     }
   }

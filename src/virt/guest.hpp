@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -97,13 +96,13 @@ class GuestKernel {
   void wake(os::Task& task, SimDuration extra_debt = 0);
 
   int vcpus() const { return static_cast<int>(vcpus_.size()); }
-  int live_tasks() const { return live_tasks_; }
+  int live_tasks() const { return tasks_.live(); }
   /// Event shard of the host machine this guest runs inside. A guest
   /// never spans shards — all its vCPU tasks live on its host.
   int shard() const;
   const GuestStats& stats() const { return stats_; }
   const std::vector<std::unique_ptr<os::Task>>& tasks() const {
-    return tasks_;
+    return tasks_.tasks();
   }
 
  private:
@@ -122,9 +121,9 @@ class GuestKernel {
     SimDuration poll_pending = 0;
   };
 
-  bool advance_actions(int vcpu, os::Task& task);
+  /// The shared action protocol with the guest's costs and effects.
+  bool advance_actions(os::Task& task);
   void finish_task(os::Task& task);
-  void block_task(os::Task& task);
   void deliver(os::Task& from, os::Task& to, int count);
   void submit_io(os::Task& task, const os::Action& action);
   void io_complete(os::Task& task);
@@ -132,7 +131,6 @@ class GuestKernel {
   os::Task* pick_next(int vcpu);
   int place_task(os::Task& task);
   void enqueue_task(os::Task& task, int vcpu);
-  void park(os::Task& task);
   void kick(int vcpu);
   /// True while the current wakeup originates from a host-side device
   /// interrupt (vhost): the vCPU kick then follows the host IRQ path
@@ -179,8 +177,7 @@ class GuestKernel {
   /// {0, ..., vcpus()-1}, built once: every allowed-mask query starts
   /// from it instead of rebuilding it per call.
   hw::CpuSet all_vcpus_;
-  std::vector<std::unique_ptr<os::Task>> tasks_;
-  std::vector<std::function<void(os::Task&)>> on_exit_;
+  os::TaskTable tasks_;
   std::vector<std::unique_ptr<os::Cgroup>> cgroups_;
   std::vector<SimTime> cgroup_next_period_;
   bool housekeeping_active_ = false;
@@ -193,10 +190,9 @@ class GuestKernel {
   /// shared housekeeping timer to fast-forward.
   bool guest_quiet_ = false;
   SimTime guest_quiet_entered_ = 0;
-  /// When live_tasks_ hit 0 inside a quiet window (-1 otherwise); the
+  /// When the live count hit 0 inside a quiet window (-1 otherwise); the
   /// old path's next tick would have idle-stopped there.
   SimTime guest_quiet_idle_at_ = -1;
-  int live_tasks_ = 0;
   GuestStats stats_;
 };
 

@@ -35,15 +35,8 @@ class RankDriver final : public os::TaskDriver {
   os::Action next(os::Task&) override {
     if (iteration_ >= iterations_) return os::Action::exit();
     switch (phase_) {
-      case Phase::Compute: {
-        const double jitter =
-            1.0 + jitter_ * (2.0 * rng_.next_double() - 1.0);
-        const auto step = static_cast<SimDuration>(
-            static_cast<double>(compute_per_iter_) * jitter);
-        phase_ = rank_ == 0 ? Phase::Gather : Phase::Send;
-        peer_ = 1;
-        return os::Action::compute(std::max<SimDuration>(step, 1));
-      }
+      case Phase::Compute:
+        return next_compute();
       case Phase::Send: {  // non-root: send partial result to root
         phase_ = Phase::WaitBroadcast;
         return os::Action::post(*table_->ranks[0]);

@@ -36,6 +36,10 @@ TEST(CgroupParkedTest, ParkUnparkMaintainsIndices) {
   EXPECT_TRUE(group.is_parked(*b));
   EXPECT_TRUE(group.is_parked(*c));
   EXPECT_EQ(group.parked().size(), 3u);
+  // Parking is what marks a task throttled; callers do not.
+  for (const auto* task : {a.get(), b.get(), c.get()}) {
+    EXPECT_EQ(task->state, TaskState::Throttled);
+  }
 
   // Remove the middle entry: swap-and-pop moves the tail into its slot.
   group.unpark(*b);

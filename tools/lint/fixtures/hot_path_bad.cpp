@@ -1,14 +1,14 @@
 // Hot-path fixture: every allocation-risk site reachable from the hot
-// entry is flagged — in the entry itself, in a same-class callee, and
-// in an out-of-class definition two hops down. The reserve()d
-// container is exempt; the never-reserved one is not.
+// entry is flagged — in the entry itself, in a same-class callee, in an
+// out-of-class definition, and in a free function two hops down. The
+// reserve()d container is exempt; the never-reserved one is not.
 #include <functional>
 #include <memory>
 #include <vector>
 
 namespace fixture {
 
-void log_stats();
+void record_stats();
 
 struct Queue {
   std::vector<int> heap_;
@@ -35,12 +35,13 @@ struct Queue {
 int Queue::helper() {
   auto owned = std::make_unique<int>(4);  // expect: hot-path
   std::function<void()> deferred;         // expect: hot-path
-  log_stats();
+  record_stats();
   return *owned;
 }
 
-void log_stats() {
-  PINSIM_INFO("queue stats");  // expect: hot-path
+void record_stats() {
+  int* sample = new int(6);  // expect: hot-path
+  delete sample;
 }
 
 // Not reachable from the hot entry: no findings here.

@@ -49,13 +49,6 @@ const std::set<std::string>& non_type_words() {
   return kw;
 }
 
-const std::set<std::string>& log_sink_macros() {
-  static const std::set<std::string> macros = {
-      "PINSIM_LOG",  "PINSIM_TRACE", "PINSIM_DEBUG",
-      "PINSIM_INFO", "PINSIM_WARN",  "PINSIM_ERROR"};
-  return macros;
-}
-
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.compare(0, prefix.size(), prefix) == 0;
@@ -238,10 +231,6 @@ void Summarizer::scan_body(std::size_t begin, std::size_t end,
           member && j >= 2 && toks()[j - 2].kind == Token::kIdent
               ? toks()[j - 2].text
               : "";
-      if (log_sink_macros().count(s) != 0) {
-        fn->risks.push_back(RiskSite{RiskSite::kLog, s, t.line});
-        continue;
-      }
       if (member && (s == "push_back" || s == "emplace_back")) {
         fn->risks.push_back(RiskSite{RiskSite::kPushBack, receiver, t.line});
         continue;
@@ -369,8 +358,7 @@ void Summarizer::scan_mailbox_body(std::size_t begin, std::size_t end,
     const std::string& s = t.text;
     const bool member =
         j >= 1 && (is_punct(j - 1, ".") || is_punct(j - 1, "->"));
-    if (is_punct(j + 1, "(") && control_keywords().count(s) == 0 &&
-        log_sink_macros().count(s) == 0) {
+    if (is_punct(j + 1, "(") && control_keywords().count(s) == 0) {
       CallSite call;
       call.name = s;
       call.member = member;
@@ -809,13 +797,6 @@ void IndexChecker::check_hot_path() {
                  "std::function in '" + f.name + "' (" + where +
                      ") — it type-erases through the heap; use "
                      "util::MoveFunction or a template parameter");
-          break;
-        case RiskSite::kLog:
-          report("hot-path", f.file, risk.line,
-                 risk.detail + " in '" + f.name + "' (" + where +
-                     ") — the sink formats arguments even when filtered; "
-                     "hoist it off the hot path or trace into a "
-                     "preallocated buffer");
           break;
       }
     }

@@ -33,7 +33,7 @@
 //                   `// pinsim-lint: shard-owner(0)` — except inside a
 //                   nested post() (the sanctioned mailbox hop back).
 //   hot-path        forward reachability from `// pinsim-lint: hot`
-//                   functions; allocation / std::function / log-sink /
+//                   functions; allocation / std::function /
 //                   unreserved-push_back sites on any reached function
 //                   are findings.
 //   quiet-funnel    writers of the configured quiet-window SoA arrays
@@ -70,9 +70,9 @@ struct SubscriptWrite {
 
 /// A site the hot-path rule cares about.
 struct RiskSite {
-  enum Kind { kNew, kMakeUnique, kMakeShared, kPushBack, kStdFunction, kLog };
+  enum Kind { kNew, kMakeUnique, kMakeShared, kPushBack, kStdFunction };
   Kind kind;
-  std::string detail;  // container for kPushBack, macro name for kLog
+  std::string detail;  // container for kPushBack
   int line = 0;
 };
 

@@ -581,12 +581,10 @@ void Checker::check_hygiene() {
       if (t.kind != Token::kIdent) continue;
       if (t.text == "cout") {
         report(rule, t.line,
-               "std::cout in library code — route output through "
-               "util::log or return data to the caller");
+               "std::cout in library code — return data to the caller");
       } else if (t.text == "printf" && is_free_or_std_call(i)) {
         report(rule, t.line,
-               "printf in library code — route output through util::log "
-               "or return data to the caller");
+               "printf in library code — return data to the caller");
       }
     }
   }
@@ -639,8 +637,7 @@ Config default_config() {
   Config config;
   config.simulated_dirs = {"src/sim/",      "src/os/",       "src/hw/",
                            "src/virt/",     "src/workload/", "src/cluster/"};
-  config.output_allowed = {"bench/", "examples/", "tools/",
-                           "src/util/log.cpp"};
+  config.output_allowed = {"bench/", "examples/", "tools/"};
   config.guarded_indexes = {
       {"rq_index", {"src/os/runqueue.cpp", "src/os/task.hpp"}},
       {"park_index", {"src/os/cgroup.cpp", "src/os/task.hpp"}},

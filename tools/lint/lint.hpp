@@ -37,7 +37,7 @@
 //                 value depends on bucket order and varies across runs.
 //   hygiene       #pragma once in every header, no `using namespace`
 //                 at namespace scope in headers, no std::cout/printf
-//                 outside bench/, examples/, tools/ and the log sink.
+//                 outside bench/, examples/ and tools/.
 //
 // On top of the per-file passes, a second pass runs over a cross-file
 // symbol index (function definitions, an approximate call graph, and
@@ -50,8 +50,8 @@
 //                 by posting back through the mailbox.
 //   hot-path      no allocation (`new`, make_unique/make_shared,
 //                 push_back into a never-reserved container),
-//                 std::function construction, or log-sink call
-//                 reachable from a function annotated hot.
+//                 or std::function construction reachable from a
+//                 function annotated hot.
 //   quiet-funnel  a function writing the kernel's quiet-window SoA
 //                 arrays must be the exit_quiet() funnel itself,
 //                 reachable only through it, or annotated as an
@@ -85,7 +85,7 @@ struct Config {
   /// ordering rules apply here.
   std::vector<std::string> simulated_dirs;
 
-  /// Paths where std::cout/printf are legitimate (CLIs, the log sink).
+  /// Paths where std::cout/printf are legitimate (CLIs).
   std::vector<std::string> output_allowed;
 
   /// A back-pointer index with the files that own its invariant. Use of
