@@ -8,10 +8,6 @@
 // Common CLI (parse with bench::parse_cli):
 //   --jobs N    fan the sweep across N worker threads (default: 1, or
 //               PINSIM_JOBS). Results are bit-identical to --jobs 1.
-//   --shards N  event shards per repetition (default: 1, or PINSIM_SHARDS).
-//               --shards 1 is byte-identical to the historical output;
-//               N > 1 is deterministic but window-rounded (see
-//               core::ExperimentConfig::shards)
 //   --reps N    override the paper's repetition count (same as PINSIM_REPS)
 //   --json P    also write machine-readable results + timing to file P
 //   --stats     print aggregated sim::Engine counters (events fired,
@@ -40,21 +36,19 @@ namespace pinsim::bench {
 
 struct BenchOptions {
   int jobs = 1;
-  int shards = 1;  // event shards per repetition (PINSIM_SHARDS)
   int reps_override = 0;  // 0 = keep the paper protocol / PINSIM_REPS
   std::string json_path;  // empty = no JSON output
   bool engine_stats = false;  // print aggregated engine counters at exit
 };
 
 inline constexpr const char* kUsageFlags =
-    "[--jobs N] [--shards N] [--reps N] [--json PATH] [--stats]";
+    "[--jobs N] [--reps N] [--json PATH] [--stats]";
 
 /// Report a CLI or environment error with the usage line and exit 2.
 [[noreturn]] inline void usage_error(const std::string& what,
                                      const char* program = "<bench>") {
   std::cerr << what << "\nusage: " << program << ' ' << kUsageFlags
-            << "\n  (PINSIM_JOBS, PINSIM_SHARDS and PINSIM_REPS take the "
-               "same N >= 1)\n";
+            << "\n  (PINSIM_JOBS and PINSIM_REPS take the same N >= 1)\n";
   std::exit(2);
 }
 
@@ -88,7 +82,6 @@ inline BenchOptions parse_cli(int argc, char** argv) {
   const char* program = argv[0];
   BenchOptions options;
   options.jobs = env_int_or("PINSIM_JOBS", 1, program);
-  options.shards = env_int_or("PINSIM_SHARDS", 1, program);
   // Validated here so a bad value fails before any work starts;
   // make_runner reads it again.
   env_int_or("PINSIM_REPS", 1, program);
@@ -102,8 +95,6 @@ inline BenchOptions parse_cli(int argc, char** argv) {
     };
     if (arg == "--jobs" || arg == "-j") {
       options.jobs = parse_count("--jobs", value("--jobs"), program);
-    } else if (arg == "--shards") {
-      options.shards = parse_count("--shards", value("--shards"), program);
     } else if (arg == "--reps") {
       options.reps_override = parse_count("--reps", value("--reps"), program);
     } else if (arg == "--json") {
@@ -136,13 +127,6 @@ inline core::ExperimentRunner make_runner(int paper_reps,
   if (options.jobs > 1) {
     std::cerr << "[note] sweeping with " << options.jobs
               << " worker threads (results identical to --jobs 1)\n";
-  }
-  config.shards = options.shards;
-  if (options.shards > 1) {
-    std::cout << "[note] --shards " << options.shards
-              << ": repetitions run under the sharded round loop "
-                 "(deterministic; wall-clock metrics round to window "
-                 "boundaries — see ExperimentConfig::shards)\n";
   }
   return core::ExperimentRunner(config);
 }
@@ -183,7 +167,6 @@ inline void maybe_write_json(const BenchOptions& options,
   meta.artifact = artifact;
   meta.repetitions = repetitions;
   meta.jobs = options.jobs;
-  meta.shards = options.shards;
   meta.wall_seconds = wall_seconds;
   core::write_bench_json(out, meta, figures);
   std::cout << "json written to " << options.json_path << "\n";

@@ -1,10 +1,9 @@
 # Runs BENCH with malformed counts on the command line and in the
-# environment; each must exit 2 with a usage message before doing any
-# work.
+# environment, and with the removed --shards flag; each must exit 2
+# with a usage message before doing any work.
 #
 #   cmake -DBENCH=<binary> -P cli_rejects.cmake
 unset(ENV{PINSIM_JOBS})
-unset(ENV{PINSIM_SHARDS})
 unset(ENV{PINSIM_REPS})
 
 function(expect_usage_error label)
@@ -19,7 +18,7 @@ function(expect_usage_error label)
 endfunction()
 
 expect_usage_error("--reps abc" --reps abc)
-expect_usage_error("--shards 4x" --shards 4x)
+expect_usage_error("--shards 4 (removed flag)" --shards 4)
 expect_usage_error("--jobs -1" --jobs -1)
 expect_usage_error("--jobs 0" --jobs 0)
 expect_usage_error("--reps without a value" --reps)

@@ -1,4 +1,4 @@
-# Runs one bench binary at PINSIM_REPS=1 (serial, one shard) and checks
+# Runs one bench binary at PINSIM_REPS=1 (serial) and checks
 # the SHA-256 of its stdout against the committed golden list. stdout
 # carries results only — wall times and thread notes go to stderr — so
 # any drift in the bytes is a change in simulated behaviour.
@@ -11,7 +11,6 @@
 # re-records the list entry with that hash.
 set(ENV{PINSIM_REPS} 1)
 unset(ENV{PINSIM_JOBS})
-unset(ENV{PINSIM_SHARDS})
 
 execute_process(COMMAND ${BENCH} OUTPUT_VARIABLE out RESULT_VARIABLE rc)
 file(MAKE_DIRECTORY ${OUT_DIR})

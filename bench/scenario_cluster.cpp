@@ -19,8 +19,10 @@
 // The WordPress day is compressed to 60 simulated seconds at the mean
 // rate of 10M requests/day (116/s); Cassandra sees flash-crowd bursts.
 // Output is derived exclusively from per-request latency records, so
-// stdout is byte-identical for any --jobs and --shards value (wall
-// time and parallelism notes go to stderr).
+// stdout is byte-identical for any --jobs value (wall time and
+// parallelism notes go to stderr). Each fleet runs serially
+// (shards = threads = 1): at 50 hosts the threaded round loop is
+// slower than one engine.
 #include <future>
 #include <sstream>
 #include <vector>
@@ -40,11 +42,9 @@ struct Cell {
   cluster::FleetConfig config;
 };
 
-cluster::FleetConfig wordpress_base(const bench::BenchOptions& options) {
+cluster::FleetConfig wordpress_base() {
   cluster::FleetConfig config;
   config.hosts = 50;
-  config.shards = options.shards;
-  config.threads = options.shards;
   config.app = workload::AppClass::IoWeb;
   config.arrivals.kind = cluster::ArrivalKind::Diurnal;
   // 10M daily users at ~20 page views each; the peak hour runs the
@@ -60,11 +60,9 @@ cluster::FleetConfig wordpress_base(const bench::BenchOptions& options) {
   return config;
 }
 
-cluster::FleetConfig cassandra_base(const bench::BenchOptions& options) {
+cluster::FleetConfig cassandra_base() {
   cluster::FleetConfig config;
   config.hosts = 10;
-  config.shards = options.shards;
-  config.threads = options.shards;
   config.app = workload::AppClass::IoNoSql;
   config.cassandra.server_threads = 8;
   config.arrivals.kind = cluster::ArrivalKind::Burst;
@@ -183,7 +181,7 @@ int main(int argc, char** argv) {
   util::ThreadPool pool(options.jobs);
 
   std::vector<Cell> wordpress_cells;
-  make_cells(wordpress_base(options), 10, 4, wordpress_cells);
+  make_cells(wordpress_base(), 10, 4, wordpress_cells);
   std::cout << "\nWordPress fleet (50 hosts, compressed diurnal day, "
             << reps << " reps):\n";
   const stats::Figure wordpress =
@@ -191,7 +189,7 @@ int main(int argc, char** argv) {
               wordpress_cells, reps, pool);
 
   std::vector<Cell> cassandra_cells;
-  make_cells(cassandra_base(options), 4, 3, cassandra_cells);
+  make_cells(cassandra_base(), 4, 3, cassandra_cells);
   std::cout << "\nCassandra fleet (10 hosts, flash-crowd bursts, " << reps
             << " reps):\n";
   const stats::Figure cassandra =

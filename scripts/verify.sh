@@ -21,11 +21,11 @@
 #    concurrent code in the tree; TSan is the only tool that proves
 #    the sweep protocol and the shard workers race-free). Skipped
 #    together with the other sanitizers via PINSIM_SKIP_SANITIZERS=1.
-# 4. Build micro_engine + micro_sched + micro_shard + micro_cluster in a
-#    Release tree so perf-relevant flags (-O2 -DNDEBUG) compile on every
-#    PR, and run the micro suites once, writing machine-readable timings
-#    to BENCH_engine_latest.json, BENCH_sched_latest.json,
-#    BENCH_shard_latest.json, BENCH_timer_latest.json (the timer-path
+# 4. Build micro_engine + micro_sched + micro_cluster + micro_hotloop in
+#    a Release tree so perf-relevant flags (-O2 -DNDEBUG) compile on
+#    every change, and run the micro suites once, writing
+#    machine-readable timings to BENCH_engine_latest.json,
+#    BENCH_sched_latest.json, BENCH_timer_latest.json (the timer-path
 #    subset tracked by BENCH_timer.json), BENCH_cluster_latest.json,
 #    and BENCH_hotloop_latest.json (quiet-core fast-forward +
 #    boundary batching, tracked by BENCH_hotloop.json) — all
@@ -65,12 +65,12 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake --build build-tsan --target pinsim_tests -j
   ./build-tsan/tests/pinsim_tests \
-    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ShardedEngine*.*:ShardedFleetTest.*:ClusterFleetTest.*'
+    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ShardedEngine*.*:ClusterFleetTest.*'
 fi
 
 echo "== Release build of the micro-benchmarks =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release --target micro_engine micro_sched micro_shard \
+cmake --build build-release --target micro_engine micro_sched \
   micro_cluster micro_hotloop -j
 
 echo "== engine micro smoke (BENCH_engine_latest.json) =="
@@ -82,11 +82,6 @@ echo "== engine micro smoke (BENCH_engine_latest.json) =="
 echo "== scheduler micro smoke (BENCH_sched_latest.json) =="
 ./build-release/bench/micro_sched \
   --benchmark_out=BENCH_sched_latest.json \
-  --benchmark_out_format=json
-
-echo "== sharded-engine micro smoke (BENCH_shard_latest.json) =="
-./build-release/bench/micro_shard \
-  --benchmark_out=BENCH_shard_latest.json \
   --benchmark_out_format=json
 
 echo "== timer-path micro smoke (BENCH_timer_latest.json) =="

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/chr_advisor.hpp"
-#include "core/sharded_fleet.hpp"
 #include "util/check.hpp"
 #include "virt/platform.hpp"
 #include "workload/request_source.hpp"
@@ -105,26 +104,41 @@ int Fleet::initial_active() const {
 
 ClusterResult Fleet::run() {
   const int n = config_.hosts;
-  const SimDuration lookahead = config_.costs.min_cross_shard_latency();
-  PINSIM_CHECK_MSG(config_.dispatch_latency >= lookahead,
+  const SimDuration min_latency = config_.costs.min_cross_shard_latency();
+  PINSIM_CHECK_MSG(config_.dispatch_latency >= min_latency,
                    "dispatch latency " << config_.dispatch_latency
-                                       << " below the cross-shard lookahead "
-                                       << lookahead);
+                                       << " below the cross-shard floor "
+                                       << min_latency);
 
-  sim::ShardedEngine sharded(
-      sim::ShardedEngineConfig{config_.shards, lookahead, config_.threads});
+  // Both cross-shard legs (dispatch and completion) carry
+  // dispatch_latency, so that is the lookahead the round loop may use.
+  sim::ShardedEngine sharded(sim::ShardedEngineConfig{
+      config_.shards, config_.dispatch_latency, config_.threads});
   sharded.seed_rngs(Rng(config_.base_seed));
 
-  // Hosts + serving sources, built through the shared fleet builder so
-  // seeds and construction interleaving match ShardedFleet.
+  // Host h runs with repetition h's seed, so it matches a solo-engine
+  // run of the same spec. Construction is interleaved per host: host
+  // h's initial kernel events and its source's keep their relative
+  // order whichever hosts share its shard.
   const std::vector<virt::PlatformSpec> specs = resolved_specs();
+  std::vector<std::unique_ptr<virt::Host>> hosts;
+  std::vector<std::unique_ptr<virt::Platform>> platforms;
   std::vector<std::unique_ptr<workload::RequestSource>> sources;
+  hosts.reserve(static_cast<std::size_t>(n));
+  platforms.reserve(static_cast<std::size_t>(n));
   sources.reserve(static_cast<std::size_t>(n));
-  const core::FleetHosts built = core::build_fleet_hosts(
-      sharded, host_shard_, specs, config_.full_host, config_.costs,
-      config_.base_seed, [this, &sources](int, virt::Platform& platform, Rng rng) {
-        sources.push_back(make_source(config_, platform, rng));
-      });
+  for (int h = 0; h < n; ++h) {
+    const std::size_t i = static_cast<std::size_t>(h);
+    const std::uint64_t seed =
+        config_.base_seed + 1000003ull * static_cast<std::uint64_t>(h);
+    hosts.push_back(std::make_unique<virt::Host>(
+        sharded, shard_of(h),
+        virt::host_topology_for(specs[i], config_.full_host), config_.costs,
+        seed));
+    platforms.push_back(virt::make_platform(*hosts.back(), specs[i]));
+    sources.push_back(make_source(config_, *platforms.back(),
+                                  Rng(seed ^ 0x517cc1b727220a95ull)));
+  }
 
   // Front-end state. Everything below is touched only from shard-0
   // events, so it needs no locks and behaves identically for every

@@ -1,10 +1,9 @@
 // The cluster serving layer: N simulated hosts behind one front end.
 //
 // A Fleet instantiates `hosts` full virt::Hosts (host h shard-resident
-// on shard h % shards, built through core::build_fleet_hosts so seeds
-// and construction order match ShardedFleet), deploys one
-// workload::RequestSource per host, and drives open-loop traffic from a
-// front end living on shard 0:
+// on shard h % shards, seeded like repetition h of a solo-engine run),
+// deploys one workload::RequestSource per host, and drives open-loop
+// traffic from a front end living on shard 0:
 //
 //   Arrivals ----> LoadBalancer ----> host h's RequestSource
 //      |  pick()+dispatch   \--- post(0, shard(h), dispatch_latency)
@@ -23,16 +22,18 @@
 // for any `threads` and any `shards`. The load-bearing choices:
 //  - every front-end structure (balancer, autoscaler, trace, counters)
 //    is touched only by shard-0 events; hosts are reached exclusively
-//    through ShardedEngine::post with dispatch_latency >= lookahead,
-//    and completions notify the front end the same way, so all
-//    cross-shard influence travels the canonical mailbox merge;
+//    through ShardedEngine::post with dispatch_latency (the round
+//    loop's lookahead), and completions notify the front end the same
+//    way, so all cross-shard influence travels the canonical mailbox
+//    merge;
 //  - per-request latency is recorded into trace[id] at exact event
 //    instants, keyed by the dispatch-order id, and the SLO summary is
 //    folded from the trace in id order after the run — no accumulation
 //    follows event-completion order, which may tie-break differently
 //    between shard counts;
-//  - raw wall-clock at stop is window-granular under shards > 1 (see
-//    ShardedFleet) and deliberately not part of ClusterResult.
+//  - raw wall-clock at stop is window-granular under shards > 1 (the
+//    round loop stops at a window boundary) and deliberately not part
+//    of ClusterResult.
 #pragma once
 
 #include <cstdint>
@@ -104,8 +105,9 @@ struct FleetConfig {
 
   SloConfig slo;
 
-  /// Simulated front-end <-> host network latency, each way. Must be
-  /// >= the cost model's cross-shard lookahead (checked).
+  /// Simulated front-end <-> host network latency, each way, and the
+  /// sharded round loop's lookahead. Must be >= the cost model's
+  /// min_cross_shard_latency() (checked).
   SimDuration dispatch_latency = usec(200);
 
   /// Service-recipe tuning for the serving sources (batch-only fields

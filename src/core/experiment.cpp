@@ -3,7 +3,6 @@
 #include <future>
 #include <utility>
 
-#include "sim/sharded_engine.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -20,34 +19,10 @@ workload::RunResult ExperimentRunner::run_once(
     std::uint64_t seed, const hw::Topology& full_host) const {
   auto workload = factory();
   PINSIM_CHECK(workload != nullptr);
-  const Rng workload_rng(seed ^ 0x517cc1b727220a95ull);
-  if (config_.shards <= 1) {
-    virt::Host host(virt::host_topology_for(spec, full_host), config_.costs,
-                    seed);
-    auto platform = virt::make_platform(host, spec);
-    return workload->run(*platform, workload_rng);
-  }
-  // --shards N: same machine, same seed, same events — but resident on
-  // shard 0 of a sharded engine and driven through the conservative
-  // round loop (see ExperimentConfig::shards for the semantics).
-  sim::ShardedEngine sharded(sim::ShardedEngineConfig{
-      config_.shards, config_.costs.min_cross_shard_latency(), 1});
-  virt::Host host(sharded, 0, virt::host_topology_for(spec, full_host),
-                  config_.costs, seed);
+  virt::Host host(virt::host_topology_for(spec, full_host), config_.costs,
+                  seed);
   auto platform = virt::make_platform(host, spec);
-  auto deployment = workload->deploy(*platform, workload_rng);
-  if (deployment == nullptr) {
-    // No split lifecycle: the workload drives its own (shard-0) engine
-    // directly and the round loop never engages. Still byte-identical.
-    return workload->run(*platform, workload_rng);
-  }
-  const bool finished = sharded.run_until(
-      [&deployment] { return deployment->completion().done(); },
-      deployment->horizon());
-  PINSIM_CHECK_MSG(finished, workload->name()
-                                 << " on " << spec.label() << " (--shards "
-                                 << config_.shards << ") did not finish");
-  return deployment->collect();
+  return workload->run(*platform, Rng(seed ^ 0x517cc1b727220a95ull));
 }
 
 Measurement ExperimentRunner::measure(const virt::PlatformSpec& spec,

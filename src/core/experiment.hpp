@@ -30,18 +30,6 @@ struct ExperimentConfig {
   std::uint64_t base_seed = 42;
   hw::Topology full_host = hw::Topology::dell_r830();
   hw::CostModel costs;
-  /// Event shards per repetition (--shards). 1 = the historical solo
-  /// engine, byte-identical to every published output. N > 1 puts the
-  /// repetition's host on shard 0 of a sim::ShardedEngine and, for
-  /// workloads with the split deploy/collect lifecycle, drives it
-  /// through the conservative round loop — the same events fire in the
-  /// same order (one machine is one synchronization domain), but the
-  /// run stops at a window boundary, so wall-clock-derived metrics can
-  /// sit up to one lookahead window above the --shards 1 value.
-  /// Deterministic for every value and every host-thread count. The
-  /// scenario that genuinely spreads work across shards (and where the
-  /// wall-clock win is measured) is core::ShardedFleet / bench/micro_shard.
-  int shards = 1;
 };
 
 /// Builds a fresh workload instance per repetition. Factories used with

@@ -127,7 +127,6 @@ void write_bench_json(std::ostream& out, const BenchRunMeta& meta,
   out << "{\n  \"artifact\": \"" << json_escape(meta.artifact)
       << "\",\n  \"repetitions\": " << meta.repetitions
       << ",\n  \"jobs\": " << meta.jobs
-      << ",\n  \"shards\": " << meta.shards
       << ",\n  \"wall_seconds\": " << meta.wall_seconds
       << ",\n  \"figures\": [\n";
   for (std::size_t i = 0; i < figures.size(); ++i) {

@@ -27,7 +27,6 @@ struct BenchRunMeta {
   std::string artifact;     // e.g. "Figure 3"
   int repetitions = 0;      // effective repetitions per cell
   int jobs = 1;             // worker threads used for the sweep
-  int shards = 1;           // event shards per repetition
   double wall_seconds = 0;  // bench wall-clock time
 };
 

@@ -103,14 +103,15 @@ struct CostModel {
 
   CostModel() = default;
 
-  /// Conservative lookahead for the sharded engine: the smallest delay
-  /// any cross-domain interaction the model prices can take (task
+  /// Floor for the sharded engine's lookahead: the smallest delay any
+  /// cross-domain interaction the model prices can take (task
   /// migration refill, IPC delivery, a vmexit, a virtio round trip).
   /// Events that cross event-shard boundaries always ride one of those
   /// mechanisms, so a sharded round may advance every shard this far
   /// past the global minimum without reordering anything (DESIGN.md §7).
-  /// Never below 1 simulated ns — a zero lookahead would make the
-  /// conservative window empty.
+  /// cluster::Fleet checks its dispatch latency against this floor and
+  /// uses that latency as its lookahead. Never below 1 simulated ns — a
+  /// zero lookahead would make the conservative window empty.
   SimDuration min_cross_shard_latency() const;
 };
 

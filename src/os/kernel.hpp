@@ -122,8 +122,7 @@ class Kernel {
 
   /// Event shard this kernel's machine lives on (0 in a solo-engine
   /// run). The kernel itself never crosses shards — its engine IS the
-  /// shard's engine — but the id lets cross-machine plumbing
-  /// (core::ShardedFleet heartbeats, future cluster workloads) route
+  /// shard's engine — but the id lets cross-machine plumbing route
   /// mailbox traffic to the right destination shard.
   int shard() const { return shard_; }
   void bind_shard(int shard) { shard_ = shard; }

@@ -5,8 +5,8 @@
 // private Rng stream. Shards advance in bounded rounds under
 // conservative synchronization: every cross-shard interaction must be
 // posted with a delay of at least the configured `lookahead` (the
-// minimum cross-domain latency of the simulated hardware — migration
-// cost, IPC delivery, virtio round trip; see
+// smallest latency of any cross-shard interaction the simulation makes
+// — cluster::Fleet's dispatch latency; never below
 // hw::CostModel::min_cross_shard_latency()), so a round may safely
 // advance every shard to
 //

@@ -54,7 +54,7 @@ class Host {
   /// kernels, devices) runs on shard `shard`'s private engine inside
   /// `sharded`. Interactions with machines on other shards must go
   /// through ShardedEngine::post with at least the lookahead delay —
-  /// core::ShardedFleet is the layer that does so.
+  /// cluster::Fleet is the layer that does so.
   Host(sim::ShardedEngine& sharded, int shard, hw::Topology topology,
        hw::CostModel costs, std::uint64_t seed);
 

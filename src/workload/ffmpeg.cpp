@@ -87,44 +87,6 @@ class CoordinatorDriver final : public os::TaskDriver {
   int waits_;
 };
 
-/// The state run() used to keep on its stack, carried between the
-/// deploy and collect phases. The coordinator pointers must stay at
-/// stable addresses (encoder drivers post through them), so they keep
-/// the unique_ptr indirection here too.
-class FfmpegDeployment final : public Deployment {
- public:
-  FfmpegDeployment(virt::Platform& platform, SimTime horizon)
-      : platform_(&platform),
-        start_(platform.engine().now()),
-        horizon_(horizon),
-        completion_(platform.engine()) {}
-
-  Completion& completion() override { return completion_; }
-  SimTime horizon() const override { return start_ + horizon_; }
-
-  RunResult collect() override {
-    RunResult result;
-    result.wall_seconds = to_seconds(platform_->engine().now() - start_);
-    // The paper reports the mean execution time of the transcode
-    // process(es); for one process this is the makespan.
-    result.metric_seconds = result.wall_seconds;
-    result.extras["threads"] = threads_;
-    result.extras["processes"] = processes_;
-    return result;
-  }
-
- private:
-  friend class pinsim::workload::Ffmpeg;
-
-  virt::Platform* platform_;
-  SimTime start_;
-  SimDuration horizon_;
-  Completion completion_;
-  std::vector<std::unique_ptr<os::Task*>> coordinators_;
-  int threads_ = 0;
-  int processes_ = 0;
-};
-
 }  // namespace
 
 int Ffmpeg::threads_on(const virt::Platform& platform) const {
@@ -132,19 +94,9 @@ int Ffmpeg::threads_on(const virt::Platform& platform) const {
 }
 
 RunResult Ffmpeg::run(virt::Platform& platform, Rng rng) {
-  std::unique_ptr<Deployment> deployment = deploy(platform, std::move(rng));
-  run_to_completion(platform, deployment->completion(),
-                    deployment->horizon(), "ffmpeg transcode");
-  return deployment->collect();
-}
-
-std::unique_ptr<Deployment> Ffmpeg::deploy(virt::Platform& platform,
-                                           Rng rng) {
   PINSIM_CHECK(config_.processes >= 1);
-  auto deployment =
-      std::make_unique<FfmpegDeployment>(platform, config_.horizon);
-  const SimTime start = deployment->start_;
-  Completion& completion = deployment->completion_;
+  const SimTime start = platform.engine().now();
+  Completion completion(platform.engine());
 
   // Short clips cannot be parallelized as widely (fewer frames in
   // flight): ~1 extra encoder thread per 3 seconds of source.
@@ -163,8 +115,8 @@ std::unique_ptr<Deployment> Ffmpeg::deploy(virt::Platform& platform,
   const double worker_ws = std::max(
       6.0, config_.working_set_mb / static_cast<double>(threads));
 
-  std::vector<std::unique_ptr<os::Task*>>& coordinators =
-      deployment->coordinators_;
+  // Encoder drivers post through these, so they need stable addresses.
+  std::vector<std::unique_ptr<os::Task*>> coordinators;
   std::vector<os::Task*> to_start;
 
   for (int p = 0; p < config_.processes; ++p) {
@@ -203,9 +155,17 @@ std::unique_ptr<Deployment> Ffmpeg::deploy(virt::Platform& platform,
   }
   for (os::Task* task : to_start) platform.start(*task);
 
-  deployment->threads_ = threads;
-  deployment->processes_ = config_.processes;
-  return deployment;
+  run_to_completion(platform, completion, start + config_.horizon,
+                    "ffmpeg transcode");
+
+  RunResult result;
+  result.wall_seconds = to_seconds(platform.engine().now() - start);
+  // The paper reports the mean execution time of the transcode
+  // process(es); for one process this is the makespan.
+  result.metric_seconds = result.wall_seconds;
+  result.extras["threads"] = threads;
+  result.extras["processes"] = config_.processes;
+  return result;
 }
 
 }  // namespace pinsim::workload

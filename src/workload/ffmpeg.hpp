@@ -56,11 +56,6 @@ class Ffmpeg final : public Workload {
   /// for a single process).
   RunResult run(virt::Platform& platform, Rng rng) override;
 
-  /// Split lifecycle for fleet co-simulation; run() is exactly
-  /// deploy() + run_to_completion + collect().
-  std::unique_ptr<Deployment> deploy(virt::Platform& platform,
-                                     Rng rng) override;
-
   /// Encoder threads a process spawns on `platform`.
   int threads_on(const virt::Platform& platform) const;
 

@@ -275,7 +275,7 @@ std::unique_ptr<RequestSource> make_request_source(AppClass cls,
       break;
   }
   PINSIM_CHECK_MSG(false, "no request-serving model for this application "
-                          "class (batch workloads use Deployment)");
+                          "class (batch workloads use Workload::run)");
   return nullptr;
 }
 

@@ -1,7 +1,6 @@
-// Request-granularity serving: the open-ended half of the Deployment
-// split.
+// Request-granularity serving.
 //
-// A workload::Deployment (PR 5) runs a fixed batch to completion; a
+// A workload::Workload runs a fixed batch to completion; a
 // RequestSource is its serving-side counterpart. Deployed once onto a
 // platform, it accepts externally injected requests one at a time and
 // reports each completion through a callback — the unit of work is the

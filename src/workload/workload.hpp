@@ -26,31 +26,6 @@ struct RunResult {
   std::map<std::string, double> extras;
 };
 
-class Completion;
-
-/// A workload deployed onto a platform but not yet driven to
-/// completion. Workload::run owns its whole lifecycle (deploy, drive
-/// the engine, collect); the sharded fleet runner instead needs the
-/// phases apart — deploy one workload per host, advance every host
-/// together under one sim::ShardedEngine, then collect each host's
-/// result — so workloads that participate split run() into
-/// deploy() + run_to_completion + collect() with this object carrying
-/// the state between the phases.
-class Deployment {
- public:
-  virtual ~Deployment() = default;
-
-  /// The latch that reports this deployment finished.
-  virtual Completion& completion() = 0;
-
-  /// Absolute safety horizon for the run (same contract as run()'s:
-  /// not done by then means the simulation wedged).
-  virtual SimTime horizon() const = 0;
-
-  /// Harvest the result. Only valid once completion().done().
-  virtual RunResult collect() = 0;
-};
-
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -60,17 +35,6 @@ class Workload {
   /// Throws InvariantViolation if the run does not complete within the
   /// safety horizon (a wedged simulation must not pass silently).
   virtual RunResult run(virt::Platform& platform, Rng rng) = 0;
-
-  /// Deploy without driving the engine (for co-simulation under a
-  /// sharded fleet). Returns nullptr when the workload does not support
-  /// the split lifecycle; for workloads that do,
-  /// run() == deploy() + run_to_completion + collect() event for event.
-  virtual std::unique_ptr<Deployment> deploy(virt::Platform& platform,
-                                             Rng rng) {
-    (void)platform;
-    (void)rng;
-    return nullptr;
-  }
 };
 
 /// Completion latch: counts task exits and records per-task response

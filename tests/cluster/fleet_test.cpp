@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/chr_advisor.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
@@ -91,6 +93,25 @@ TEST(ClusterFleetTest, ShardCountDoesNotChangeTheTrace) {
   const ClusterResult serial = run_cluster(small_fleet(4, 1, 1));
   expect_identical(serial, run_cluster(small_fleet(4, 2, 1)));
   expect_identical(serial, run_cluster(small_fleet(4, 4, 2)));
+}
+
+TEST(ClusterFleetTest, RoundsAdvanceByTheDispatchLeg) {
+  // Both cross-shard legs carry dispatch_latency, so each round may
+  // advance that far: the round count is bounded by the run's length
+  // in dispatch legs.
+  FleetConfig config = small_fleet(8, 2, 1);
+  config.arrivals.rate_per_second = 2000.0;
+  config.traffic_seconds = 0.2;
+  const ClusterResult result = run_cluster(config);
+  ASSERT_GT(result.dispatched, 0);
+  EXPECT_EQ(result.completed, result.dispatched);
+  SimTime last_completion = 0;
+  for (const RequestRecord& record : result.trace) {
+    last_completion =
+        std::max(last_completion, record.arrival + record.latency);
+  }
+  EXPECT_LE(result.shard_stats.rounds,
+            last_completion / config.dispatch_latency + 2);
 }
 
 TEST(ClusterFleetTest, CassandraFleetServesToCompletion) {

@@ -34,10 +34,9 @@ std::uint64_t fnv1a(const std::string& text) {
 
 /// The fig7_chr cells (reps overridden to 2 to keep the test fast),
 /// rendered exactly like the bench binary renders them.
-std::string render_fig7(int jobs, int shards = 1) {
+std::string render_fig7(int jobs) {
   ExperimentConfig config;
   config.repetitions = 2;
-  config.shards = shards;
   const ExperimentRunner runner(config);
   const hw::Topology small = hw::Topology::small_host_16();
   const hw::Topology big = hw::Topology::dell_r830();
@@ -95,42 +94,6 @@ TEST(Fig7DeterminismTest, ReportMatchesGoldenHash) {
       << "fig7 report drifted; actual hash 0x" << std::hex << fnv1a(serial)
       << "\nreport:\n"
       << serial;
-}
-
-TEST(Fig7DeterminismTest, ShardsOneIsByteIdenticalToGolden) {
-  // --shards 1 must route through the historical solo-engine path:
-  // same bytes, same golden, for any --jobs.
-  const std::string sharded = render_fig7(1, /*shards=*/1);
-  EXPECT_EQ(fnv1a(sharded), kGoldenHash);
-  EXPECT_EQ(sharded, render_fig7(4, /*shards=*/1));
-}
-
-TEST(Fig7DeterminismTest, ShardedRunOnceIsDeterministic) {
-  // --shards > 1 drives one fig7 cell through the conservative round
-  // loop. The result is window-rounded (not compared to --shards 1)
-  // but must be identical across repeated runs and across shard
-  // counts: empty shards never decide the window, so the round
-  // sequence of a one-domain machine is shard-count invariant.
-  auto run_cell = [](int shards) {
-    ExperimentConfig config;
-    config.repetitions = 2;
-    config.shards = shards;
-    const ExperimentRunner runner(config);
-    const WorkloadFactory ffmpeg = [] {
-      return std::make_unique<workload::Ffmpeg>();
-    };
-    const virt::PlatformSpec spec{virt::PlatformKind::Container,
-                                  virt::CpuMode::Vanilla,
-                                  virt::instance_by_name("4xLarge")};
-    return runner
-        .run_once(spec, ffmpeg, runner.seed_for(0),
-                  hw::Topology::small_host_16())
-        .metric_seconds;
-  };
-  const double first = run_cell(2);
-  EXPECT_EQ(first, run_cell(2));
-  EXPECT_EQ(first, run_cell(4));
-  EXPECT_GT(first, 0.0);
 }
 
 }  // namespace

@@ -27,17 +27,13 @@ struct Poker {
   }
 };
 
-// The sharded-engine mailbox rows and the fleet's host->shard map are
-// guarded the same way (owners: sharded_engine.*, sharded_fleet.*).
+// The sharded-engine mailbox rows are guarded the same way (owner:
+// sharded_engine.*).
 struct ShardPoker {
   std::vector<int> outbox_;
-  std::vector<int> shard_of_;
 
   int box(int src) {
     return outbox_[src];  // expect: index-safety
-  }
-  int home(int host) {
-    return shard_of_[host];  // expect: index-safety
   }
 };
 

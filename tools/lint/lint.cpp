@@ -644,8 +644,6 @@ Config default_config() {
       {"slot_of_", {"src/sim/engine.hpp", "src/sim/engine.cpp"}},
       {"outbox_",
        {"src/sim/sharded_engine.hpp", "src/sim/sharded_engine.cpp"}},
-      {"shard_of_",
-       {"src/core/sharded_fleet.hpp", "src/core/sharded_fleet.cpp"}},
       {"boundary_", {"src/os/kernel.cpp", "src/os/kernel.hpp"}},
   };
   config.guarded_timers = {
@@ -661,7 +659,7 @@ Config default_config() {
   config.quiet_funnel.state_prefixes = {"quiet_", "charged_until_",
                                         "slice_started_", "slice_length_"};
   config.quiet_funnel.dirs = {"src/os/"};
-  config.shard_affinity_dirs = {"src/cluster/", "src/core/"};
+  config.shard_affinity_dirs = {"src/cluster/"};
   return config;
 }
 

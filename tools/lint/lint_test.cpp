@@ -130,29 +130,22 @@ TEST(LintIndexSafety, FlagsRawSubscriptsOutsideOwners) {
 }
 
 TEST(LintIndexSafety, OwnerFileMayTouchItsOwnIndex) {
-  // As the rq_index owner, the park_index, slot_of_, outbox_, and
-  // shard_of_ findings remain (their owners are cgroup.cpp, the
-  // engine, the sharded engine, and the fleet respectively).
+  // As the rq_index owner, the park_index, slot_of_ and outbox_
+  // findings remain (their owners are cgroup.cpp, the engine and the
+  // sharded engine respectively).
   expect_exactly("index_safety_bad.cpp", "src/os/runqueue.cpp",
                  {{"index-safety", 23},
                   {"index-safety", 26},
-                  {"index-safety", 37},
-                  {"index-safety", 40}});
+                  {"index-safety", 36}});
 }
 
 TEST(LintIndexSafety, ShardedOwnersMayTouchTheirOwnIndexes) {
-  // The sharded engine owns outbox_; shard_of_ still flags there (its
-  // owner is the fleet), and vice versa.
+  // The sharded engine owns outbox_; the other guarded fields still
+  // flag there.
   expect_exactly("index_safety_bad.cpp", "src/sim/sharded_engine.cpp",
                  {{"index-safety", 20},
                   {"index-safety", 23},
-                  {"index-safety", 26},
-                  {"index-safety", 40}});
-  expect_exactly("index_safety_bad.cpp", "src/core/sharded_fleet.cpp",
-                 {{"index-safety", 20},
-                  {"index-safety", 23},
-                  {"index-safety", 26},
-                  {"index-safety", 37}});
+                  {"index-safety", 26}});
 }
 
 TEST(LintIndexSafety, SilentOnReadsLambdasAndAnnotated) {
