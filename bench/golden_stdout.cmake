@@ -1,4 +1,4 @@
-# Runs one bench binary at PINSIM_REPS=1 (serial) and checks
+# Runs one bench or example binary at PINSIM_REPS=1 (serial) and checks
 # the SHA-256 of its stdout against the committed golden list. stdout
 # carries results only — wall times and thread notes go to stderr — so
 # any drift in the bytes is a change in simulated behaviour.

@@ -137,23 +137,22 @@ std::vector<Task*> Cgroup::take_parked() {
 
 void Cgroup::add_member(Task& task) {
   PINSIM_CHECK(task.cgroup == nullptr || task.cgroup == this);
-  // A task is a member exactly when its cgroup points here, so a repeat
-  // join is a no-op without scanning members_ (which keeps every task
-  // that ever joined).
   if (task.cgroup == this) return;
   task.cgroup = this;
-  members_.push_back(&task);
-  // Only members are ever parked, so tracking members_' geometric
-  // growth keeps park() allocation-free on the dispatch path.
-  parked_.reserve(members_.capacity());
+  ++members_;
+  // Grow geometrically, so a pool that keeps gaining members
+  // reallocates O(log n) times.
+  const auto live = static_cast<std::size_t>(members_);
+  if (live > parked_.capacity()) {
+    parked_.reserve(std::max(live, 2 * parked_.capacity()));
+  }
 }
 
 void Cgroup::remove_member(Task& task) {
   PINSIM_CHECK(task.cgroup == this);
   if (is_parked(task)) unpark(task);
   task.cgroup = nullptr;
-  members_.erase(std::remove(members_.begin(), members_.end(), &task),
-                 members_.end());
+  --members_;
 }
 
 }  // namespace pinsim::os

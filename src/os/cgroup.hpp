@@ -101,9 +101,13 @@ class Cgroup {
   SimDuration runtime_horizon(hw::CpuId cpu) const;
 
   // --- membership (maintained by the owning kernel) -----------------------
+  /// A task is a member exactly when its `cgroup` points here; a repeat
+  /// join is a no-op.
   void add_member(Task& task);
+  /// Leave the group (the kernels call this when a member exits).
   void remove_member(Task& task);
-  const std::vector<Task*>& members() const { return members_; }
+  /// Members that have joined and not yet left.
+  int member_count() const { return members_; }
 
   // --- parked tasks (bandwidth throttling) --------------------------------
   /// Park a task dequeued by bandwidth throttling and mark it
@@ -136,7 +140,9 @@ class Cgroup {
 
   hw::CpuSet spread_;
 
-  std::vector<Task*> members_;
+  int members_ = 0;
+  // Only members are parked, so parked_ is reserved to at least the
+  // member count (see add_member) and park() never allocates.
   std::vector<Task*> parked_;
   Stats stats_;
 };

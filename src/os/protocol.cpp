@@ -40,6 +40,7 @@ void TaskTable::retire(Task& task, SimTime now) {
   task.state = TaskState::Finished;
   task.stats.finished_at = now;
   --live_;
+  if (task.cgroup != nullptr) task.cgroup->remove_member(task);
 }
 
 void TaskTable::run_on_exit(Task& task) {

@@ -53,8 +53,9 @@ class TaskTable {
   /// Created -> live: counts the task and stamps its start time.
   void start(Task& task, SimTime now);
   /// Running -> Finished: stamps the finish time and drops the task
-  /// from the live count. The exit hook is the caller's to run (see
-  /// run_on_exit), after its own finish-time bookkeeping.
+  /// from the live count and from its cgroup. The exit hook is the
+  /// caller's to run (see run_on_exit), after its own finish-time
+  /// bookkeeping.
   void retire(Task& task, SimTime now);
   void run_on_exit(Task& task);
 

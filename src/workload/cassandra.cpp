@@ -1,57 +1,52 @@
 #include "workload/cassandra.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
+#include "workload/request_source.hpp"
 
 namespace pinsim::workload {
 
 namespace {
 
-/// Work queue shared between the stress generator and one server thread.
-struct OpQueue {
-  std::deque<SimTime> submit_times;
-  int assigned = 0;  // total ops this thread will ever receive
-};
-
-/// Read cache-hit probability given the instance's memory (first-order
-/// page/row-cache model: hit ratio ~ cached fraction of the hot set).
-double cache_hit_for(const CassandraConfig& config, int memory_gb) {
-  const double fraction =
-      static_cast<double>(memory_gb) / config.dataset_gb;
-  return std::min(config.cache_hit_cap, std::max(0.0, fraction));
-}
+using OpDone = std::function<void()>;
 
 /// One server thread: waits for an op, executes its compute/IO recipe,
-/// records the response time, and exits after serving its share.
+/// runs the op's completion callback, and exits after serving its share.
 class ServerThreadDriver final : public os::TaskDriver {
  public:
   ServerThreadDriver(const CassandraConfig& config, double cache_hit,
-                     std::shared_ptr<OpQueue> queue,
-                     stats::Accumulator& responses, sim::Engine& engine,
-                     hw::IoDevice& disk, Rng rng)
+                     std::int64_t share, hw::IoDevice& disk, Rng rng)
       : config_(&config),
         cache_hit_(cache_hit),
-        queue_(std::move(queue)),
-        responses_(&responses),
-        engine_(&engine),
+        share_(share),
         disk_(&disk),
         rng_(rng) {}
+
+  /// Queue one op; the thread must also be woken (Platform::post).
+  void enqueue(OpDone done) { pending_.push_back(std::move(done)); }
 
   os::Action next(os::Task&) override {
     switch (stage_) {
       case Stage::Idle: {
-        if (served_ >= queue_->assigned) return os::Action::exit();
+        if (served_ >= share_) return os::Action::exit();
         stage_ = Stage::Parse;
         return os::Action::recv();
       }
       case Stage::Parse: {
-        // The op is now in hand; front of the queue is its submit time.
-        PINSIM_CHECK(!queue_->submit_times.empty());
-        op_submitted_ = queue_->submit_times.front();
-        queue_->submit_times.pop_front();
+        // The op is now in hand; the front of the queue is its callback.
+        PINSIM_CHECK(!pending_.empty());
+        done_ = std::move(pending_.front());
+        pending_.pop_front();
         is_write_ = rng_.chance(config_->write_fraction);
         stage_ = Stage::MaybeIo;
         return os::Action::compute(compute_slice(0.6));
@@ -75,7 +70,8 @@ class ServerThreadDriver final : public os::TaskDriver {
         return os::Action::compute(compute_slice(0.4));
       }
       case Stage::Record: {
-        responses_->add(to_seconds(engine_->now() - op_submitted_));
+        done_();
+        done_ = nullptr;
         ++served_;
         stage_ = Stage::Idle;
         // Loop back without a scheduling artifact.
@@ -97,16 +93,110 @@ class ServerThreadDriver final : public os::TaskDriver {
 
   const CassandraConfig* config_;
   double cache_hit_;
-  std::shared_ptr<OpQueue> queue_;
-  stats::Accumulator* responses_;
-  sim::Engine* engine_;
+  std::int64_t share_;
   hw::IoDevice* disk_;
   Rng rng_;
+  std::deque<OpDone> pending_;
 
   Stage stage_ = Stage::Idle;
   bool is_write_ = false;
-  SimTime op_submitted_ = 0;
-  int served_ = 0;
+  OpDone done_;
+  std::int64_t served_ = 0;
+};
+
+/// The server process: `server_threads` resident threads sharing one
+/// NUMA home (one JVM heap), spawned in thread order with one
+/// `rng.fork()` each and started together. With `operations`, thread t
+/// serves its split of them (operations / threads, the first
+/// operations % threads one more) and exits; without, it serves
+/// forever.
+class ServerPool {
+ public:
+  ServerPool(virt::Platform& platform, const CassandraConfig& config,
+             Rng& rng, std::optional<int> operations,
+             const std::function<void(os::Task&)>& on_exit = nullptr)
+      : platform_(&platform) {
+    PINSIM_CHECK_MSG(config.server_threads >= 1,
+                     "cassandra needs >= 1 server thread (got "
+                         << config.server_threads << ")");
+    // First-order page/row-cache model: the read hit ratio is the
+    // cached fraction of the hot set.
+    const double fraction =
+        static_cast<double>(platform.spec().instance.memory_gb) /
+        config.dataset_gb;
+    const double cache_hit =
+        std::min(config.cache_hit_cap, std::max(0.0, fraction));
+    auto numa_home = std::make_shared<int>(-1);
+    const int threads = config.server_threads;
+    for (int t = 0; t < threads; ++t) {
+      const std::int64_t share =
+          operations ? *operations / threads +
+                           (t < *operations % threads ? 1 : 0)
+                     : std::numeric_limits<std::int64_t>::max();
+      virt::WorkTaskConfig task_config;
+      task_config.name = "cass-worker" + std::to_string(t);
+      task_config.working_set_mb = config.working_set_mb;
+      task_config.numa_home = numa_home;
+      task_config.guest_inflation_sensitivity =
+          config.guest_inflation_sensitivity;
+      task_config.on_exit = on_exit;
+      auto driver = std::make_unique<ServerThreadDriver>(
+          config, cache_hit, share, platform.disk(), rng.fork());
+      drivers_.push_back(driver.get());
+      threads_.push_back(
+          &platform.spawn(std::move(task_config), std::move(driver)));
+    }
+    for (os::Task* thread : threads_) platform.start(*thread);
+  }
+
+  // Submit callbacks hold the pool's address.
+  ServerPool(const ServerPool&) = delete;
+  ServerPool& operator=(const ServerPool&) = delete;
+
+  std::size_t size() const { return threads_.size(); }
+
+  /// Hand thread `target` one op now; `done` runs when its response is
+  /// sent.
+  void submit(std::size_t target, OpDone done) {
+    drivers_[target]->enqueue(std::move(done));
+    platform_->post(*threads_[target], 1);
+  }
+
+ private:
+  virt::Platform* platform_;
+  std::vector<ServerThreadDriver*> drivers_;  // owned by their tasks
+  std::vector<os::Task*> threads_;
+};
+
+/// Serving counterpart of the stress run: the same pool with no op
+/// budget, each injected op round-robined in firing order.
+class CassandraSource final : public RequestSource {
+ public:
+  CassandraSource(virt::Platform& platform, CassandraConfig config, Rng rng)
+      : config_(std::move(config)),
+        pool_(platform, config_, rng, std::nullopt) {}
+
+  const char* name() const override { return "cassandra-serve"; }
+
+  void inject(Done done) override {
+    ++outstanding_;
+    pool_.submit(static_cast<std::size_t>(next_id_++) % pool_.size(),
+                 [this, done = std::move(done)] {
+                   --outstanding_;
+                   ++served_;
+                   if (done) done();
+                 });
+  }
+
+  int outstanding() const override { return outstanding_; }
+  std::int64_t served() const override { return served_; }
+
+ private:
+  CassandraConfig config_;  // read by the pool's drivers
+  ServerPool pool_;
+  std::int64_t next_id_ = 0;
+  int outstanding_ = 0;
+  std::int64_t served_ = 0;
 };
 
 }  // namespace
@@ -114,49 +204,28 @@ class ServerThreadDriver final : public os::TaskDriver {
 RunResult Cassandra::run(virt::Platform& platform, Rng rng) {
   const SimTime start = platform.engine().now();
   Completion completion(platform.engine());
-  auto responses = std::make_shared<stats::Accumulator>();
+  stats::Accumulator responses;
 
-  // Spawn the server's thread pool. One process, one JVM heap: all
-  // threads share a NUMA home.
-  auto numa_home = std::make_shared<int>(-1);
-  std::vector<std::shared_ptr<OpQueue>> queues;
-  std::vector<os::Task*> threads;
-  for (int t = 0; t < config_.server_threads; ++t) {
-    auto queue = std::make_shared<OpQueue>();
-    queue->assigned = config_.operations / config_.server_threads +
-                      (t < config_.operations % config_.server_threads ? 1 : 0);
-    queues.push_back(queue);
-    virt::WorkTaskConfig task_config;
-    task_config.name = "cass-worker" + std::to_string(t);
-    task_config.working_set_mb = config_.working_set_mb;
-    task_config.numa_home = numa_home;
-    task_config.guest_inflation_sensitivity =
-        config_.guest_inflation_sensitivity;
-    task_config.on_exit = completion.tracker(start);
-    completion.expect(1);
-    os::Task& task = platform.spawn(
-        std::move(task_config),
-        std::make_unique<ServerThreadDriver>(
-            config_, cache_hit_for(config_, platform.spec().instance.memory_gb),
-            queue, *responses, platform.engine(), platform.disk(),
-            rng.fork()));
-    threads.push_back(&task);
-  }
-  for (os::Task* thread : threads) platform.start(*thread);
+  // The run completes when every thread has served its share and exited.
+  ServerPool pool(platform, config_, rng, config_.operations,
+                  completion.tracker(start));
+  completion.expect(config_.server_threads);
 
   // cassandra-stress: 1,000 ops within one second, round-robin over the
-  // "user" threads (each stress thread drives one connection).
+  // "user" threads (each stress thread drives one connection) by op
+  // index, not by firing order.
   for (int op = 0; op < config_.operations; ++op) {
     const auto offset = static_cast<SimDuration>(
         rng.next_double() * sec_f(config_.submit_seconds));
-    const int target = op % config_.server_threads;
-    auto* platform_ptr = &platform;
-    os::Task* task = threads[static_cast<std::size_t>(target)];
-    auto queue = queues[static_cast<std::size_t>(target)];
-    platform.engine().schedule_detached(offset, [platform_ptr, task, queue] {
-      queue->submit_times.push_back(platform_ptr->engine().now());
-      platform_ptr->post(*task, 1);
-    });
+    const auto target = static_cast<std::size_t>(op % config_.server_threads);
+    platform.engine().schedule_detached(
+        offset, [pool = &pool, target, responses = &responses,
+                 engine = &platform.engine()] {
+          pool->submit(target, [responses, engine,
+                                submitted = engine->now()] {
+            responses->add(to_seconds(engine->now() - submitted));
+          });
+        });
   }
 
   run_to_completion(platform, completion, start + config_.horizon,
@@ -164,10 +233,15 @@ RunResult Cassandra::run(virt::Platform& platform, Rng rng) {
 
   RunResult result;
   result.wall_seconds = to_seconds(platform.engine().now() - start);
-  result.metric_seconds = responses->mean();
-  result.extras["ops"] = responses->count();
-  result.extras["max_response"] = responses->max();
+  result.metric_seconds = responses.mean();
+  result.extras["ops"] = responses.count();
+  result.extras["max_response"] = responses.max();
   return result;
+}
+
+std::unique_ptr<RequestSource> make_cassandra_source(
+    virt::Platform& platform, const CassandraConfig& config, Rng rng) {
+  return std::make_unique<CassandraSource>(platform, config, rng);
 }
 
 }  // namespace pinsim::workload

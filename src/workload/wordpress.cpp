@@ -1,8 +1,13 @@
 #include "workload/wordpress.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 
-#include "util/check.hpp"
+#include "workload/request_source.hpp"
 
 namespace pinsim::workload {
 
@@ -56,6 +61,56 @@ class RequestDriver final : public os::TaskDriver {
   Rng rng_;
 };
 
+/// Spawn and start request `id`'s process now: the one request recipe
+/// behind both the Fig. 5 burst and the serving source. `on_exit` runs
+/// when the response has been written.
+void spawn_request(virt::Platform& platform, const WordPressConfig& config,
+                   std::int64_t id, Rng rng,
+                   std::function<void(os::Task&)> on_exit) {
+  virt::WorkTaskConfig task_config;
+  task_config.name = "req" + std::to_string(id);
+  task_config.working_set_mb = config.working_set_mb;
+  task_config.guest_inflation_sensitivity = config.guest_inflation_sensitivity;
+  task_config.network_born = true;
+  task_config.on_exit = std::move(on_exit);
+  os::Task& task = platform.spawn(
+      std::move(task_config),
+      std::make_unique<RequestDriver>(config, platform.disk(), platform.nic(),
+                                      rng));
+  platform.start(task);
+}
+
+/// Serving counterpart of the burst: each injected request is one
+/// spawn_request, its Rng forked from the source's at inject time.
+class WordPressSource final : public RequestSource {
+ public:
+  WordPressSource(virt::Platform& platform, WordPressConfig config, Rng rng)
+      : platform_(&platform), config_(std::move(config)), rng_(rng) {}
+
+  const char* name() const override { return "wordpress-serve"; }
+
+  void inject(Done done) override {
+    ++outstanding_;
+    spawn_request(*platform_, config_, next_id_++, rng_.fork(),
+                  [this, done = std::move(done)](os::Task&) {
+                    --outstanding_;
+                    ++served_;
+                    if (done) done();
+                  });
+  }
+
+  int outstanding() const override { return outstanding_; }
+  std::int64_t served() const override { return served_; }
+
+ private:
+  virt::Platform* platform_;
+  WordPressConfig config_;
+  Rng rng_;
+  std::int64_t next_id_ = 0;
+  int outstanding_ = 0;
+  std::int64_t served_ = 0;
+};
+
 }  // namespace
 
 RunResult WordPress::run(virt::Platform& platform, Rng rng) {
@@ -65,29 +120,17 @@ RunResult WordPress::run(virt::Platform& platform, Rng rng) {
 
   // JMeter fires the burst from a dedicated machine: arrivals are spread
   // over the ramp window; each arrival spawns one request process.
+  // Request i's Rng is forked here, in index order between the offset
+  // draws, not at its arrival.
   for (int i = 0; i < config_.requests; ++i) {
     const SimDuration offset =
         static_cast<SimDuration>(rng.next_double() * sec_f(config_.ramp_seconds));
-    Rng request_rng = rng.fork();
-    auto* platform_ptr = &platform;
-    const WordPressConfig* config = &config_;
-    Completion* latch = &completion;
-    const int id = i;
-    platform.engine().schedule_detached(offset, [platform_ptr, config, latch, id,
-                                        request_rng]() mutable {
-      virt::WorkTaskConfig task_config;
-      task_config.name = "req" + std::to_string(id);
-      task_config.working_set_mb = config->working_set_mb;
-      task_config.guest_inflation_sensitivity =
-          config->guest_inflation_sensitivity;
-      task_config.network_born = true;
-      task_config.on_exit = latch->tracker(platform_ptr->engine().now());
-      os::Task& task = platform_ptr->spawn(
-          std::move(task_config),
-          std::make_unique<RequestDriver>(*config, platform_ptr->disk(),
-                                          platform_ptr->nic(), request_rng));
-      platform_ptr->start(task);
-    });
+    platform.engine().schedule_detached(
+        offset, [platform = &platform, config = &config_,
+                 latch = &completion, id = i, request_rng = rng.fork()] {
+          spawn_request(*platform, *config, id, request_rng,
+                        latch->tracker(platform->engine().now()));
+        });
   }
 
   run_to_completion(platform, completion, start + config_.horizon,
@@ -99,6 +142,11 @@ RunResult WordPress::run(virt::Platform& platform, Rng rng) {
   result.extras["p_max"] = completion.response().max();
   result.extras["requests"] = config_.requests;
   return result;
+}
+
+std::unique_ptr<RequestSource> make_wordpress_source(
+    virt::Platform& platform, const WordPressConfig& config, Rng rng) {
+  return std::make_unique<WordPressSource>(platform, config, rng);
 }
 
 }  // namespace pinsim::workload

@@ -66,6 +66,27 @@ TEST(KernelCgroupTest, QuotaCapsThroughput) {
   EXPECT_GT(group.stats().throttles, 0);
 }
 
+TEST(KernelCgroupTest, ExitedTasksLeaveTheGroup) {
+  // The group counts live members only: the exit path removes a task,
+  // so a long-running container does not accumulate its dead requests.
+  Harness h(hw::Topology(1, 4, 1, 16.0));
+  Cgroup& group = h.kernel.create_cgroup({"cn", 1.0, {}});
+  TaskConfig config;
+  config.cgroup = &group;
+  Task& quick = h.kernel.create_task("quick", compute_once(msec(1)), config);
+  Task& slow = h.kernel.create_task("slow", compute_once(msec(50)), config);
+  EXPECT_EQ(group.member_count(), 2);
+  h.kernel.start_task(quick);
+  h.kernel.start_task(slow);
+  h.engine.run(msec(20));
+  EXPECT_EQ(quick.state, TaskState::Finished);
+  EXPECT_EQ(quick.cgroup, nullptr);
+  EXPECT_EQ(slow.cgroup, &group);
+  EXPECT_EQ(group.member_count(), 1);
+  EXPECT_TRUE(h.kernel.run_until_quiescent());
+  EXPECT_EQ(group.member_count(), 0);
+}
+
 TEST(KernelCgroupTest, GenerousQuotaNeverThrottles) {
   Harness h(hw::Topology(1, 4, 1, 16.0));
   Cgroup& group = h.kernel.create_cgroup({"big-cn", 4.0, {}});

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "util/check.hpp"
 #include "virt/factory.hpp"
+#include "workload/request_source.hpp"
 
 namespace pinsim::workload {
 namespace {
@@ -94,6 +96,40 @@ TEST(CassandraTest, VanillaContainerFarWorseThanPinned) {
                                   virt::CpuMode::Pinned, "xLarge", 9)
                                .metric_seconds;
   EXPECT_GT(vanilla_cn, 1.5 * pinned_cn);
+}
+
+TEST(CassandraTest, UnevenShareExitsEveryThread) {
+  // 7 ops over 3 threads: thread 0 serves 3, threads 1 and 2 serve 2.
+  // The run only completes once every thread has served its share and
+  // exited.
+  CassandraConfig config;
+  config.operations = 7;
+  config.server_threads = 3;
+  Cassandra cassandra(config);
+  const virt::PlatformSpec spec{virt::PlatformKind::BareMetal,
+                                virt::CpuMode::Vanilla,
+                                virt::instance_by_name("xLarge")};
+  virt::Host host(virt::host_topology_for(spec, hw::Topology::dell_r830()),
+                  hw::CostModel{}, 4);
+  auto platform = virt::make_platform(host, spec);
+  const RunResult result = cassandra.run(*platform, Rng(4));
+  EXPECT_EQ(result.extras.at("ops"), 7);
+  EXPECT_EQ(host.kernel().live_tasks(), 0);
+}
+
+TEST(CassandraTest, RejectsZeroServerThreads) {
+  CassandraConfig config = small_config();
+  config.server_threads = 0;
+  Cassandra cassandra(config);
+  const virt::PlatformSpec spec{virt::PlatformKind::BareMetal,
+                                virt::CpuMode::Vanilla,
+                                virt::instance_by_name("xLarge")};
+  virt::Host host(virt::host_topology_for(spec, hw::Topology::dell_r830()),
+                  hw::CostModel{}, 1);
+  auto platform = virt::make_platform(host, spec);
+  EXPECT_THROW(cassandra.run(*platform, Rng(1)), InvariantViolation);
+  EXPECT_THROW(make_cassandra_source(*platform, config, Rng(1)),
+               InvariantViolation);
 }
 
 }  // namespace

@@ -99,16 +99,16 @@ TEST(RequestSourceTest, SameSeedReplaysIdenticalCompletionTimes) {
   EXPECT_EQ(c.serve(*source_c, 24), d.serve(*source_d, 24));
 }
 
-TEST(RequestSourceTest, FactoryMapsServingClassesOnly) {
-  Bench bench;
-  EXPECT_STREQ(
-      make_request_source(AppClass::IoWeb, *bench.platform, Rng(1))->name(),
-      "wordpress-serve");
-  EXPECT_STREQ(
-      make_request_source(AppClass::IoNoSql, *bench.platform, Rng(1))->name(),
-      "cassandra-serve");
-  EXPECT_THROW(make_request_source(AppClass::CpuBound, *bench.platform, Rng(1)),
-               InvariantViolation);
+TEST(RequestSourceTest, CassandraThreadsStayResident) {
+  // A serving pool has no op budget: after its ops drain, every server
+  // thread is still live, blocked waiting for the next one.
+  Bench bench(7);
+  CassandraConfig config;
+  config.server_threads = 4;
+  auto source = make_cassandra_source(*bench.platform, config, Rng(7));
+  bench.serve(*source, 32);
+  EXPECT_EQ(source->served(), 32);
+  EXPECT_EQ(bench.host.kernel().live_tasks(), 4);
 }
 
 }  // namespace
