@@ -132,7 +132,7 @@ ClusterResult Fleet::run() {
     const std::uint64_t seed =
         config_.base_seed + 1000003ull * static_cast<std::uint64_t>(h);
     hosts.push_back(std::make_unique<virt::Host>(
-        sharded, shard_of(h),
+        sharded.shard(shard_of(h)),
         virt::host_topology_for(specs[i], config_.full_host), config_.costs,
         seed));
     platforms.push_back(virt::make_platform(*hosts.back(), specs[i]));

@@ -1,9 +1,9 @@
 // The cluster serving layer: N simulated hosts behind one front end.
 //
-// A Fleet instantiates `hosts` full virt::Hosts (host h shard-resident
-// on shard h % shards, seeded like repetition h of a solo-engine run),
-// deploys one workload::RequestSource per host, and drives open-loop
-// traffic from a front end living on shard 0:
+// A Fleet instantiates `hosts` full virt::Hosts (host h runs on the
+// engine of shard h % shards, seeded like repetition h of a solo-engine
+// run), deploys one workload::RequestSource per host, and drives
+// open-loop traffic from a front end living on shard 0:
 //
 //   Arrivals ----> LoadBalancer ----> host h's RequestSource
 //      |  pick()+dispatch   \--- post(0, shard(h), dispatch_latency)

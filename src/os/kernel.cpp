@@ -20,8 +20,7 @@ Kernel::Kernel(sim::Engine& engine, const hw::Topology& topology,
       rng_(rng),
       params_(params),
       name_(std::move(name)) {
-  PINSIM_CHECK(params_.sched_latency > 0);
-  PINSIM_CHECK(params_.min_granularity > 0);
+  validate(params_);
   const auto n = static_cast<std::size_t>(topology.num_cpus());
   current_.resize(n, nullptr);
   rq_.resize(n);
@@ -34,7 +33,7 @@ Kernel::Kernel(sim::Engine& engine, const hw::Topology& topology,
   quiet_land_.resize(n, 0);
   quiet_task_.resize(n, nullptr);
   quiet_burned_.resize(n, 0);
-  solo_slice_ = std::max(params_.min_granularity, params_.sched_latency);
+  solo_slice_ = slice_length(params_, 1);
   batch_domain_ = engine_->new_batch_domain();
   idle_socket_.resize(static_cast<std::size_t>(topology.sockets()));
   for (int cpu = 0; cpu < topology.num_cpus(); ++cpu) {
@@ -68,12 +67,7 @@ void Kernel::refresh_cpu_masks(hw::CpuId cpu) {
 Kernel::~Kernel() = default;
 
 Cgroup& Kernel::create_cgroup(Cgroup::Config config) {
-  if (!config.cpuset.empty()) {
-    PINSIM_CHECK_MSG(config.cpuset.subset_of(topology_->all_cpus()),
-                     "cgroup cpuset outside host topology");
-  }
-  cgroups_.push_back(std::make_unique<Cgroup>(std::move(config), *costs_));
-  return *cgroups_.back();
+  return cgroups_.create(std::move(config), topology_->all_cpus(), *costs_);
 }
 
 Task& Kernel::create_task(std::string name,
@@ -108,29 +102,12 @@ void Kernel::start_task(Task& task) {
   enqueue_task(task, cpu);
 }
 
-bool Kernel::idle_cpu(hw::CpuId cpu) const {
-  const auto i = static_cast<std::size_t>(cpu);
-  return current_[i] == nullptr && rq_[i].empty();
-}
-
 void Kernel::add_observer(SchedObserver& observer) {
   observers_.push_back(&observer);
 }
 
 bool Kernel::run_until_quiescent(SimTime horizon) {
   return engine_->run_until([this] { return tasks_.live() == 0; }, horizon);
-}
-
-SimDuration Kernel::slice_for(hw::CpuId cpu) const {
-  const auto i = static_cast<std::size_t>(cpu);
-  const int runnable = rq_[i].size() + (current_[i] != nullptr ? 1 : 0);
-  const SimDuration share =
-      params_.sched_latency / std::max(1, runnable);
-  return std::max(params_.min_granularity, share);
-}
-
-SimDuration Kernel::remaining_cost(const Task& task) const {
-  return task.overhead_debt + task.burst_remaining;
 }
 
 double Kernel::numa_slowdown(const Task& task, hw::CpuId cpu) const {
@@ -146,14 +123,6 @@ SimDuration Kernel::remaining_cost_on(const Task& task,
   return task.overhead_debt +
          static_cast<SimDuration>(
              std::llround(static_cast<double>(task.burst_remaining) * slow));
-}
-
-hw::CpuId Kernel::cpu_of_running(const Task& task) const {
-  if (task.state != TaskState::Running) return -1;
-  const hw::CpuId cpu = task.last_cpu;
-  PINSIM_CHECK(cpu >= 0);
-  PINSIM_CHECK(current_[static_cast<std::size_t>(cpu)] == &task);
-  return cpu;
 }
 
 // A quiet cpu always has a running task, so dispatch (which requires
@@ -438,12 +407,7 @@ void Kernel::stop_running(hw::CpuId cpu, bool requeue) {
   });
   ++stats_.preemptions;
   current_[i] = nullptr;
-  if (requeue) {
-    task->state = TaskState::Runnable;
-    task->enqueued_at = now();
-    task->queued_cpu = cpu;
-    rq_[i].enqueue(*task);
-  }
+  if (requeue) os::requeue(*task, rq_[i], cpu, now());
   refresh_cpu_masks(cpu);
 }
 

@@ -16,10 +16,13 @@
 // The same class instantiates the bare-metal host, the (GRUB-limited)
 // bare-metal instance sizes, and — with a different Topology — nothing
 // else: the guest kernel inside a VM is virt::GuestKernel, which reuses
-// Task/Runqueue/Cgroup and the task-action protocol (os/protocol.hpp)
-// but advances only when its vCPUs are granted host CPU time. Both
-// kernels run actions, accept messages, and charge cpu time through that
-// one protocol; each supplies only its own costs and effects.
+// Task/Runqueue/Cgroup, the task-action protocol (os/protocol.hpp) and
+// the CFS policy steps (os/cfs.hpp) but advances only when its vCPUs are
+// granted host CPU time. Both kernels run actions, accept messages,
+// charge cpu time, steal, move, pick, requeue, wake and unthrottle
+// through the one copy of each. What this class adds is the host's own:
+// the idle/busy/queued masks, wake_affine hints, NUMA, IRQs, observers
+// and the quiet-core window.
 #pragma once
 
 #include <memory>
@@ -30,6 +33,7 @@
 #include "hw/cost_model.hpp"
 #include "hw/cpuset.hpp"
 #include "hw/topology.hpp"
+#include "os/cfs.hpp"
 #include "os/cgroup.hpp"
 #include "os/observer.hpp"
 #include "os/protocol.hpp"
@@ -40,27 +44,6 @@
 #include "util/units.hpp"
 
 namespace pinsim::os {
-
-struct SchedParams {
-  /// Target latency: every runnable task runs once per this window.
-  SimDuration sched_latency = msec(12);
-  /// Minimum slice regardless of queue depth.
-  SimDuration min_granularity = msec(1);
-  /// A waking task preempts the running one only if it is behind by at
-  /// least this much vruntime.
-  SimDuration wakeup_preempt_granularity = msec(1);
-  /// Periodic load-balance interval.
-  SimDuration balance_interval = msec(8);
-  /// Sleeper credit: a waking task's vruntime is floored at
-  /// (queue min_vruntime − sched_latency).
-  bool sleeper_credit = true;
-  /// Quiet-core fast-forward: a core whose single runnable task cannot
-  /// be preempted before its next real event skips its quantum-boundary
-  /// timers (see Kernel::reprogram). Simulated behaviour is identical
-  /// either way — the flag exists so the fuzz oracle can run the
-  /// skip-free path against the fast-forward path on the same seed.
-  bool quiet_fast_forward = true;
-};
 
 struct KernelStats {
   std::int64_t context_switches = 0;
@@ -96,10 +79,6 @@ class Kernel {
   /// Make a created task runnable now (arrival).
   void start_task(Task& task);
 
-  /// Wake a blocked task (message/event delivery from outside the
-  /// kernel, e.g. a load generator or hypervisor).
-  void wake(Task& task);
-
   /// Deliver `count` messages to `task` from outside the kernel, waking
   /// it if it blocks in Recv. Models arrival through a device interrupt:
   /// charges IRQ service on a (steered or round-robin) cpu and wakes the
@@ -120,15 +99,7 @@ class Kernel {
   const hw::CostModel& costs() const { return *costs_; }
   const std::string& name() const { return name_; }
 
-  /// Event shard this kernel's machine lives on (0 in a solo-engine
-  /// run). The kernel itself never crosses shards — its engine IS the
-  /// shard's engine — but the id lets cross-machine plumbing route
-  /// mailbox traffic to the right destination shard.
-  int shard() const { return shard_; }
-  void bind_shard(int shard) { shard_ = shard; }
-
   int live_tasks() const { return tasks_.live(); }
-  bool idle_cpu(hw::CpuId cpu) const;
   /// Run queue of `cpu`, read-only (its reservation is observable).
   const Runqueue& runqueue(hw::CpuId cpu) const {
     return rq_[static_cast<std::size_t>(cpu)];
@@ -179,15 +150,23 @@ class Kernel {
   /// and effects. Returns true while the task should stay on the cpu.
   bool advance_actions(hw::CpuId cpu, Task& task);
   void deliver(Task& from, Task& to, int count);
-  SimDuration slice_for(hw::CpuId cpu) const;
-  SimDuration remaining_cost(const Task& task) const;
+  /// Runnable tasks on `cpu`: its queue plus the running one.
+  int load_of(hw::CpuId cpu) const {
+    const auto i = static_cast<std::size_t>(cpu);
+    return rq_[i].size() + (current_[i] != nullptr ? 1 : 0);
+  }
+  SimDuration slice_for(hw::CpuId cpu) const {
+    return slice_length(params_, load_of(cpu));
+  }
   /// NUMA slowdown factor for running `task` on `cpu` (>= 1.0).
   double numa_slowdown(const Task& task, hw::CpuId cpu) const;
   /// remaining_cost adjusted for the NUMA slowdown on `cpu`.
   SimDuration remaining_cost_on(const Task& task, hw::CpuId cpu) const;
 
   // --- wakeup path (kernel_wakeup.cpp) -------------------------------------
-  hw::CpuSet allowed_cpus(const Task& task) const;
+  hw::CpuSet allowed_cpus(const Task& task) const {
+    return os::allowed_cpus(topology_->all_cpus(), task);
+  }
   /// `hint` is the cpu the wakeup originated on (IRQ handler, message
   /// poster); -1 means no locality hint. Unpinned tasks are pulled
   /// toward the hint's LLC domain (wake_affine), which is what smears a
@@ -208,27 +187,16 @@ class Kernel {
   void refresh_cpu_masks(hw::CpuId cpu);
 
   // --- balancing & cgroup periodic work (kernel_balance.cpp) --------------
-  /// Whether a steal or balance move may put queued `task` on `cpu`: the
-  /// task is allowed there and its cgroup is not throttled there
-  /// (parking it on arrival would just churn).
-  bool steal_eligible(const Task& task, hw::CpuId cpu) const {
-    if (!allowed_cpus(task).contains(cpu)) return false;
-    return task.cgroup == nullptr || !task.cgroup->throttled_on(cpu);
-  }
   void steal_for(hw::CpuId cpu);
   void periodic_balance();
   void housekeeping_tick();
-  void cgroup_period(Cgroup& group);
   void cgroup_aggregate(Cgroup& group);
-  void park_group(Cgroup& group);
-  void release_group(Cgroup& group);
   void ensure_housekeeping();
   /// Arm the persistent housekeeping timer for now()+delay (same
   /// reschedule-or-push mechanism as the per-core boundary timers).
   void arm_housekeeping(SimDuration delay);
 
   // --- helpers --------------------------------------------------------------
-  hw::CpuId cpu_of_running(const Task& task) const;
   template <typename Fn>
   void notify(Fn&& fn) {
     for (auto* obs : observers_) fn(*obs);
@@ -241,7 +209,6 @@ class Kernel {
   Rng rng_;
   SchedParams params_;
   std::string name_;
-  int shard_ = 0;
 
   // Struct-of-arrays per-core scheduler state, indexed by cpu id. The
   // boundary sweep and the charge path walk one field across cores, so
@@ -289,14 +256,13 @@ class Kernel {
   hw::CpuSet queued_;
   std::vector<hw::CpuSet> idle_socket_;
   TaskTable tasks_;
-  std::vector<std::unique_ptr<Cgroup>> cgroups_;
+  CgroupTable cgroups_;
   std::vector<SchedObserver*> observers_;
 
   std::size_t rq_reserved_ = 0;  // capacity reserved on every runqueue
   hw::CpuId irq_rr_ = 0;  // round-robin irq distribution for unpinned IO
   bool housekeeping_active_ = false;
   sim::EventHandle housekeeping_;
-  std::vector<SimTime> cgroup_next_period_;  // parallel to cgroups_
   SimTime next_balance_ = 0;
   KernelStats stats_;
 };

@@ -8,49 +8,28 @@
 
 namespace pinsim::os {
 
-namespace {
-
-/// vruntime renormalization when a task changes runqueue outside the
-/// wakeup path (steals / balance moves).
-void renormalize(Task& task, const Runqueue& from, const Runqueue& to) {
-  task.vruntime = task.vruntime - from.min_vruntime() + to.min_vruntime();
-}
-
-}  // namespace
-
 void Kernel::steal_for(hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
   PINSIM_CHECK(rq_[i].empty());
 
-  int best_load = 0;
-  hw::CpuId victim = -1;
-  Task* candidate = nullptr;
   // Only cpus with queued work can be victims; word-scan the queued
   // mask in ascending cpu order (the historical visitation order, so
   // every tie-break is unchanged) instead of walking all num_cpus()
   // runqueues. This cpu's runqueue is empty, so it is never in the mask.
   // Quiet cores are never victims either — their runqueue is empty by
   // the window invariant, so they are not in the mask.
-  queued_.for_each([&](hw::CpuId other) {
-    auto& rq = rq_[static_cast<std::size_t>(other)];
-    if (rq.size() <= best_load) return;
-    // The most-serviced task that may move here.
-    Task* found = rq.max_where(
-        [&](const Task& task) { return steal_eligible(task, cpu); });
-    if (found != nullptr) {
-      best_load = rq.size();
-      victim = other;
-      candidate = found;
-    }
-  });
-  if (candidate == nullptr) return;
+  const StealPick steal = find_steal(
+      queued_,
+      [this](hw::CpuId other) -> const Runqueue& {
+        return rq_[static_cast<std::size_t>(other)];
+      },
+      topology_->all_cpus(), cpu);
+  if (steal.task == nullptr) return;
 
-  auto& victim_rq = rq_[static_cast<std::size_t>(victim)];
-  victim_rq.remove(*candidate);
-  refresh_cpu_masks(victim);
-  renormalize(*candidate, victim_rq, rq_[i]);
-  candidate->queued_cpu = cpu;
-  rq_[i].enqueue(*candidate);
+  move_queued(*steal.task, rq_[static_cast<std::size_t>(steal.victim)],
+              rq_[i], cpu);
+  refresh_cpu_masks(steal.victim);
+  rq_[i].enqueue(*steal.task);
   refresh_cpu_masks(cpu);
   ++stats_.steals;
 }
@@ -73,8 +52,7 @@ void Kernel::periodic_balance() {
     idlest = idle_.first();
   }
   (busy_ | queued_).for_each([&](hw::CpuId cpu) {
-    const auto i = static_cast<std::size_t>(cpu);
-    const int load = rq_[i].size() + (current_[i] != nullptr ? 1 : 0);
+    const int load = load_of(cpu);
     if (load > max_load) {
       max_load = load;
       busiest = cpu;
@@ -95,15 +73,12 @@ void Kernel::periodic_balance() {
   }
 
   auto& from_rq = rq_[static_cast<std::size_t>(busiest)];
-  Task* candidate = from_rq.max_where(
-      [&](const Task& task) { return steal_eligible(task, idlest); });
+  Task* candidate = movable_task(from_rq, topology_->all_cpus(), idlest);
   if (candidate == nullptr) return;
 
   auto& to_rq = rq_[static_cast<std::size_t>(idlest)];
-  from_rq.remove(*candidate);
+  move_queued(*candidate, from_rq, to_rq, idlest);
   refresh_cpu_masks(busiest);
-  renormalize(*candidate, from_rq, to_rq);
-  candidate->queued_cpu = idlest;
   // The balance path enqueues directly (no wakeup), and a quiet core —
   // one task, load 1 — can be the idlest target; revoke its window
   // before handing it queued work.
@@ -118,11 +93,7 @@ void Kernel::ensure_housekeeping() {
   if (housekeeping_active_) return;
   housekeeping_active_ = true;
   next_balance_ = now() + params_.balance_interval;
-  // Catch up cgroup period bookkeeping to the present.
-  cgroup_next_period_.resize(cgroups_.size(), now());
-  for (auto& next : cgroup_next_period_) {
-    next = std::max(next, now());
-  }
+  cgroups_.restart(now());
   arm_housekeeping(costs_->cgroup_aggregate_interval);
 }
 
@@ -138,15 +109,13 @@ void Kernel::housekeeping_tick() {
     housekeeping_active_ = false;
     return;
   }
-  cgroup_next_period_.resize(cgroups_.size(), now());
-  for (std::size_t i = 0; i < cgroups_.size(); ++i) {
-    Cgroup& group = *cgroups_[i];
-    cgroup_aggregate(group);
-    if (group.has_quota() && now() >= cgroup_next_period_[i]) {
-      cgroup_period(group);
-      cgroup_next_period_[i] = now() + costs_->cfs_period;
-    }
-  }
+  // On unthrottle every parked task re-enters through the wakeup
+  // placement: vanilla groups scatter again (and repay cache refills),
+  // pinned ones return to their cpuset.
+  stats_.unthrottle_events += cgroups_.tick(
+      now(), *costs_, [this](Cgroup& group) { cgroup_aggregate(group); },
+      [this](Task& task) { return place_task(task); },
+      [this](Task& task, hw::CpuId cpu) { enqueue_task(task, cpu); });
   if (now() >= next_balance_) {
     periodic_balance();
     next_balance_ = now() + params_.balance_interval;
@@ -178,22 +147,6 @@ void Kernel::cgroup_aggregate(Cgroup& group) {
       reprogram(cpu);
     }
   });
-}
-
-void Kernel::cgroup_period(Cgroup& group) {
-  const bool released = group.refill_period();
-  if (!released) return;
-  ++stats_.unthrottle_events;
-  // Unthrottle: every parked task re-enters through the wakeup path;
-  // vanilla groups scatter again (and repay cache refills), pinned ones
-  // return to their cpuset.
-  const std::vector<Task*> parked = group.take_parked();
-  for (Task* task : parked) {
-    PINSIM_CHECK(task->state == TaskState::Throttled);
-    task->overhead_debt += costs_->sched_pick;
-    const hw::CpuId cpu = place_task(*task);
-    enqueue_task(*task, cpu);
-  }
 }
 
 }  // namespace pinsim::os

@@ -15,17 +15,6 @@
 
 namespace pinsim::os {
 
-hw::CpuSet Kernel::allowed_cpus(const Task& task) const {
-  hw::CpuSet allowed = topology_->all_cpus();
-  if (!task.affinity.empty()) allowed = allowed & task.affinity;
-  if (task.cgroup != nullptr && !task.cgroup->cpuset().empty()) {
-    allowed = allowed & task.cgroup->cpuset();
-  }
-  PINSIM_CHECK_MSG(!allowed.empty(),
-                   "task " << task.name() << " has no allowed cpus");
-  return allowed;
-}
-
 hw::CpuId Kernel::place_task(Task& task, hw::CpuId hint) {
   const hw::CpuSet allowed = allowed_cpus(task);
   const hw::CpuId prev = task.last_cpu;
@@ -47,19 +36,15 @@ hw::CpuId Kernel::place_task(Task& task, hw::CpuId hint) {
   }
 
   // Idle cpus, preferring the affine socket: mask intersections over
-  // the incrementally-maintained idle masks plus one nth_set pick. The
+  // the incrementally-maintained idle masks plus one uniform pick. The
   // candidate sets — and the single uniform draw over each, in
   // ascending cpu order — are exactly the historical ones, so the RNG
   // stream (and with it every figure) is unchanged.
-  auto pick_random = [this](const hw::CpuSet& cpus, int count) {
-    return cpus.nth_set(static_cast<int>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(count) - 1)));
-  };
   if (affine_socket >= 0) {
-    const hw::CpuSet idle_near =
-        allowed & idle_socket_[static_cast<std::size_t>(affine_socket)];
-    const int near_count = idle_near.count();
-    if (near_count > 0) return pick_random(idle_near, near_count);
+    const hw::CpuId near = pick_uniform(
+        allowed & idle_socket_[static_cast<std::size_t>(affine_socket)],
+        rng_);
+    if (near >= 0) return near;
   }
   if (prev_idle) return prev;
   hw::CpuSet idle_far = allowed & idle_;
@@ -69,17 +54,13 @@ hw::CpuId Kernel::place_task(Task& task, hw::CpuId hint) {
     idle_far =
         idle_far & ~idle_socket_[static_cast<std::size_t>(affine_socket)];
   }
-  const int far_count = idle_far.count();
-  if (far_count > 0) return pick_random(idle_far, far_count);
+  const hw::CpuId far = pick_uniform(idle_far, rng_);
+  if (far >= 0) return far;
 
   // No idle cpu: like wake_affine, choose only between the previous cpu
   // (cache-warm) and the waker's (hint), whichever queues shorter —
   // never a random scatter, which would turn every busy wakeup into a
   // cache refill.
-  auto load_of = [this](hw::CpuId cpu) {
-    const auto i = static_cast<std::size_t>(cpu);
-    return rq_[i].size() + (current_[i] != nullptr ? 1 : 0);
-  };
   const bool prev_ok = prev >= 0 && allowed.contains(prev);
   const bool hint_ok = hint >= 0 && allowed.contains(hint);
   if (prev_ok && hint_ok) {
@@ -88,28 +69,9 @@ hw::CpuId Kernel::place_task(Task& task, hw::CpuId hint) {
   if (prev_ok) return prev;
   if (hint_ok) return hint;
 
-  // Fresh task with no history: least loaded, random among ties —
-  // count the ties in one pass over `allowed`'s set bits, then select
-  // the drawn one in a second.
-  int best_load = INT32_MAX;
-  int ties = 0;
-  for (hw::CpuId cpu = allowed.first_set_after(-1); cpu >= 0;
-       cpu = allowed.first_set_after(cpu)) {
-    const int load = load_of(cpu);
-    if (load < best_load) {
-      best_load = load;
-      ties = 0;
-    }
-    if (load == best_load) ++ties;
-  }
-  PINSIM_CHECK(ties > 0);
-  std::int64_t pick = rng_.uniform_int(0, ties - 1);
-  for (hw::CpuId cpu = allowed.first_set_after(-1); cpu >= 0;
-       cpu = allowed.first_set_after(cpu)) {
-    if (load_of(cpu) == best_load && pick-- == 0) return cpu;
-  }
-  PINSIM_CHECK_MSG(false, "tie pick fell off the allowed set");
-  return allowed.first();
+  // Fresh task with no history: least loaded, random among ties.
+  return pick_least_loaded(
+      allowed, [this](hw::CpuId cpu) { return load_of(cpu); }, rng_);
 }
 
 // Exits the quiet window (see the comment at the exit_quiet call)
@@ -127,10 +89,7 @@ void Kernel::enqueue_task(Task& task, hw::CpuId cpu) {
   // the preempt check below compares against its vruntime, which the
   // replay brings up to date.
   exit_quiet(cpu);
-  task.state = TaskState::Runnable;
-  task.enqueued_at = now();
-  task.queued_cpu = cpu;
-  rq_[i].enqueue(task);
+  requeue(task, rq_[i], cpu, now());
   refresh_cpu_masks(cpu);
 
   if (current_[i] == nullptr) {
@@ -155,12 +114,7 @@ void Kernel::enqueue_task(Task& task, hw::CpuId cpu) {
 
 void Kernel::wake_common(Task& task, SimDuration extra_debt,
                          hw::CpuId hint) {
-  PINSIM_CHECK_MSG(task.state == TaskState::Blocked,
-                   "wake of non-blocked task " << task.name() << " in state "
-                                               << to_string(task.state));
-  const SimDuration blocked = now() - task.blocked_at;
-  task.stats.block_time += blocked;
-  ++task.stats.wakeups;
+  const SimDuration blocked = account_wake(task, now());
   ++stats_.wakeups;
   notify([&](SchedObserver& o) { o.off_cpu(task, blocked); });
 
@@ -172,15 +126,9 @@ void Kernel::wake_common(Task& task, SimDuration extra_debt,
   // still holds the task's state — ignore the waker locality hint.
   if (blocked < costs_->cache_hot_window) hint = -1;
   const hw::CpuId cpu = place_task(task, hint);
-  if (params_.sleeper_credit) {
-    task.vruntime = std::max(
-        task.vruntime, rq_[static_cast<std::size_t>(cpu)].min_vruntime() -
-                           params_.sched_latency);
-  }
+  sleeper_floor(task, rq_[static_cast<std::size_t>(cpu)], params_);
   enqueue_task(task, cpu);
 }
-
-void Kernel::wake(Task& task) { wake_common(task, 0); }
 
 void Kernel::submit_io(Task& task, const Action& action) {
   Task* waiter = &task;

@@ -16,10 +16,9 @@ GuestKernel::GuestKernel(Host& host, Config config)
   PINSIM_CHECK(config.vcpus <= hw::CpuSet::kMaxCpus);
   PINSIM_CHECK(config.compute_inflation >= 1.0);
   PINSIM_CHECK(config.burst_cap > 0);
+  os::validate(config.params);
   all_vcpus_ = hw::CpuSet::first_n(config.vcpus);
 }
-
-int GuestKernel::shard() const { return host_->shard(); }
 
 void GuestKernel::attach_vcpu_task(int vcpu, os::Task& host_task) {
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
@@ -31,13 +30,7 @@ os::Cgroup& GuestKernel::create_cgroup(os::Cgroup::Config config) {
   // A cgroup makes future ticks do aggregation work; revoke while the
   // group list is still empty so the replayed ticks stay no-ops.
   exit_guest_quiet();
-  if (!config.cpuset.empty()) {
-    PINSIM_CHECK_MSG(config.cpuset.subset_of(all_vcpus_),
-                     "guest cgroup cpuset outside vCPU range");
-  }
-  cgroups_.push_back(
-      std::make_unique<os::Cgroup>(std::move(config), host_->costs()));
-  return *cgroups_.back();
+  return cgroups_.create(std::move(config), all_vcpus_, host_->costs());
 }
 
 os::Task& GuestKernel::create_task(std::string name,
@@ -68,37 +61,19 @@ void GuestKernel::post_external(os::Task& task, int count) {
 }
 
 void GuestKernel::wake(os::Task& task, SimDuration extra_debt) {
-  PINSIM_CHECK_MSG(task.state == os::TaskState::Blocked,
-                   "guest wake of non-blocked task " << task.name());
-  const SimTime now = host_->engine().now();
-  task.stats.block_time += now - task.blocked_at;
-  ++task.stats.wakeups;
+  os::account_wake(task, host_->engine().now());
   task.overhead_debt +=
       host_->costs().sched_pick + host_->costs().kernel_entry + extra_debt;
   const int vcpu = place_task(task);
-  if (config_.params.sleeper_credit) {
-    task.vruntime =
-        std::max(task.vruntime,
-                 vcpus_[static_cast<std::size_t>(vcpu)].rq.min_vruntime() -
-                     config_.params.sched_latency);
-  }
+  os::sleeper_floor(task, vcpus_[static_cast<std::size_t>(vcpu)].rq,
+                    config_.params);
   enqueue_task(task, vcpu);
 }
 
 // --- scheduling --------------------------------------------------------------
 
-hw::CpuSet GuestKernel::allowed_vcpus(const os::Task& task) const {
-  hw::CpuSet allowed = all_vcpus_;
-  if (!task.affinity.empty()) allowed = allowed & task.affinity;
-  if (task.cgroup != nullptr && !task.cgroup->cpuset().empty()) {
-    allowed = allowed & task.cgroup->cpuset();
-  }
-  PINSIM_CHECK(!allowed.empty());
-  return allowed;
-}
-
 int GuestKernel::place_task(os::Task& task) {
-  const hw::CpuSet allowed = allowed_vcpus(task);
+  const hw::CpuSet allowed = os::allowed_cpus(all_vcpus_, task);
   const int prev = task.last_cpu;
 
   if (task.sticky_wakeup && prev >= 0 && allowed.contains(prev)) {
@@ -110,41 +85,14 @@ int GuestKernel::place_task(os::Task& task) {
   };
   if (prev >= 0 && allowed.contains(prev) && is_idle(prev)) return prev;
 
-  // Count-then-select over `allowed`'s set bits: same candidates in the
-  // same ascending order (and the same single RNG draw) as the old
-  // vector-building code, without the per-wakeup allocations.
-  int idle_count = 0;
+  hw::CpuSet idle;
   allowed.for_each([&](hw::CpuId vcpu) {
-    if (is_idle(vcpu)) ++idle_count;
+    if (is_idle(vcpu)) idle.add(vcpu);
   });
-  if (idle_count > 0) {
-    std::int64_t pick = rng_.uniform_int(0, idle_count - 1);
-    for (hw::CpuId vcpu = allowed.first_set_after(-1); vcpu >= 0;
-         vcpu = allowed.first_set_after(vcpu)) {
-      if (is_idle(vcpu) && pick-- == 0) return vcpu;
-    }
-  }
-  auto load_of = [this](int vcpu) {
-    const auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
-    return v.rq.size() + (v.current != nullptr ? 1 : 0);
-  };
-  int best_load = INT32_MAX;
-  int ties = 0;
-  allowed.for_each([&](hw::CpuId vcpu) {
-    const int load = load_of(vcpu);
-    if (load < best_load) {
-      best_load = load;
-      ties = 0;
-    }
-    if (load == best_load) ++ties;
-  });
-  std::int64_t pick = rng_.uniform_int(0, ties - 1);
-  for (hw::CpuId vcpu = allowed.first_set_after(-1); vcpu >= 0;
-       vcpu = allowed.first_set_after(vcpu)) {
-    if (load_of(vcpu) == best_load && pick-- == 0) return vcpu;
-  }
-  PINSIM_CHECK_MSG(false, "guest tie pick fell off the allowed set");
-  return allowed.first();
+  const int pick = os::pick_uniform(idle, rng_);
+  if (pick >= 0) return pick;
+  return os::pick_least_loaded(
+      allowed, [this](int vcpu) { return load_of(vcpu); }, rng_);
 }
 
 void GuestKernel::enqueue_task(os::Task& task, int vcpu) {
@@ -157,10 +105,7 @@ void GuestKernel::enqueue_task(os::Task& task, int vcpu) {
   // before the enqueue so the replayed ticks still see empty queues.
   exit_guest_quiet();
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
-  task.state = os::TaskState::Runnable;
-  task.enqueued_at = host_->engine().now();
-  task.queued_cpu = vcpu;
-  v.rq.enqueue(task);
+  os::requeue(task, v.rq, vcpu, host_->engine().now());
   if (v.halted) kick(vcpu);
 }
 
@@ -183,41 +128,28 @@ os::Task* GuestKernel::pick_next(int vcpu) {
   if (os::Task* task = os::pop_runnable(v.rq, vcpu)) return task;
 
   // Guest new-idle balance: steal the most-serviced compatible task from
-  // the busiest sibling vCPU.
-  int best_load = 0;
-  int victim = -1;
-  os::Task* candidate = nullptr;
-  for (int other = 0; other < vcpus(); ++other) {
-    if (other == vcpu) continue;
-    auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
-    if (rq.size() <= best_load) continue;
-    os::Task* found = rq.max_where(
-        [&](const os::Task& task) { return steal_eligible(task, vcpu); });
-    if (found != nullptr) {
-      best_load = rq.size();
-      victim = other;
-      candidate = found;
-    }
-  }
-  if (candidate == nullptr) return nullptr;
-  auto& victim_rq = vcpus_[static_cast<std::size_t>(victim)].rq;
-  victim_rq.remove(*candidate);
-  candidate->vruntime = candidate->vruntime - victim_rq.min_vruntime() +
-                        v.rq.min_vruntime();
-  candidate->queued_cpu = -1;
-  return candidate;
+  // the busiest sibling vCPU; it runs here at once.
+  const os::StealPick steal = find_steal_for(vcpu);
+  if (steal.task == nullptr) return nullptr;
+  os::move_queued(*steal.task,
+                  vcpus_[static_cast<std::size_t>(steal.victim)].rq, v.rq,
+                  -1);
+  return steal.task;
 }
 
-SimDuration GuestKernel::slice_for(const VcpuState& v) const {
-  const int runnable = v.rq.size() + 1;
-  return std::max(config_.params.min_granularity,
-                  config_.params.sched_latency / runnable);
+os::StealPick GuestKernel::find_steal_for(int vcpu) const {
+  return os::find_steal(
+      all_vcpus_,
+      [this](int other) -> const os::Runqueue& {
+        return vcpus_[static_cast<std::size_t>(other)].rq;
+      },
+      all_vcpus_, vcpu);
 }
 
-SimDuration GuestKernel::remaining_cost(const os::Task& task) const {
-  return task.overhead_debt + task.burst_remaining;
-}
-
+// Every host grant to a vCPU starts here, so the guest's per-grant
+// path (and the shared CFS steps it runs) is held to the hot-path
+// allocation rules, like the host's boundary handler.
+// pinsim-lint: hot
 std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
   PINSIM_CHECK_MSG(v.pending_guest == 0 && v.poll_pending == 0,
@@ -261,12 +193,12 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
       next->state = os::TaskState::Running;
       v.current = next;
       v.slice_used = 0;
-      v.slice_length = slice_for(v);
+      v.slice_length = os::slice_length(config_.params, v.rq.size() + 1);
     }
     v.halted = false;
 
     os::Task& task = *v.current;
-    if (remaining_cost(task) == 0) {
+    if (os::remaining_cost(task) == 0) {
       if (!advance_actions(task)) {
         v.current = nullptr;
         continue;
@@ -275,18 +207,15 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
     if (v.slice_used >= v.slice_length) {
       if (!v.rq.empty()) {
         // Guest slice expired: preempt within the guest.
-        task.state = os::TaskState::Runnable;
-        task.enqueued_at = host_->engine().now();
-        task.queued_cpu = vcpu;
-        v.rq.enqueue(task);
+        os::requeue(task, v.rq, vcpu, host_->engine().now());
         v.current = nullptr;
         continue;
       }
       v.slice_used = 0;
-      v.slice_length = slice_for(v);
+      v.slice_length = os::slice_length(config_.params, v.rq.size() + 1);
     }
 
-    SimDuration len = remaining_cost(task);
+    SimDuration len = os::remaining_cost(task);
     len = std::min(len, v.slice_length - v.slice_used);
     len = std::min(len, config_.burst_cap);
     if (task.cgroup != nullptr && task.cgroup->has_quota()) {
@@ -323,7 +252,7 @@ void GuestKernel::complete_burst(int vcpu) {
   // next_burst sizes each grant to at most the remaining cost, so the
   // work part never runs past the burst end; with no slowdown the
   // shared fold then advances the burst by exactly the work part.
-  PINSIM_CHECK_MSG(elapsed <= remaining_cost(*task),
+  PINSIM_CHECK_MSG(elapsed <= os::remaining_cost(*task),
                    "guest charged past burst end for " << task->name());
   os::charge_task(task, vcpu, elapsed, 1.0);
   v.slice_used += elapsed;
@@ -409,10 +338,7 @@ void GuestKernel::io_complete(os::Task& task) {
 void GuestKernel::ensure_housekeeping() {
   if (housekeeping_active_) return;
   housekeeping_active_ = true;
-  cgroup_next_period_.resize(cgroups_.size(), host_->engine().now());
-  for (auto& next : cgroup_next_period_) {
-    next = std::max(next, host_->engine().now());
-  }
+  cgroups_.restart(host_->engine().now());
   arm_housekeeping(host_->costs().cgroup_aggregate_interval);
 }
 
@@ -429,30 +355,14 @@ void GuestKernel::balance_idle_vcpus() {
     auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
     if (!v.halted || !v.rq.empty()) continue;
     // Busiest sibling runqueue with a stealable task.
-    int best_load = 1;  // steal only from vCPUs with waiting tasks
-    int victim = -1;
-    os::Task* candidate = nullptr;
-    for (int other = 0; other < vcpus(); ++other) {
-      if (other == vcpu) continue;
-      auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
-      if (rq.size() < best_load) continue;
-      os::Task* found = rq.max_where(
-          [&](const os::Task& task) { return steal_eligible(task, vcpu); });
-      if (found != nullptr) {
-        best_load = rq.size() + 1;
-        victim = other;
-        candidate = found;
-      }
-    }
-    if (candidate == nullptr) continue;
-    auto& victim_rq = vcpus_[static_cast<std::size_t>(victim)].rq;
-    victim_rq.remove(*candidate);
-    candidate->vruntime = candidate->vruntime - victim_rq.min_vruntime() +
-                          v.rq.min_vruntime();
-    candidate->queued_cpu = vcpu;
+    const os::StealPick steal = find_steal_for(vcpu);
+    if (steal.task == nullptr) continue;
+    os::move_queued(*steal.task,
+                    vcpus_[static_cast<std::size_t>(steal.victim)].rq, v.rq,
+                    vcpu);
     ++stats_.guest_migrations;
-    candidate->overhead_debt += host_->costs().guest_ipc;
-    v.rq.enqueue(*candidate);
+    steal.task->overhead_debt += host_->costs().guest_ipc;
+    v.rq.enqueue(*steal.task);
     kick(vcpu);
   }
 }
@@ -463,8 +373,7 @@ void GuestKernel::rotate_surplus_task() {
   int busiest = -1;
   int idlest = -1;
   for (int vcpu = 0; vcpu < vcpus(); ++vcpu) {
-    const auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
-    const int load = v.rq.size() + (v.current != nullptr ? 1 : 0);
+    const int load = load_of(vcpu);
     if (load > max_load) {
       max_load = load;
       busiest = vcpu;
@@ -477,14 +386,10 @@ void GuestKernel::rotate_surplus_task() {
   if (busiest < 0 || idlest < 0 || max_load - min_load < 1) return;
   auto& from = vcpus_[static_cast<std::size_t>(busiest)];
   if (from.rq.empty()) return;
-  os::Task* candidate = from.rq.max_where(
-      [&](const os::Task& task) { return steal_eligible(task, idlest); });
+  os::Task* candidate = os::movable_task(from.rq, all_vcpus_, idlest);
   if (candidate == nullptr) return;
   auto& to = vcpus_[static_cast<std::size_t>(idlest)];
-  from.rq.remove(*candidate);
-  candidate->vruntime = candidate->vruntime - from.rq.min_vruntime() +
-                        to.rq.min_vruntime();
-  candidate->queued_cpu = idlest;
+  os::move_queued(*candidate, from.rq, to.rq, idlest);
   candidate->overhead_debt += host_->costs().guest_ipc;
   ++stats_.guest_migrations;
   to.rq.enqueue(*candidate);
@@ -499,35 +404,23 @@ void GuestKernel::housekeeping_tick() {
   balance_idle_vcpus();
   if (++housekeeping_ticks_ % 8 == 0) rotate_surplus_task();
   const auto& costs = host_->costs();
-  cgroup_next_period_.resize(cgroups_.size(), host_->engine().now());
-  for (std::size_t i = 0; i < cgroups_.size(); ++i) {
-    os::Cgroup& group = *cgroups_[i];
-    const SimDuration cost = group.aggregate();
-    if (cost > 0) {
-      // Charge the (inflated) kernel-space walk to the first running
-      // member; the whole group stalls behind the shared quota pool.
-      for (auto& v : vcpus_) {
-        if (v.current != nullptr && v.current->cgroup == &group) {
-          v.current->overhead_debt += static_cast<SimDuration>(
-              static_cast<double>(cost) * config_.compute_inflation);
-          break;
+  stats_.unthrottle_events += cgroups_.tick(
+      host_->engine().now(), costs,
+      [this](os::Cgroup& group) {
+        const SimDuration cost = group.aggregate();
+        if (cost == 0) return;
+        // Charge the (inflated) kernel-space walk to the first running
+        // member; the whole group stalls behind the shared quota pool.
+        for (auto& v : vcpus_) {
+          if (v.current != nullptr && v.current->cgroup == &group) {
+            v.current->overhead_debt += static_cast<SimDuration>(
+                static_cast<double>(cost) * config_.compute_inflation);
+            break;
+          }
         }
-      }
-    }
-    if (group.has_quota() && host_->engine().now() >= cgroup_next_period_[i]) {
-      const bool released = group.refill_period();
-      cgroup_next_period_[i] = host_->engine().now() + costs.cfs_period;
-      if (released) {
-        ++stats_.unthrottle_events;
-        const std::vector<os::Task*> parked = group.take_parked();
-        for (os::Task* task : parked) {
-          PINSIM_CHECK(task->state == os::TaskState::Throttled);
-          task->overhead_debt += costs.sched_pick;
-          enqueue_task(*task, place_task(*task));
-        }
-      }
-    }
-  }
+      },
+      [this](os::Task& task) { return place_task(task); },
+      [this](os::Task& task, int vcpu) { enqueue_task(task, vcpu); });
   if (config_.params.quiet_fast_forward && cgroups_.empty() &&
       all_runqueues_empty()) {
     // Quiet guest: every vCPU is either halted or running its only

@@ -22,6 +22,12 @@
 // Guest wall-clock time equals host time (kvm-clock), so cgroup periods
 // and aggregation inside the guest run on host-engine events; only CPU
 // *progress* is grant-driven.
+//
+// The scheduling policy is the host's: steal search, balance moves,
+// random picks, requeue, wake accounting and the cgroup period/unthrottle
+// loop are the shared steps of os/cfs.hpp, over the vCPU runqueues.
+// What stays here is the guest's own: halt-polling, vCPU kicks, burst
+// grants, compute inflation and the quiet housekeeping window.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +35,12 @@
 #include <optional>
 #include <vector>
 
+#include "os/cfs.hpp"
 #include "os/cgroup.hpp"
-#include "os/kernel.hpp"
+#include "os/protocol.hpp"
 #include "os/runqueue.hpp"
 #include "os/task.hpp"
+#include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -97,9 +105,6 @@ class GuestKernel {
 
   int vcpus() const { return static_cast<int>(vcpus_.size()); }
   int live_tasks() const { return tasks_.live(); }
-  /// Event shard of the host machine this guest runs inside. A guest
-  /// never spans shards — all its vCPU tasks live on its host.
-  int shard() const;
   const GuestStats& stats() const { return stats_; }
   const std::vector<std::unique_ptr<os::Task>>& tasks() const {
     return tasks_.tasks();
@@ -137,16 +142,14 @@ class GuestKernel {
   /// (round-robin on vanilla VMs, steered on pinned ones).
   bool kick_via_irq_ = false;
 
-  SimDuration slice_for(const VcpuState& v) const;
-  SimDuration remaining_cost(const os::Task& task) const;
-  hw::CpuSet allowed_vcpus(const os::Task& task) const;
-  /// Whether a steal or balance move may put queued `task` on `vcpu`:
-  /// the task is allowed there and its cgroup is not throttled there
-  /// (parking it on arrival would just churn).
-  bool steal_eligible(const os::Task& task, int vcpu) const {
-    if (!allowed_vcpus(task).contains(vcpu)) return false;
-    return task.cgroup == nullptr || !task.cgroup->throttled_on(vcpu);
+  /// Runnable tasks on `vcpu`: its queue plus the running one.
+  int load_of(int vcpu) const {
+    const VcpuState& v = vcpus_[static_cast<std::size_t>(vcpu)];
+    return v.rq.size() + (v.current != nullptr ? 1 : 0);
   }
+  /// The shared steal search for `vcpu` over every vCPU's runqueue
+  /// (`vcpu`'s own is empty whenever it steals, so it never wins).
+  os::StealPick find_steal_for(int vcpu) const;
 
   void ensure_housekeeping();
   void housekeeping_tick();
@@ -178,8 +181,7 @@ class GuestKernel {
   /// from it instead of rebuilding it per call.
   hw::CpuSet all_vcpus_;
   os::TaskTable tasks_;
-  std::vector<std::unique_ptr<os::Cgroup>> cgroups_;
-  std::vector<SimTime> cgroup_next_period_;
+  os::CgroupTable cgroups_;
   bool housekeeping_active_ = false;
   sim::EventHandle housekeeping_;
   std::int64_t housekeeping_ticks_ = 0;

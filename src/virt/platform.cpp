@@ -1,7 +1,5 @@
 #include "virt/platform.hpp"
 
-#include "sim/sharded_engine.hpp"
-
 namespace pinsim::virt {
 
 const char* to_string(PlatformKind kind) {
@@ -42,18 +40,14 @@ Host::Host(hw::Topology topology, hw::CostModel costs, std::uint64_t seed)
       disk_(hw::IoDevice::raid1_hdd(*engine_, rng_.fork())),
       nic_(hw::IoDevice::gigabit_nic(*engine_, rng_.fork())) {}
 
-Host::Host(sim::ShardedEngine& sharded, int shard, hw::Topology topology,
-           hw::CostModel costs, std::uint64_t seed)
+Host::Host(sim::Engine& engine, hw::Topology topology, hw::CostModel costs,
+           std::uint64_t seed)
     : topology_(topology),
       costs_(costs),
-      engine_(&sharded.shard(shard)),
-      sharded_(&sharded),
-      shard_(shard),
+      engine_(&engine),
       rng_(seed),
       kernel_(*engine_, topology_, costs_, rng_.fork()),
       disk_(hw::IoDevice::raid1_hdd(*engine_, rng_.fork())),
-      nic_(hw::IoDevice::gigabit_nic(*engine_, rng_.fork())) {
-  kernel_.bind_shard(shard);
-}
+      nic_(hw::IoDevice::gigabit_nic(*engine_, rng_.fork())) {}
 
 }  // namespace pinsim::virt

@@ -21,10 +21,6 @@
 #include "util/rng.hpp"
 #include "virt/instance_type.hpp"
 
-namespace pinsim::sim {
-class ShardedEngine;
-}  // namespace pinsim::sim
-
 namespace pinsim::virt {
 
 enum class PlatformKind { BareMetal, Vm, Container, VmContainer };
@@ -47,16 +43,15 @@ struct PlatformSpec {
 /// kernel, and the shared devices (RAID1 disk, NIC).
 class Host {
  public:
-  /// Solo-engine host: owns a private sim::Engine (shard 0 of nothing).
+  /// Solo host: owns a private sim::Engine.
   Host(hw::Topology topology, hw::CostModel costs, std::uint64_t seed);
 
-  /// Shard-resident host: every event of this machine (kernel, guest
-  /// kernels, devices) runs on shard `shard`'s private engine inside
-  /// `sharded`. Interactions with machines on other shards must go
-  /// through ShardedEngine::post with at least the lookahead delay —
-  /// cluster::Fleet is the layer that does so.
-  Host(sim::ShardedEngine& sharded, int shard, hw::Topology topology,
-       hw::CostModel costs, std::uint64_t seed);
+  /// Host on a borrowed engine: every event of this machine (kernel,
+  /// guest kernels, devices) runs on `engine`. cluster::Fleet passes
+  /// each host its shard's engine and routes all cross-machine traffic
+  /// itself.
+  Host(sim::Engine& engine, hw::Topology topology, hw::CostModel costs,
+       std::uint64_t seed);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -69,22 +64,15 @@ class Host {
   hw::IoDevice& nic() { return nic_; }
   Rng fork_rng() { return rng_.fork(); }
 
-  /// Event shard this host lives on (0 for a solo-engine host).
-  int shard() const { return shard_; }
-  /// The coordinator when shard-resident, nullptr for a solo host.
-  sim::ShardedEngine* sharded_engine() { return sharded_; }
-
  private:
   hw::Topology topology_;
   hw::CostModel costs_;
-  /// Solo hosts own their engine; shard-resident hosts borrow the
-  /// shard's. `engine_` points at whichever applies and is what every
-  /// accessor and member initializer uses. Declared before kernel_ and
-  /// the devices, which capture the engine at construction.
+  /// Solo hosts own their engine; the others borrow one. `engine_`
+  /// points at whichever applies and is what every accessor and member
+  /// initializer uses. Declared before kernel_ and the devices, which
+  /// capture the engine at construction.
   std::unique_ptr<sim::Engine> owned_engine_;
   sim::Engine* engine_;
-  sim::ShardedEngine* sharded_ = nullptr;
-  int shard_ = 0;
   Rng rng_;
   os::Kernel kernel_;
   hw::IoDevice disk_;

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "util/check.hpp"
 #include "virt/factory.hpp"
 
 namespace pinsim::virt {
@@ -214,6 +215,20 @@ TEST(VmTest, VmSlowerThanBareMetalForCpuBoundWork) {
       static_cast<double>(vm_time) / static_cast<double>(bm_time);
   EXPECT_GT(ratio, 1.8);
   EXPECT_LT(ratio, 2.3);
+}
+
+TEST(VmTest, RejectsGuestParamsWithZeroLatencyOrGranularity) {
+  // The guest validates its scheduler parameters like the host kernel:
+  // zeros would otherwise turn every grant into a 1 ns burst.
+  const PlatformSpec spec{PlatformKind::Vm, CpuMode::Vanilla,
+                          instance_by_name("2xLarge")};
+  Host host(hw::Topology::dell_r830(), hw::CostModel{}, 3);
+  VmConfig zero_latency;
+  zero_latency.guest_params.sched_latency = 0;
+  EXPECT_THROW(VmPlatform(host, spec, zero_latency), InvariantViolation);
+  VmConfig zero_granularity;
+  zero_granularity.guest_params.min_granularity = 0;
+  EXPECT_THROW(VmPlatform(host, spec, zero_granularity), InvariantViolation);
 }
 
 }  // namespace

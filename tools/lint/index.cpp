@@ -672,7 +672,12 @@ int SymbolIndex::resolve(const CallSite& call, const std::string& from_file,
     return found;
   };
 
-  if (!call.qualifier.empty()) return unique_in_class(call.qualifier);
+  if (!call.qualifier.empty()) {
+    // A qualifier that names no indexed class is a namespace
+    // (`os::requeue(...)`): it narrows the call to the free functions.
+    const bool is_class = class_annotations.count(call.qualifier) != 0;
+    return unique_in_class(is_class ? call.qualifier : "");
+  }
   if (call.member && !call.receiver.empty()) {
     const auto fid = file_id.find(from_file);
     if (fid != file_id.end()) {

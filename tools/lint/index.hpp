@@ -17,7 +17,8 @@
 // (flat definition list + name multimap) and walks an approximate call
 // graph. Edges are deliberately conservative: a call contributes an
 // edge only when the callee name resolves to exactly ONE definition —
-// via an explicit `Class::name` qualifier, via the receiver's declared
+// via an explicit `Class::name` qualifier (a namespace qualifier such
+// as `os::name` narrows to free functions), via the receiver's declared
 // type (`LoadBalancer* lb; lb->admit(...)`), via same-class preference
 // for unqualified calls inside a method, or via global uniqueness.
 // Overload sets and virtual hooks with multiple definitions produce no

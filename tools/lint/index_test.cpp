@@ -329,6 +329,26 @@ void outside() {
   EXPECT_EQ(index.functions[static_cast<std::size_t>(id)]->klass, "Guest");
 }
 
+TEST(IndexResolve, NamespaceQualifierNarrowsToFreeFunctions) {
+  const SymbolIndex index = build_one(R"(
+namespace os {
+void requeue() {}
+}  // namespace os
+struct Guest {
+  void requeue() {}
+  void grant() { os::requeue(); }
+};
+)");
+  // `os` names no class, so the qualified call is the free function,
+  // not the same-named method of the calling class.
+  const CallSite* call = call_named(index, "grant", "requeue");
+  ASSERT_NE(call, nullptr);
+  EXPECT_EQ(call->qualifier, "os");
+  const int id = index.resolve(*call, "src/a.cpp", "Guest");
+  ASSERT_GE(id, 0);
+  EXPECT_EQ(index.functions[static_cast<std::size_t>(id)]->klass, "");
+}
+
 TEST(IndexRules, CallGraphCycleTerminates) {
   // a -> b -> a with a risk inside the cycle: BFS must terminate and
   // still flag the reachable site exactly once.
