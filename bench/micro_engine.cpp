@@ -21,22 +21,9 @@ namespace {
 
 using namespace pinsim;
 
-void BM_EngineScheduleFire(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine engine;
-    for (int i = 0; i < 1000; ++i) {
-      engine.schedule(i, [] {});
-    }
-    benchmark::DoNotOptimize(engine.run());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EngineScheduleFire);
-
 void BM_EngineScheduleDetached(benchmark::State& state) {
-  // The fire-and-forget path: no cancellation slot at all. Most of the
-  // simulator's events (wakeups, IO completions, housekeeping ticks)
-  // go through here.
+  // The fire-once path. Most of the simulator's events (wakeups, IO
+  // completions, message deliveries) go through here.
   for (auto _ : state) {
     sim::Engine engine;
     for (int i = 0; i < 1000; ++i) {
@@ -49,45 +36,48 @@ void BM_EngineScheduleDetached(benchmark::State& state) {
 BENCHMARK(BM_EngineScheduleDetached);
 
 void BM_EngineScheduleCancelHalf(benchmark::State& state) {
-  // Handle-carrying events with a realistic cancellation mix — the
-  // kernel retracts roughly half its quantum-expiry events.
+  // Timers with a realistic cancellation mix — the kernel disarms
+  // roughly half its quantum-expiry timers before they fire.
+  std::vector<sim::Timer> timers;
+  timers.reserve(1000);
   for (auto _ : state) {
     sim::Engine engine;
-    std::vector<sim::EventHandle> handles;
-    handles.reserve(1000);
     for (int i = 0; i < 1000; ++i) {
-      handles.push_back(engine.schedule(i, [] {}));
+      timers.push_back(engine.make_timer([] {}));
+      timers.back().arm(i);
     }
-    for (std::size_t i = 0; i < handles.size(); i += 2) {
-      handles[i].cancel();
+    for (std::size_t i = 0; i < timers.size(); i += 2) {
+      timers[i].cancel();
     }
     benchmark::DoNotOptimize(engine.run());
+    timers.clear();
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EngineScheduleCancelHalf);
 
 void BM_EngineReschedule(benchmark::State& state) {
-  // In-place deadline moves on one pending event, alternating later
+  // In-place deadline moves on one armed timer, alternating later
   // (lazy deferral: two stores) and back (re-key + sift). This is the
   // per-reprogram cost of the kernel's persistent boundary timers.
   sim::Engine engine;
-  sim::EventHandle handle = engine.schedule_tracked(1000, [] {});
+  sim::Timer timer = engine.make_timer([] {});
   SimTime when = 1000;
+  timer.arm(when);
   for (auto _ : state) {
     when = when == 1000 ? 2000 : 1000;
-    benchmark::DoNotOptimize(engine.reschedule(handle, when));
+    timer.arm(when);
+    benchmark::DoNotOptimize(timer);
   }
-  handle.cancel();
+  timer.cancel();
   engine.run();
 }
 BENCHMARK(BM_EngineReschedule);
 
-// The boundary-timer churn pair: 112 cores each re-arm their quantum
-// timer every simulated 50us to a deadline ~100us out, so re-arms
-// almost always land before the previous deadline fires — the paper's
-// quota-governed sweep in miniature. CancelPush is the historical
-// tombstone pattern; Reschedule is the in-place path that replaced it.
+// Boundary-timer churn: 112 cores each re-arm their quantum timer every
+// simulated 50us to a deadline ~100us out, so re-arms almost always land
+// before the previous deadline fires — the paper's quota-governed sweep
+// in miniature.
 constexpr int kChurnCores = 112;
 constexpr int kChurnRounds = 200;
 
@@ -95,38 +85,19 @@ SimTime churn_deadline(SimTime now, int round, int core) {
   return now + 100 + ((round + core) % 7) * 10;
 }
 
-void BM_BoundaryChurnCancelPush(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine engine;
-    std::vector<sim::EventHandle> boundary(kChurnCores);
-    SimTime t = 0;
-    for (int round = 0; round < kChurnRounds; ++round) {
-      t += 50;
-      for (int core = 0; core < kChurnCores; ++core) {
-        boundary[core].cancel();
-        boundary[core] =
-            engine.schedule_at(churn_deadline(t, round, core), [] {});
-      }
-      engine.run(t);
-    }
-    benchmark::DoNotOptimize(engine.run());
-  }
-  state.SetItemsProcessed(state.iterations() * kChurnRounds * kChurnCores);
-}
-BENCHMARK(BM_BoundaryChurnCancelPush);
-
 void BM_BoundaryChurnReschedule(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
-    std::vector<sim::EventHandle> boundary(kChurnCores);
+    std::vector<sim::Timer> boundary;
+    boundary.reserve(kChurnCores);
+    for (int core = 0; core < kChurnCores; ++core) {
+      boundary.push_back(engine.make_timer([] {}));
+    }
     SimTime t = 0;
     for (int round = 0; round < kChurnRounds; ++round) {
       t += 50;
       for (int core = 0; core < kChurnCores; ++core) {
-        const SimTime when = churn_deadline(t, round, core);
-        if (!engine.reschedule(boundary[core], when)) {
-          boundary[core] = engine.schedule_tracked_at(when, [] {});
-        }
+        boundary[core].arm(churn_deadline(t, round, core));
       }
       engine.run(t);
     }

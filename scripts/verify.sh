@@ -6,7 +6,7 @@
 #    hardened warning set (-Wall -Wextra -Wshadow -Wnon-virtual-dtor
 #    -Wold-style-cast) is zero-tolerance, and with the pinsim_lint
 #    tree scan and fixture suite running as ctests (determinism /
-#    ordering / index-safety / engine-api / hygiene invariants).
+#    ordering / index-safety / hygiene invariants).
 # 2. Build + run the tier-1 tests under ASan+UBSan (the indexed-heap
 #    runqueue and the flat cgroup slice arrays index by raw task/cpu
 #    ids; the sanitizers catch any stale-index use the unit tests

@@ -254,7 +254,8 @@ class CgroupTable {
       next_period_[i] = now + costs.cfs_period;
       if (!group.refill_period()) continue;
       ++released;
-      for (Task* task : group.take_parked()) {
+      group.take_parked(&released_);
+      for (Task* task : released_) {
         PINSIM_CHECK(task->state == TaskState::Throttled);
         task->overhead_debt += costs.sched_pick;
         enqueue(*task, place(*task));
@@ -266,6 +267,9 @@ class CgroupTable {
  private:
   std::vector<std::unique_ptr<Cgroup>> groups_;
   std::vector<SimTime> next_period_;  // parallel to groups_
+  /// The tasks one release re-enqueues, reused across ticks and reserved
+  /// by take_parked(), so a release allocates only as membership grows.
+  std::vector<Task*> released_;
 };
 
 }  // namespace pinsim::os

@@ -128,11 +128,15 @@ bool Cgroup::is_parked(const Task& task) const {
          parked_[static_cast<std::size_t>(index)] == &task;
 }
 
-std::vector<Task*> Cgroup::take_parked() {
+void Cgroup::take_parked(std::vector<Task*>* out) {
   for (Task* task : parked_) task->park_index = -1;
-  std::vector<Task*> taken = parked_;  // parked_ keeps its reservation
+  // A copy, not a swap: parked_ keeps its reservation (park() never
+  // allocates), and a re-enqueue may park a taken task again. `out`
+  // takes the same geometric reservation, so a reused one reallocates
+  // only when some group's membership outgrows it.
+  out->reserve(parked_.capacity());
+  out->assign(parked_.begin(), parked_.end());
   parked_.clear();
-  return taken;
 }
 
 void Cgroup::add_member(Task& task) {

@@ -117,9 +117,11 @@ class Cgroup {
   /// Remove one parked task out of order (swap-and-pop, O(1)).
   void unpark(Task& task);
   bool is_parked(const Task& task) const;
-  /// Take the whole parked list for re-enqueueing on period refill;
-  /// preserves throttle order and leaves the list empty.
-  std::vector<Task*> take_parked();
+  /// Move the whole parked list into `out` (replacing its contents) for
+  /// re-enqueueing on period refill; preserves throttle order and leaves
+  /// the list empty. `out` is reserved like the parked list, so a caller
+  /// that reuses it allocates only as group membership grows.
+  void take_parked(std::vector<Task*>* out);
   /// Tasks parked by bandwidth throttling (read-only; logging/tests).
   const std::vector<Task*>& parked() const { return parked_; }
 

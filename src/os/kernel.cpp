@@ -24,7 +24,6 @@ Kernel::Kernel(sim::Engine& engine, const hw::Topology& topology,
   const auto n = static_cast<std::size_t>(topology.num_cpus());
   current_.resize(n, nullptr);
   rq_.resize(n);
-  boundary_.resize(n);
   charged_until_.resize(n, 0);
   slice_started_.resize(n, 0);
   slice_length_.resize(n, 0);
@@ -35,6 +34,13 @@ Kernel::Kernel(sim::Engine& engine, const hw::Topology& topology,
   quiet_burned_.resize(n, 0);
   solo_slice_ = slice_length(params_, 1);
   batch_domain_ = engine_->new_batch_domain();
+  boundary_.reserve(n);
+  for (int cpu = 0; cpu < topology.num_cpus(); ++cpu) {
+    boundary_.push_back(engine_->make_timer(
+        (batch_domain_ << 16) | static_cast<std::uint32_t>(cpu),
+        [this, cpu] { on_boundary(cpu); }));
+  }
+  housekeeping_ = engine_->make_timer([this] { housekeeping_tick(); });
   idle_socket_.resize(static_cast<std::size_t>(topology.sockets()));
   for (int cpu = 0; cpu < topology.num_cpus(); ++cpu) {
     refresh_cpu_masks(cpu);  // everything starts idle
@@ -254,7 +260,7 @@ void Kernel::exit_quiet(hw::CpuId cpu) {
   }
   quiet_burned_[i] = static_cast<std::uint8_t>(skipped == 0);
   engine_->note_boundaries_skipped(skipped);
-  if (!boundary_[i].pending()) {
+  if (!boundary_[i].armed()) {
     // Landing: the parked timer itself fired (we are inside its
     // handle_boundary), which replays as a normal boundary at the last
     // restart instant before the task's real event.
@@ -267,19 +273,7 @@ void Kernel::exit_quiet(hw::CpuId cpu) {
   // would burn a sequence number for nothing, so skip the no-op move.
   const std::int64_t j_last = (quiet_land_[i] - b0 - 1) / L;
   const SimTime target = b0 + skipped * L;  // == b0 when now() <= b0
-  if (target != b0 + j_last * L) {
-    const bool moved = engine_->reschedule(boundary_[i], target);
-    PINSIM_CHECK(moved);
-  }
-}
-
-void Kernel::arm_boundary(hw::CpuId cpu, SimDuration delay) {
-  const auto i = static_cast<std::size_t>(cpu);
-  const SimTime when = now() + delay;
-  if (engine_->reschedule(boundary_[i], when)) return;
-  boundary_[i] = engine_->schedule_tracked_at(
-      when, (batch_domain_ << 16) | static_cast<std::uint32_t>(cpu),
-      [this, cpu] { on_boundary(cpu); });
+  if (target != b0 + j_last * L) boundary_[i].arm(target);
 }
 
 // The quiet-window ENTRY point: reprogram is where quiet_ flips on.
@@ -328,11 +322,11 @@ void Kernel::reprogram(hw::CpuId cpu) {
       quiet_land_[i] = now() + cost;
       quiet_task_[i] = task;
       engine_->note_quiet_window();
-      arm_boundary(cpu, until_slice + j_last * L);
+      boundary_[i].arm(now() + until_slice + j_last * L);
       return;
     }
   }
-  arm_boundary(cpu, next);
+  boundary_[i].arm(now() + next);
 }
 
 // The single most-fired callback in the simulator (every slice

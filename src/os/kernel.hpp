@@ -141,10 +141,6 @@ class Kernel {
   /// skip-free path would have it armed at. CHECKs that no skipped
   /// boundary could have changed a scheduling decision.
   void exit_quiet(hw::CpuId cpu);
-  /// Move the core's persistent boundary timer to now()+delay: an
-  /// in-place reschedule while the timer is pending, one fresh push
-  /// right after it fired. No cancel+push tombstones either way.
-  void arm_boundary(hw::CpuId cpu, SimDuration delay);
   void stop_running(hw::CpuId cpu, bool requeue);
   /// The shared action protocol (os::run_actions) with the host's costs
   /// and effects. Returns true while the task should stay on the cpu.
@@ -192,9 +188,6 @@ class Kernel {
   void housekeeping_tick();
   void cgroup_aggregate(Cgroup& group);
   void ensure_housekeeping();
-  /// Arm the persistent housekeeping timer for now()+delay (same
-  /// reschedule-or-push mechanism as the per-core boundary timers).
-  void arm_housekeeping(SimDuration delay);
 
   // --- helpers --------------------------------------------------------------
   template <typename Fn>
@@ -219,7 +212,9 @@ class Kernel {
   // since the quiet fast-forward removes most boundary fires outright.
   std::vector<Task*> current_;
   std::vector<Runqueue> rq_;
-  std::vector<sim::EventHandle> boundary_;
+  /// Per-core quantum-boundary timers, made once with the kernel's batch
+  /// cookie (`batch_domain_ << 16 | cpu`) and re-armed in place.
+  std::vector<sim::Timer> boundary_;
   std::vector<SimTime> charged_until_;
   std::vector<SimTime> slice_started_;
   std::vector<SimDuration> slice_length_;
@@ -262,7 +257,7 @@ class Kernel {
   std::size_t rq_reserved_ = 0;  // capacity reserved on every runqueue
   hw::CpuId irq_rr_ = 0;  // round-robin irq distribution for unpinned IO
   bool housekeeping_active_ = false;
-  sim::EventHandle housekeeping_;
+  sim::Timer housekeeping_;  // the cgroup aggregation / balance tick
   SimTime next_balance_ = 0;
   KernelStats stats_;
 };

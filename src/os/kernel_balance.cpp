@@ -94,14 +94,7 @@ void Kernel::ensure_housekeeping() {
   housekeeping_active_ = true;
   next_balance_ = now() + params_.balance_interval;
   cgroups_.restart(now());
-  arm_housekeeping(costs_->cgroup_aggregate_interval);
-}
-
-void Kernel::arm_housekeeping(SimDuration delay) {
-  const SimTime when = now() + delay;
-  if (engine_->reschedule(housekeeping_, when)) return;
-  housekeeping_ =
-      engine_->schedule_tracked_at(when, [this] { housekeeping_tick(); });
+  housekeeping_.arm(now() + costs_->cgroup_aggregate_interval);
 }
 
 void Kernel::housekeeping_tick() {
@@ -120,7 +113,7 @@ void Kernel::housekeeping_tick() {
     periodic_balance();
     next_balance_ = now() + params_.balance_interval;
   }
-  arm_housekeeping(costs_->cgroup_aggregate_interval);
+  housekeeping_.arm(now() + costs_->cgroup_aggregate_interval);
 }
 
 void Kernel::cgroup_aggregate(Cgroup& group) {

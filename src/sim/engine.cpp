@@ -118,8 +118,8 @@ template Engine::Entry Engine::pop_min<true>();
 template Engine::Entry Engine::pop_min<false>();
 
 void Engine::sift_down(std::size_t i) {
-  // Only reached from reschedule() re-keying an entry to the same
-  // instant (fresh seq grows the key), so the walk is usually short.
+  // Reached from a same-instant re-arm (fresh seq grows the key) and from
+  // drop_timer(), so the walk is usually short.
   const Entry value = timers_[i];
   const std::size_t n = timers_.size();
   while (true) {
@@ -147,30 +147,37 @@ __attribute__((noinline)) void Engine::grow_slab() {
   // The slab growth itself is the sanctioned cold-path allocation: one
   // call per 256 nodes, explicitly kept out of line.
   // pinsim-lint: allow(hot-path)
-  chunks_.push_back(std::make_unique<Node[]>(std::size_t{1} << kChunkShift));
+  chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
   slot_of_.resize(chunks_.size() << kChunkShift);
   deferred_.resize(chunks_.size() << kChunkShift);
   cookie_.resize(chunks_.size() << kChunkShift);
-  // Every heap entry and every free-list entry refers to a live node,
-  // so node capacity bounds each heap and the free list. Reserving here
-  // makes push_event / release_node allocation-free between slab
-  // growths.
+  // Every heap entry and every free-list entry refers to a distinct live
+  // node, so node capacity bounds each heap and the free list. Reserving
+  // here makes scheduling, arming and freeing allocation-free between
+  // slab growths.
   timers_.reserve(chunks_.size() << kChunkShift);
   events_.reserve(chunks_.size() << kChunkShift);
   free_nodes_.reserve(chunks_.size() << kChunkShift);
 }
 
-void Engine::release_node(std::uint32_t slot) {
-  // Bumping the generation invalidates every outstanding handle to the
-  // node's previous tenant; stale cancel()/pending() become no-ops.
-  // deferred_[slot] may hold stale data — harmless, the tag bit that
-  // validates it died with the heap entry.
-  Node& n = node(slot);
-  ++n.gen;
-  n.cancelled = false;
-  n.tracked = false;
-  n.fn = Callback();
-  free_nodes_.push_back(slot);
+void Engine::drop_timer(std::uint32_t id) {
+  const std::uint32_t slot = slot_of_[id];
+  if (slot != kNotQueued) {
+    // Remove the entry outright: once the node is reused, a leftover
+    // entry would alias the next tenant's.
+    const Entry last = timers_.back();
+    timers_.pop_back();
+    if (slot < timers_.size()) {
+      put<true>(slot, last);
+      if (slot > 0 && last.key < timers_[(slot - 1) >> 2].key) {
+        sift_up<true>(slot);
+      } else {
+        sift_down(slot);
+      }
+    }
+  }
+  node(id) = Callback();
+  free_nodes_.push_back(id);
 }
 
 // Out of line (and never inlined) so step()'s fast path stays compact:
@@ -178,17 +185,15 @@ void Engine::release_node(std::uint32_t slot) {
 // measurably slow the common fire path.
 __attribute__((noinline)) void Engine::resolve_tagged(
     std::uint32_t tagged_node) {
-  // The deadline moved later while this entry was armed. Cancel still
-  // wins: a cancelled-after-deferral event tombstones here and its
-  // deferred key is never pushed.
+  // Cancel wins over a deferral: the deferred key is never pushed.
   const std::uint32_t id = tagged_node & kNodeIdMask;
-  if (node(id).cancelled) {
+  if (tagged_node & kCancelledBit) {
     ++stats_.tombstone_pops;
-    release_node(id);
+    slot_of_[id] = kNotQueued;
     return;
   }
-  // Re-arm with the (when, seq) pair stored at reschedule() time — one
-  // push (still tracked, so later reschedules keep working), no firing.
+  // The deadline moved later while this entry was queued: re-push with
+  // the (when, seq) pair stored at arm time — one push, no firing.
   ++stats_.deferred_rearms;
   const Deferred d = deferred_[id];
   timers_.push_back(Entry{make_key(d.when, d.seq), id});
@@ -204,26 +209,27 @@ bool Engine::step(SimTime horizon) {
         (events_.empty() || timers_.front().key < events_.front().key);
     const std::vector<Entry>& next = from_timers ? timers_ : events_;
     if (next.empty() || when_of(next.front()) > horizon) return false;
-    const Entry top = from_timers ? pop_min<true>() : pop_min<false>();
-    // Only timer-heap entries carry the tag.
-    if (top.node & kDeferredBit) [[unlikely]] {
-      resolve_tagged(top.node);
-      continue;
+    if (from_timers) {
+      const Entry top = pop_min<true>();
+      if (top.node & (kDeferredBit | kCancelledBit)) [[unlikely]] {
+        resolve_tagged(top.node);
+        continue;
+      }
+      // The timer keeps its node and callback: mark it unqueued (so it
+      // reads as disarmed inside its own callback) and run it in place.
+      slot_of_[top.node] = kNotQueued;
+      now_ = when_of(top);
+      ++stats_.fired;
+      node(top.node)();
+      return true;
     }
-    const std::uint32_t id = top.node;
-    Node& n = node(id);
-    if (n.cancelled) {
-      ++stats_.tombstone_pops;
-      release_node(id);
-      continue;
-    }
+    const Entry top = pop_min<false>();
     now_ = when_of(top);
     ++stats_.fired;
-    // Move the callback out and release the node before invoking, so the
-    // event reads as no-longer-pending from inside its own callback and
-    // nested scheduling can reuse the node immediately.
-    Callback fn = std::move(n.fn);
-    release_node(id);
+    // Move the callback out and free the node before invoking, so nested
+    // scheduling can reuse the node immediately.
+    Callback fn = std::move(node(top.node));
+    free_nodes_.push_back(top.node);
     fn();
     return true;
   }

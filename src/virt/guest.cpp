@@ -18,6 +18,7 @@ GuestKernel::GuestKernel(Host& host, Config config)
   PINSIM_CHECK(config.burst_cap > 0);
   os::validate(config.params);
   all_vcpus_ = hw::CpuSet::first_n(config.vcpus);
+  housekeeping_ = host.engine().make_timer([this] { housekeeping_tick(); });
 }
 
 void GuestKernel::attach_vcpu_task(int vcpu, os::Task& host_task) {
@@ -339,15 +340,8 @@ void GuestKernel::ensure_housekeeping() {
   if (housekeeping_active_) return;
   housekeeping_active_ = true;
   cgroups_.restart(host_->engine().now());
-  arm_housekeeping(host_->costs().cgroup_aggregate_interval);
-}
-
-void GuestKernel::arm_housekeeping(SimDuration delay) {
-  sim::Engine& engine = host_->engine();
-  const SimTime when = engine.now() + delay;
-  if (engine.reschedule(housekeeping_, when)) return;
-  housekeeping_ =
-      engine.schedule_tracked_at(when, [this] { housekeeping_tick(); });
+  housekeeping_.arm(host_->engine().now() +
+                    host_->costs().cgroup_aggregate_interval);
 }
 
 void GuestKernel::balance_idle_vcpus() {
@@ -426,7 +420,7 @@ void GuestKernel::housekeeping_tick() {
     // Quiet guest: every vCPU is either halted or running its only
     // task, so each following tick is a pure no-op — balance and the
     // surplus rotation both need a non-empty runqueue and there are no
-    // cgroups to aggregate. Skip them: leave the timer dead and replay
+    // cgroups to aggregate. Skip them: leave the timer disarmed and replay
     // the tick counter on revocation.
     guest_quiet_ = true;
     guest_quiet_entered_ = host_->engine().now();
@@ -434,7 +428,7 @@ void GuestKernel::housekeeping_tick() {
     host_->engine().note_quiet_window();
     return;
   }
-  arm_housekeeping(costs.cgroup_aggregate_interval);
+  housekeeping_.arm(host_->engine().now() + costs.cgroup_aggregate_interval);
 }
 
 bool GuestKernel::all_runqueues_empty() const {
@@ -480,8 +474,7 @@ void GuestKernel::exit_guest_quiet() {
   const std::int64_t skipped = ticks_before(engine.now());
   housekeeping_ticks_ += skipped;
   engine.note_boundaries_skipped(skipped);
-  arm_housekeeping(guest_quiet_entered_ + (skipped + 1) * interval -
-                   engine.now());
+  housekeeping_.arm(guest_quiet_entered_ + (skipped + 1) * interval);
 }
 
 }  // namespace pinsim::virt

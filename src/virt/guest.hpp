@@ -153,11 +153,6 @@ class GuestKernel {
 
   void ensure_housekeeping();
   void housekeeping_tick();
-  /// Arm the guest's persistent housekeeping timer for now+delay via
-  /// sim::Engine::reschedule (one fresh push right after a tick fired,
-  /// an in-place move otherwise — same mechanism as the host kernel's
-  /// boundary timers).
-  void arm_housekeeping(SimDuration delay);
   /// Revoke a quiet housekeeping window: replay the skipped no-op ticks
   /// (counter only — each would have found empty runqueues and no
   /// cgroups) and re-arm the timer on the original cadence, or emulate
@@ -183,7 +178,7 @@ class GuestKernel {
   os::TaskTable tasks_;
   os::CgroupTable cgroups_;
   bool housekeeping_active_ = false;
-  sim::EventHandle housekeeping_;
+  sim::Timer housekeeping_;  // the guest's cgroup / balance tick
   std::int64_t housekeeping_ticks_ = 0;
   /// Quiet housekeeping window: set when a tick found no queued work and
   /// no cgroups (so every following tick is a pure no-op) and declined

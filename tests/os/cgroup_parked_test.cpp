@@ -73,7 +73,8 @@ TEST(CgroupParkedTest, TakeParkedPreservesThrottleOrderAndResets) {
   group.park(*a);
   group.park(*b);
   group.park(*c);
-  const std::vector<Task*> taken = group.take_parked();
+  std::vector<Task*> taken;
+  group.take_parked(&taken);
   EXPECT_EQ(taken, (std::vector<Task*>{a.get(), b.get(), c.get()}));
   EXPECT_TRUE(group.parked().empty());
   EXPECT_EQ(a->park_index, -1);
@@ -143,7 +144,8 @@ TEST(CgroupParkedTest, ParkedOrderDoesNotAffectResults) {
       // Pause while the group is throttled with tasks parked, then
       // reverse the parked list in place.
       kernel.run_until_quiescent(msec(60));
-      std::vector<Task*> parked = group.take_parked();
+      std::vector<Task*> parked;
+      group.take_parked(&parked);
       EXPECT_GE(parked.size(), 2u);
       std::reverse(parked.begin(), parked.end());
       for (Task* task : parked) group.park(*task);

@@ -179,8 +179,8 @@ TEST(KernelCgroupTest, AggregationEventsRecorded) {
 
 TEST(KernelCgroupTest, BoundaryTimerChurnLeavesNoTombstones) {
   // The boundary-reprogram storm of a quota-governed sweep used to leave
-  // one tombstone per re-arm in the event heap. With persistent timers
-  // driven through Engine::reschedule, popped-dead entries should be a
+  // one tombstone per re-arm in the event heap. With persistent
+  // sim::Timers re-armed in place, popped-dead entries should be a
   // vanishing fraction of fired events (only genuine cancels remain:
   // cores going idle, wakeup retractions).
   Harness h(hw::Topology(2, 8, 1, 16.0), 7);

@@ -177,7 +177,7 @@ TEST(KernelTest, ExternalPostWakesReceiver) {
         return (*stage)++ == 0 ? Action::recv() : Action::exit();
       }));
   h.kernel.start_task(t);
-  h.engine.schedule(msec(5), [&] { h.kernel.post_external(t); });
+  h.engine.schedule_detached(msec(5), [&] { h.kernel.post_external(t); });
   EXPECT_TRUE(h.kernel.run_until_quiescent());
   EXPECT_EQ(t.state, TaskState::Finished);
   EXPECT_GE(t.stats.block_time, msec(4));

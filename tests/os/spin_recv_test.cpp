@@ -28,7 +28,7 @@ TEST(SpinRecvTest, SpinningTaskStaysOnCpuUntilMessageArrives) {
         return (*stage)++ == 0 ? Action::recv_spin() : Action::exit();
       }));
   h.kernel.start_task(waiter);
-  h.engine.schedule(msec(5), [&] { h.kernel.post_external(waiter); });
+  h.engine.schedule_detached(msec(5), [&] { h.kernel.post_external(waiter); });
   ASSERT_TRUE(h.kernel.run_until_quiescent(sec(5)));
   // Spinning burns cpu: ~5 ms of poll time, no block time.
   EXPECT_GE(waiter.stats.cpu_time, msec(4));
@@ -65,7 +65,7 @@ TEST(SpinRecvTest, SpinConsumesCgroupQuota) {
       }),
       config);
   h.kernel.start_task(waiter);
-  h.engine.schedule(msec(50), [&] { h.kernel.post_external(waiter); });
+  h.engine.schedule_detached(msec(50), [&] { h.kernel.post_external(waiter); });
   ASSERT_TRUE(h.kernel.run_until_quiescent(sec(5)));
   EXPECT_GE(group.stats().usage, msec(45));
 }
@@ -88,7 +88,8 @@ TEST(SpinRecvTest, SpinningTaskIsPreemptible) {
       }));
   h.kernel.start_task(spinner);
   h.kernel.start_task(worker);
-  h.engine.schedule(msec(100), [&] { h.kernel.post_external(spinner); });
+  h.engine.schedule_detached(msec(100),
+                             [&] { h.kernel.post_external(spinner); });
   ASSERT_TRUE(h.kernel.run_until_quiescent(sec(5)));
   // The worker ran despite the spinner: finished well before the post.
   EXPECT_LT(worker.stats.finished_at, msec(95));
@@ -104,7 +105,7 @@ TEST(SpinRecvTest, BlockingRecvStillBlocks) {
         return (*stage)++ == 0 ? Action::recv() : Action::exit();
       }));
   h.kernel.start_task(waiter);
-  h.engine.schedule(msec(5), [&] { h.kernel.post_external(waiter); });
+  h.engine.schedule_detached(msec(5), [&] { h.kernel.post_external(waiter); });
   ASSERT_TRUE(h.kernel.run_until_quiescent(sec(1)));
   EXPECT_GE(waiter.stats.block_time, msec(4));
   EXPECT_LT(waiter.stats.cpu_time, msec(1));

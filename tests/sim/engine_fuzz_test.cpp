@@ -1,10 +1,12 @@
-// Randomized stress of the event engine: ordering, cancellation,
-// in-place rescheduling, and nested-scheduling invariants under
-// thousands of random operations, including a reference-model fuzz
-// against a std::multimap oracle.
+// Randomized stress of the event engine: ordering, timer cancellation,
+// in-place re-arming, and nested-scheduling invariants under thousands
+// of random operations, including a reference-model fuzz against a
+// std::multimap oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <utility>
@@ -22,11 +24,12 @@ TEST_P(EngineFuzzTest, MonotonicTimeAndExactFireCounts) {
   Rng rng(GetParam());
   Engine engine;
   std::int64_t expected_fires = 0;
-  std::vector<EventHandle> handles;
+  std::vector<Timer> timers;
   SimTime last_fire = 0;
   bool out_of_order = false;
 
-  // Seed events; some callbacks schedule more, some cancel others.
+  // Seed timers; some callbacks schedule fire-once events, and a random
+  // quarter of the timers is cancelled before running.
   std::int64_t scheduled = 0;
   std::function<void(int)> fire = [&](int depth) {
     if (engine.now() < last_fire) out_of_order = true;
@@ -34,29 +37,31 @@ TEST_P(EngineFuzzTest, MonotonicTimeAndExactFireCounts) {
     ++expected_fires;
     if (depth < 3 && rng.chance(0.4)) {
       const auto delay = static_cast<SimDuration>(rng.uniform_int(0, 5000));
-      engine.schedule(delay, [&fire, depth] { fire(depth + 1); });
+      engine.schedule_detached(delay, [&fire, depth] { fire(depth + 1); });
       ++scheduled;
     }
   };
+  timers.reserve(2000);
   for (int i = 0; i < 2000; ++i) {
-    const auto delay = static_cast<SimDuration>(rng.uniform_int(0, 100000));
-    handles.push_back(engine.schedule(delay, [&fire] { fire(0); }));
+    const auto when = static_cast<SimTime>(rng.uniform_int(0, 100000));
+    timers.push_back(engine.make_timer([&fire] { fire(0); }));
+    timers.back().arm(when);
     ++scheduled;
   }
-  // Cancel a random ~quarter before running.
   std::int64_t cancelled = 0;
-  for (auto& handle : handles) {
+  for (Timer& timer : timers) {
     if (rng.chance(0.25)) {
-      handle.cancel();
+      timer.cancel();
       ++cancelled;
     }
   }
   const std::int64_t fired = engine.run();
   EXPECT_FALSE(out_of_order);
   EXPECT_EQ(fired, expected_fires);
-  // Every scheduled-and-not-cancelled top-level event fired (nested ones
-  // are all uncancelled, so: fired = scheduled - cancelled).
+  // Every armed-and-not-cancelled timer fired once (nested events are
+  // never cancelled, so: fired = scheduled - cancelled).
   EXPECT_EQ(fired, scheduled - cancelled);
+  EXPECT_EQ(engine.stats().tombstone_pops, cancelled);
   EXPECT_TRUE(engine.empty());
 }
 
@@ -69,7 +74,7 @@ TEST_P(EngineFuzzTest, HorizonSplitEqualsFullRun) {
     std::vector<int> order;
     for (int i = 0; i < 500; ++i) {
       const auto delay = static_cast<SimDuration>(rng.uniform_int(0, 50000));
-      engine.schedule(delay, [&order, i] { order.push_back(i); });
+      engine.schedule_detached(delay, [&order, i] { order.push_back(i); });
     }
     if (split) {
       engine.run(25000);
@@ -85,119 +90,131 @@ TEST_P(EngineFuzzTest, HorizonSplitEqualsFullRun) {
 TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
   // Reference model: a std::multimap keyed by (deadline, seq) where seq
   // mirrors the engine's internal sequence counter — one tick per
-  // schedule (tracked or one-shot) and per successful reschedule. The
-  // engine must fire exactly the oracle's key order through any
-  // interleaving of tracked schedule / one-shot schedule() and
-  // schedule_detached() / cancel / reschedule-earlier /
-  // reschedule-later / run. One-shot delays sit on a coarse grid so they
-  // often tie with each other and with tracked deadlines.
+  // schedule_detached() and per Timer::arm(). Every callback checks, in
+  // lockstep, that it is the oracle's earliest entry. Operations come
+  // both from the test body and from inside timer callbacks: new timers,
+  // fire-once events on a coarse grid (so they often tie), cancels, and
+  // arms of armed timers, of cancelled timers whose entry has not popped
+  // yet, and of fired timers. A firing timer may re-arm itself and then
+  // move that arming earlier, to the same instant, or later; it may also
+  // arm or cancel another timer. Timers are destroyed at random too,
+  // taking their queued entries with them.
   Rng rng(GetParam() * 1007 + 11);
   Engine engine;
   using Key = std::pair<SimTime, std::uint64_t>;
-  enum class Kind { Tracked, OneShot, Detached };
-  std::multimap<Key, int> oracle;
-  std::map<int, std::multimap<Key, int>::iterator> live;
-  std::map<int, Kind> kind;
-  std::map<int, EventHandle> handles;
+  using Oracle = std::multimap<Key, int>;
+  Oracle oracle;
+  std::map<int, Oracle::iterator> live;  // armed timers, pending events
+  std::map<int, Timer> timers;
+  std::vector<int> timer_ids;
   std::vector<int> fired;
   std::vector<int> expected;
-  std::vector<int> dead;
   std::uint64_t seq = 0;
-  std::int64_t cancelled_count = 0;
   int next_id = 0;
 
-  // A random live event whose kind passes `accept`, or -1.
-  auto random_live = [&](auto accept) -> int {
-    std::vector<int> candidates;
-    for (const auto& entry : live) {
-      if (accept(kind[entry.first])) candidates.push_back(entry.first);
-    }
-    if (candidates.empty()) return -1;
-    return candidates[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(candidates.size()) - 1))];
+  auto random_timer = [&]() -> int {
+    if (timer_ids.empty()) return -1;
+    return timer_ids[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(timer_ids.size()) - 1))];
   };
-  auto cancellable = [](Kind k) { return k != Kind::Detached; };
-  auto tracked = [](Kind k) { return k == Kind::Tracked; };
+  auto forget = [&](int id) {
+    const auto it = live.find(id);
+    if (it == live.end()) return;
+    oracle.erase(it->second);
+    live.erase(it);
+  };
+  auto arm = [&](int id, SimTime when) {
+    timers.at(id).arm(when);
+    forget(id);
+    live[id] = oracle.emplace(Key{when, seq++}, id);
+    EXPECT_TRUE(timers.at(id).armed());
+  };
+  auto cancel = [&](int id) {
+    timers.at(id).cancel();
+    forget(id);
+    EXPECT_FALSE(timers.at(id).armed());
+  };
+  auto on_fire = [&](int id) {
+    expected.push_back(oracle.empty() || oracle.begin()->first.first !=
+                                             engine.now()
+                           ? -1
+                           : oracle.begin()->second);
+    fired.push_back(id);
+    forget(id);
+  };
+  auto add_timer = [&](SimTime when) {
+    const int id = next_id++;
+    timers.emplace(id, engine.make_timer([&, id] {
+      on_fire(id);
+      EXPECT_FALSE(timers.at(id).armed());
+      const std::int64_t dice = rng.uniform_int(0, 99);
+      if (dice < 40) {
+        arm(id, engine.now() + rng.uniform_int(0, 3) * 1000);
+        if (dice < 25) {
+          // Earlier than, equal to, or later than the arming just made.
+          arm(id, engine.now() + rng.uniform_int(0, 6) * 500);
+        }
+      } else if (dice < 55) {
+        const int other = random_timer();
+        if (other >= 0) arm(other, engine.now() + rng.uniform_int(0, 4000));
+      } else if (dice < 65) {
+        const int other = random_timer();
+        if (other >= 0) cancel(other);
+      }
+    }));
+    timer_ids.push_back(id);
+    arm(id, when);
+  };
 
   for (int round = 0; round < 80; ++round) {
     const int ops = static_cast<int>(rng.uniform_int(1, 40));
     for (int op = 0; op < ops; ++op) {
       const std::int64_t dice = rng.uniform_int(0, 99);
-      if (dice < 35 || live.empty()) {
-        const auto delay = static_cast<SimDuration>(rng.uniform_int(0, 5000));
+      const SimTime now = engine.now();
+      if (dice < 30 || timer_ids.empty()) {
+        add_timer(now + rng.uniform_int(0, 5000));
+      } else if (dice < 50) {
+        const SimTime when = now + rng.uniform_int(0, 50) * 100;
         const int id = next_id++;
-        handles[id] = engine.schedule_tracked(
-            delay, [&fired, id] { fired.push_back(id); });
-        kind[id] = Kind::Tracked;
-        live[id] = oracle.emplace(Key{engine.now() + delay, seq++}, id);
-      } else if (dice < 55) {
-        const auto delay =
-            static_cast<SimDuration>(rng.uniform_int(0, 50) * 100);
-        const int id = next_id++;
-        auto fire = [&fired, id] { fired.push_back(id); };
-        if (dice < 45) {
-          handles[id] = engine.schedule(delay, fire);
-          kind[id] = Kind::OneShot;
-        } else {
-          engine.schedule_detached(delay, fire);
-          kind[id] = Kind::Detached;
-        }
-        live[id] = oracle.emplace(Key{engine.now() + delay, seq++}, id);
-      } else if (dice < 65) {
-        const int id = random_live(cancellable);
-        if (id < 0) continue;
-        handles[id].cancel();
-        EXPECT_FALSE(handles[id].pending());
-        oracle.erase(live[id]);
-        live.erase(id);
-        dead.push_back(id);
-        ++cancelled_count;
-        // A cancelled handle must refuse in-place rescheduling (and must
-        // not consume a sequence number — the oracle would drift).
-        EXPECT_FALSE(engine.reschedule(handles[id], engine.now() + 1));
-      } else if (dice < 90) {
-        const int id = random_live(tracked);
-        if (id < 0) continue;
-        const auto when = static_cast<SimTime>(
-            engine.now() + rng.uniform_int(0, 5000));
-        ASSERT_TRUE(engine.reschedule(handles[id], when));
-        oracle.erase(live[id]);
+        engine.schedule_detached_at(when, [&, id] { on_fire(id); });
         live[id] = oracle.emplace(Key{when, seq++}, id);
-      } else if (!dead.empty()) {
-        // Fired or cancelled events are gone for good.
-        // Detached events never had a handle; theirs is inert.
-        const int id = dead[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(dead.size()) - 1))];
-        EXPECT_FALSE(engine.reschedule(handles[id], engine.now() + 1));
+      } else if (dice < 65) {
+        cancel(random_timer());
+      } else if (dice < 95) {
+        arm(random_timer(), now + rng.uniform_int(0, 5000));
+      } else {
+        const int id = random_timer();
+        forget(id);
+        timers.erase(id);
+        timer_ids.erase(std::find(timer_ids.begin(), timer_ids.end(), id));
       }
     }
 
     const auto horizon = static_cast<SimTime>(
         engine.now() + rng.uniform_int(0, 8000));
-    // Tombstones and deferred timers make peek_next() a lower bound.
+    // Cancelled and deferred entries make peek_next() a lower bound.
     if (!oracle.empty()) {
       EXPECT_LE(engine.peek_next(), oracle.begin()->first.first);
     }
     EXPECT_GE(engine.pending_events(), live.size());
+    EXPECT_LE(engine.pending_events(), live.size() + timers.size());
     engine.run(horizon);
-    while (!oracle.empty() && oracle.begin()->first.first <= horizon) {
-      const int id = oracle.begin()->second;
-      expected.push_back(id);
-      live.erase(id);
-      dead.push_back(id);
-      oracle.erase(oracle.begin());
-    }
     ASSERT_EQ(fired, expected);
+    // Nothing due by the horizon was left behind.
+    if (!oracle.empty()) {
+      EXPECT_GT(oracle.begin()->first.first, horizon);
+    }
   }
 
   engine.run();
-  for (const auto& [key, id] : oracle) expected.push_back(id);
   EXPECT_EQ(fired, expected);
+  EXPECT_TRUE(oracle.empty());
   EXPECT_TRUE(engine.empty());
-  // Only explicit cancels leave tombstones now; every reschedule was
-  // served in place (deferred re-arm or re-key), never by a dead entry.
-  EXPECT_EQ(engine.stats().tombstone_pops, cancelled_count);
-  EXPECT_EQ(engine.stats().fired, static_cast<std::int64_t>(fired.size()));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.fired, static_cast<std::int64_t>(fired.size()));
+  // One sequence number per schedule and per arm, nothing else.
+  EXPECT_EQ(static_cast<std::uint64_t>(stats.scheduled + stats.reschedules),
+            seq);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest,

@@ -19,9 +19,9 @@ TEST(EngineTest, StartsAtZero) {
 TEST(EngineTest, EventsFireInTimeOrder) {
   Engine engine;
   std::vector<int> order;
-  engine.schedule(msec(3), [&] { order.push_back(3); });
-  engine.schedule(msec(1), [&] { order.push_back(1); });
-  engine.schedule(msec(2), [&] { order.push_back(2); });
+  engine.schedule_detached(msec(3), [&] { order.push_back(3); });
+  engine.schedule_detached(msec(1), [&] { order.push_back(1); });
+  engine.schedule_detached(msec(2), [&] { order.push_back(2); });
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(engine.now(), msec(3));
@@ -31,7 +31,7 @@ TEST(EngineTest, TiesFireInScheduleOrder) {
   Engine engine;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    engine.schedule(msec(5), [&order, i] { order.push_back(i); });
+    engine.schedule_detached(msec(5), [&order, i] { order.push_back(i); });
   }
   engine.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -40,9 +40,9 @@ TEST(EngineTest, TiesFireInScheduleOrder) {
 TEST(EngineTest, NestedScheduling) {
   Engine engine;
   std::vector<SimTime> fired;
-  engine.schedule(msec(1), [&] {
+  engine.schedule_detached(msec(1), [&] {
     fired.push_back(engine.now());
-    engine.schedule(msec(1), [&] { fired.push_back(engine.now()); });
+    engine.schedule_detached(msec(1), [&] { fired.push_back(engine.now()); });
   });
   engine.run();
   ASSERT_EQ(fired.size(), 2u);
@@ -53,8 +53,8 @@ TEST(EngineTest, NestedScheduling) {
 TEST(EngineTest, HorizonStopsAndAdvancesClock) {
   Engine engine;
   int fired = 0;
-  engine.schedule(msec(1), [&] { ++fired; });
-  engine.schedule(msec(10), [&] { ++fired; });
+  engine.schedule_detached(msec(1), [&] { ++fired; });
+  engine.schedule_detached(msec(10), [&] { ++fired; });
   engine.run(msec(5));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(engine.now(), msec(1));  // stopped at the last fired event
@@ -65,7 +65,7 @@ TEST(EngineTest, HorizonStopsAndAdvancesClock) {
 TEST(EngineTest, EventAtExactHorizonFires) {
   Engine engine;
   bool fired = false;
-  engine.schedule(msec(5), [&] { fired = true; });
+  engine.schedule_detached(msec(5), [&] { fired = true; });
   engine.run(msec(5));
   EXPECT_TRUE(fired);
 }
@@ -79,10 +79,12 @@ TEST(EngineTest, EmptyRunToHorizonAdvancesClock) {
 TEST(EngineTest, CancelPreventsFiring) {
   Engine engine;
   bool fired = false;
-  EventHandle handle = engine.schedule(msec(1), [&] { fired = true; });
-  EXPECT_TRUE(handle.pending());
-  handle.cancel();
-  EXPECT_FALSE(handle.pending());
+  Timer timer = engine.make_timer([&] { fired = true; });
+  EXPECT_FALSE(timer.armed());
+  timer.arm(msec(1));
+  EXPECT_TRUE(timer.armed());
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
   engine.run();
   EXPECT_FALSE(fired);
 }
@@ -90,25 +92,36 @@ TEST(EngineTest, CancelPreventsFiring) {
 TEST(EngineTest, CancelAfterFireIsNoop) {
   Engine engine;
   int fired = 0;
-  EventHandle handle = engine.schedule(msec(1), [&] { ++fired; });
+  Timer timer = engine.make_timer([&] { ++fired; });
+  timer.arm(msec(1));
   engine.run();
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();
+  EXPECT_FALSE(timer.armed());
+  timer.cancel();
   engine.run();
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EngineTest, DefaultHandleIsInert) {
-  EventHandle handle;
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();  // must not crash
+  Engine engine;  // outlives every timer below
+  Timer timer;
+  EXPECT_FALSE(timer.armed());
+  timer.cancel();  // must not crash
+  EXPECT_THROW(timer.arm(0), InvariantViolation);
+  // A moved-from timer is inert too; the moved-to one owns the node.
+  bool fired = false;
+  Timer source = engine.make_timer([&] { fired = true; });
+  timer = std::move(source);
+  EXPECT_FALSE(source.armed());  // NOLINT(bugprone-use-after-move)
+  timer.arm(msec(1));
+  engine.run();
+  EXPECT_TRUE(fired);
 }
 
 TEST(EngineTest, RunUntilPredicate) {
   Engine engine;
   int counter = 0;
   for (int i = 1; i <= 10; ++i) {
-    engine.schedule(msec(i), [&] { ++counter; });
+    engine.schedule_detached(msec(i), [&] { ++counter; });
   }
   const bool satisfied = engine.run_until([&] { return counter == 4; });
   EXPECT_TRUE(satisfied);
@@ -118,7 +131,7 @@ TEST(EngineTest, RunUntilPredicate) {
 
 TEST(EngineTest, RunUntilUnsatisfiedDrainsQueue) {
   Engine engine;
-  engine.schedule(msec(1), [] {});
+  engine.schedule_detached(msec(1), [] {});
   const bool satisfied = engine.run_until([] { return false; });
   EXPECT_FALSE(satisfied);
   EXPECT_TRUE(engine.empty());
@@ -126,17 +139,24 @@ TEST(EngineTest, RunUntilUnsatisfiedDrainsQueue) {
 
 TEST(EngineTest, RejectsNegativeDelay) {
   Engine engine;
-  EXPECT_THROW(engine.schedule(-1, [] {}), InvariantViolation);
   EXPECT_THROW(engine.schedule_detached(-1, [] {}), InvariantViolation);
+  engine.run(msec(1));
+  EXPECT_THROW(engine.schedule_detached_at(0, [] {}), InvariantViolation);
+  Timer timer = engine.make_timer([] {});
+  EXPECT_THROW(timer.arm(0), InvariantViolation);
+  EXPECT_FALSE(timer.armed());
 }
 
 TEST(EngineTest, DetachedEventsFireInOrderWithHandledOnes) {
+  // Fire-once events and timers share one (when, seq) order.
   Engine engine;
   std::vector<int> order;
+  Timer one = engine.make_timer([&] { order.push_back(1); });
+  Timer three = engine.make_timer([&] { order.push_back(3); });
   engine.schedule_detached(msec(2), [&] { order.push_back(2); });
-  engine.schedule(msec(1), [&] { order.push_back(1); });
+  one.arm(msec(1));
   engine.schedule_detached(msec(1), [&] { order.push_back(11); });
-  engine.schedule(msec(3), [&] { order.push_back(3); });
+  three.arm(msec(3));
   EXPECT_EQ(engine.run(), 4);
   EXPECT_EQ(order, (std::vector<int>{1, 11, 2, 3}));
 }
@@ -153,58 +173,62 @@ TEST(EngineTest, DetachedNestedScheduling) {
   EXPECT_EQ(engine.now(), msec(2));
 }
 
-TEST(EngineTest, StaleHandleCannotCancelSlotReuser) {
-  // After an event fires, its cancellation slot is recycled. A stale
-  // handle to the fired event must not affect the slot's next tenant.
-  Engine engine;
-  bool first = false;
-  bool second = false;
-  EventHandle stale = engine.schedule(msec(1), [&] { first = true; });
-  engine.run();
-  EXPECT_TRUE(first);
-  EventHandle fresh = engine.schedule(msec(1), [&] { second = true; });
-  stale.cancel();  // must be a no-op against the recycled slot
-  EXPECT_TRUE(fresh.pending());
-  EXPECT_FALSE(stale.pending());
-  engine.run();
-  EXPECT_TRUE(second);
-}
-
 TEST(EngineTest, NotPendingInsideOwnCallback) {
+  // A timer is disarmed while its own callback runs, unless the callback
+  // re-arms it.
   Engine engine;
-  EventHandle handle;
-  bool was_pending = true;
-  handle = engine.schedule(msec(1), [&] { was_pending = handle.pending(); });
+  Timer timer;
+  std::vector<bool> armed_inside;
+  timer = engine.make_timer([&] {
+    armed_inside.push_back(timer.armed());
+    if (armed_inside.size() == 1) {
+      timer.arm(engine.now() + msec(1));
+      armed_inside.push_back(timer.armed());
+    }
+  });
+  timer.arm(msec(1));
   engine.run();
-  EXPECT_FALSE(was_pending);
+  EXPECT_EQ(armed_inside, (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(engine.now(), msec(2));
 }
 
 TEST(EngineTest, CancelledSlotIsRecycledAfterDrain) {
-  // Cancelled entries release their slots as the queue pops them; a
-  // long-running sim with heavy cancel traffic must not grow the slab.
+  // A timer owns one node and at most one heap entry, so heavy
+  // arm/cancel traffic grows neither the heap nor the slab, and freed
+  // timers' nodes are reused.
   Engine engine;
+  Timer timer = engine.make_timer([] {});
   for (int round = 0; round < 100; ++round) {
-    EventHandle handle = engine.schedule(msec(1), [] {});
-    handle.cancel();
+    timer.arm(engine.now() + msec(1 + round % 3));
+    timer.cancel();
+    timer.arm(engine.now() + msec(1));
+    EXPECT_EQ(engine.pending_events(), 1u);
+    if (round % 2 == 0) timer.cancel();
     engine.run();
   }
   EXPECT_TRUE(engine.empty());
+  for (int round = 0; round < 100; ++round) {
+    Timer scratch = engine.make_timer([] {});
+    scratch.arm(engine.now() + msec(1));
+  }  // each scratch timer drops its entry and frees its node
+  EXPECT_TRUE(engine.empty());
+  EXPECT_EQ(engine.stats().peak_heap, 2);
 }
 
 TEST(EngineTest, ReturnsEventCount) {
   Engine engine;
-  for (int i = 0; i < 5; ++i) engine.schedule(msec(i + 1), [] {});
+  for (int i = 0; i < 5; ++i) engine.schedule_detached(msec(i + 1), [] {});
   EXPECT_EQ(engine.run(), 5);
 }
 
 TEST(EngineTest, RescheduleLaterDefersFiring) {
   Engine engine;
   std::vector<int> order;
-  EventHandle moved =
-      engine.schedule_tracked(msec(1), [&] { order.push_back(1); });
-  engine.schedule(msec(2), [&] { order.push_back(2); });
-  EXPECT_TRUE(engine.reschedule(moved, msec(3)));
-  EXPECT_TRUE(moved.pending());
+  Timer moved = engine.make_timer([&] { order.push_back(1); });
+  moved.arm(msec(1));
+  engine.schedule_detached(msec(2), [&] { order.push_back(2); });
+  moved.arm(msec(3));
+  EXPECT_TRUE(moved.armed());
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
   EXPECT_EQ(engine.now(), msec(3));
@@ -213,60 +237,51 @@ TEST(EngineTest, RescheduleLaterDefersFiring) {
 TEST(EngineTest, RescheduleEarlierDecreasesKey) {
   Engine engine;
   std::vector<int> order;
-  EventHandle moved =
-      engine.schedule_tracked(msec(5), [&] { order.push_back(5); });
-  engine.schedule(msec(2), [&] { order.push_back(2); });
-  EXPECT_TRUE(engine.reschedule(moved, msec(1)));
+  Timer moved = engine.make_timer([&] { order.push_back(5); });
+  moved.arm(msec(5));
+  engine.schedule_detached(msec(2), [&] { order.push_back(2); });
+  moved.arm(msec(1));
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{5, 2}));
 }
 
 TEST(EngineTest, RescheduleSameInstantDropsBehindTies) {
-  // A reschedule consumes a fresh sequence number even when the deadline
-  // is unchanged — exactly like the cancel+push it replaces, so a
-  // re-armed event fires after same-instant events scheduled before the
-  // reschedule happened.
+  // An arm consumes a fresh sequence number even when the deadline is
+  // unchanged, so a re-armed timer fires after same-instant events
+  // scheduled before the re-arm happened.
   Engine engine;
   std::vector<int> order;
-  EventHandle moved =
-      engine.schedule_tracked(msec(1), [&] { order.push_back(1); });
-  engine.schedule(msec(1), [&] { order.push_back(2); });
-  EXPECT_TRUE(engine.reschedule(moved, msec(1)));
+  Timer moved = engine.make_timer([&] { order.push_back(1); });
+  moved.arm(msec(1));
+  engine.schedule_detached(msec(1), [&] { order.push_back(2); });
+  moved.arm(msec(1));
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
-TEST(EngineTest, RescheduleDeadHandleFails) {
-  Engine engine;
-  EventHandle fired_handle = engine.schedule_tracked(msec(1), [] {});
-  EventHandle cancelled_handle = engine.schedule_tracked(msec(2), [] {});
-  cancelled_handle.cancel();
-  engine.run();
-  EXPECT_FALSE(engine.reschedule(fired_handle, engine.now() + msec(1)));
-  EXPECT_FALSE(engine.reschedule(cancelled_handle, engine.now() + msec(1)));
-  EventHandle inert;
-  EXPECT_FALSE(engine.reschedule(inert, engine.now() + msec(1)));
 }
 
 TEST(EngineTest, CancelWinsOverDeferredReschedule) {
   Engine engine;
   bool fired = false;
-  EventHandle handle = engine.schedule_tracked(msec(1), [&] { fired = true; });
-  EXPECT_TRUE(engine.reschedule(handle, msec(5)));  // lazy deferral
-  handle.cancel();
+  Timer timer = engine.make_timer([&] { fired = true; });
+  timer.arm(msec(1));
+  timer.arm(msec(5));  // lazy deferral
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
   engine.run();
   EXPECT_FALSE(fired);
   EXPECT_TRUE(engine.empty());
+  EXPECT_EQ(engine.stats().tombstone_pops, 1);
+  EXPECT_EQ(engine.stats().deferred_rearms, 0);
 }
 
 TEST(EngineTest, RepeatedDeferralKeepsLatestDeadline) {
   Engine engine;
   SimTime fired_at = -1;
-  EventHandle handle =
-      engine.schedule_tracked(msec(1), [&] { fired_at = engine.now(); });
-  EXPECT_TRUE(engine.reschedule(handle, msec(4)));
-  EXPECT_TRUE(engine.reschedule(handle, msec(7)));
-  EXPECT_TRUE(engine.reschedule(handle, msec(6)));  // earlier than deferred
+  Timer timer = engine.make_timer([&] { fired_at = engine.now(); });
+  timer.arm(msec(1));
+  timer.arm(msec(4));
+  timer.arm(msec(7));
+  timer.arm(msec(6));  // earlier than deferred
   engine.run();
   EXPECT_EQ(fired_at, msec(6));
 }
@@ -275,37 +290,34 @@ TEST(EngineTest, StatsCountFiresTombstonesAndDeferrals) {
   // stats() derives scheduled/peak_heap at read time, so each snapshot
   // must be taken after the activity it checks.
   Engine engine;
-  EventHandle cancelled_handle = engine.schedule(msec(1), [] {});
-  EventHandle deferred = engine.schedule_tracked(msec(2), [] {});
-  engine.schedule(msec(3), [] {});
+  Timer cancelled = engine.make_timer([] {});
+  Timer deferred = engine.make_timer([] {});
+  cancelled.arm(msec(1));
+  deferred.arm(msec(2));
+  engine.schedule_detached(msec(3), [] {});
   EXPECT_EQ(engine.stats().scheduled, 3);
   EXPECT_EQ(engine.stats().peak_heap, 3);
-  cancelled_handle.cancel();
-  EXPECT_TRUE(engine.reschedule(deferred, msec(5)));
+  cancelled.cancel();
+  deferred.arm(msec(5));
   engine.run();
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.scheduled, 3);       // reschedule is not a new event
+  EXPECT_EQ(stats.scheduled, 3);       // re-keying is not a new event
   EXPECT_EQ(stats.fired, 2);           // cancelled one never fires
   EXPECT_EQ(stats.tombstone_pops, 1);  // only the explicit cancel
   EXPECT_EQ(stats.deferred_rearms, 1);
   EXPECT_EQ(stats.reschedules, 1);
-}
-
-TEST(EngineTest, RescheduleUntrackedPendingHandleIsInvariantViolation) {
-  // reschedule() requires a handle from schedule_tracked(); a pending
-  // handle from plain schedule() has no back-pointer to move in place,
-  // so the engine must refuse loudly rather than corrupt the heap.
-  Engine engine;
-  EventHandle handle = engine.schedule(msec(1), [] {});
-  EXPECT_THROW(engine.reschedule(handle, msec(2)), InvariantViolation);
-  handle.cancel();
+  // Arming a fired timer pushes a fresh entry: a new event again.
+  deferred.arm(msec(6));
   engine.run();
+  EXPECT_EQ(engine.stats().scheduled, 4);
+  EXPECT_EQ(engine.stats().peak_heap, 3);  // the timers keep their nodes
 }
 
 TEST(EngineTest, RescheduleEarlierLeavesNoTombstone) {
   Engine engine;
-  EventHandle handle = engine.schedule_tracked(msec(5), [] {});
-  EXPECT_TRUE(engine.reschedule(handle, msec(1)));
+  Timer timer = engine.make_timer([] {});
+  timer.arm(msec(5));
+  timer.arm(msec(1));
   engine.run();
   EXPECT_EQ(engine.stats().tombstone_pops, 0);
   EXPECT_EQ(engine.stats().deferred_rearms, 0);
@@ -319,17 +331,21 @@ TEST(EngineTest, BatchedPeerNeverOvertakesEarlierOneShot) {
   Engine engine;
   const std::uint32_t domain = engine.new_batch_domain();
   std::vector<std::string> order;
+  std::vector<Timer> timers;
   auto peer = [&](std::uint32_t payload) {
-    engine.schedule_tracked_at(msec(1), (domain << 16) | payload, [&, payload] {
-      order.push_back("t" + std::to_string(payload));
-      int batched;
-      while ((batched = engine.pop_batched_peer(domain)) >= 0) {
-        order.push_back("b" + std::to_string(batched));
-      }
-    });
+    timers.push_back(
+        engine.make_timer((domain << 16) | payload, [&, payload] {
+          order.push_back("t" + std::to_string(payload));
+          int batched;
+          while ((batched = engine.pop_batched_peer(domain)) >= 0) {
+            order.push_back("b" + std::to_string(batched));
+          }
+        }));
+    timers.back().arm(msec(1));
   };
   auto one_shot = [&](const std::string& name) {
-    engine.schedule_at(msec(1), [&order, name] { order.push_back(name); });
+    engine.schedule_detached_at(msec(1),
+                                [&order, name] { order.push_back(name); });
   };
   peer(0);
   one_shot("x");  // seq between peer 0 and peer 1: blocks the drain
@@ -346,11 +362,13 @@ TEST(EngineTest, PeekNextReportsEarliestEventOfAnyKind) {
   Engine engine;
   EXPECT_EQ(engine.peek_next(), Engine::kNoHorizon);
   EXPECT_TRUE(engine.empty());
-  engine.schedule_tracked(msec(5), [] {});
+  Timer late = engine.make_timer([] {});
+  Timer early = engine.make_timer([] {});
+  late.arm(msec(5));
   EXPECT_EQ(engine.peek_next(), msec(5));
-  engine.schedule(msec(3), [] {});
+  engine.schedule_detached(msec(3), [] {});
   EXPECT_EQ(engine.peek_next(), msec(3));
-  engine.schedule_tracked(msec(1), [] {});
+  early.arm(msec(1));
   EXPECT_EQ(engine.peek_next(), msec(1));
   engine.schedule_detached(msec(2), [] {});
   EXPECT_EQ(engine.pending_events(), 4u);

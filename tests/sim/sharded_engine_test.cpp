@@ -248,31 +248,34 @@ TEST(ShardedEngineStatsTest, EngineStatsFoldEqualsPerShardSum) {
 
 TEST(ShardedEngineStatsTest, EngineStatsFoldCoversEveryField) {
   // Every counter is driven to a different nonzero value per shard:
-  // cancels (tombstones), tracked timers moved later (deferred re-arms,
+  // cancelled timers (tombstones), timers moved later (deferred re-arms,
   // reschedules), same-instant cookied peers (batched boundaries), and
   // the quiet-core notes. The fold must match a field-by-field sum.
   constexpr int kShards = 3;
   ShardedEngine sharded(config_for(kShards));
-  std::vector<EventHandle> handles;
+  std::vector<Timer> timers;
   for (int s = 0; s < kShards; ++s) {
     Engine& engine = sharded.shard(s);
     for (int i = 0; i < 4 + s; ++i) {
       engine.schedule_detached(usec(10 + i), [] {});
     }
     for (int i = 0; i <= s; ++i) {
-      handles.push_back(engine.schedule(usec(20 + i), [] {}));
-      handles.back().cancel();
-      handles.push_back(engine.schedule_tracked(usec(30 + i), [] {}));
-      EXPECT_TRUE(engine.reschedule(handles.back(), usec(40 + i)));
+      timers.push_back(engine.make_timer([] {}));
+      timers.back().arm(usec(20 + i));
+      timers.back().cancel();
+      timers.push_back(engine.make_timer([] {}));
+      timers.back().arm(usec(30 + i));
+      timers.back().arm(usec(40 + i));
     }
     const std::uint32_t domain = engine.new_batch_domain();
     for (int peer = 0; peer < 2 + s; ++peer) {
-      engine.schedule_tracked_at(
-          usec(60), (domain << 16) | static_cast<std::uint32_t>(peer),
+      timers.push_back(engine.make_timer(
+          (domain << 16) | static_cast<std::uint32_t>(peer),
           [&engine, domain] {
             while (engine.pop_batched_peer(domain) >= 0) {
             }
-          });
+          }));
+      timers.back().arm(usec(60));
     }
     engine.note_boundaries_skipped(5 + s);
     for (int i = 0; i <= s; ++i) engine.note_quiet_window();

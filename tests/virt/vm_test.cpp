@@ -174,7 +174,7 @@ TEST(VmTest, ExternalPostReachesGuestTask) {
         return (*stage)++ == 0 ? os::Action::recv() : os::Action::exit();
       }));
   h.platform.start(task);
-  h.host.engine().schedule(msec(5), [&] { h.platform.post(task, 1); });
+  h.host.engine().schedule_detached(msec(5), [&] { h.platform.post(task, 1); });
   h.host.engine().run_until([&] { return done == 1; }, sec(5));
   EXPECT_EQ(done, 1);
 }

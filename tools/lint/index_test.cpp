@@ -192,7 +192,8 @@ void use() {
 TEST(IndexSummary, CallbackRegistrationFoldsIntoEnclosing) {
   // A lambda handed to a registration call contributes its calls to
   // the enclosing function — the callback edge the reachability rules
-  // traverse (Kernel::arm_boundary -> on_boundary is the real case).
+  // traverse (Kernel's constructor -> on_boundary, through the
+  // make_timer() callback, is the real case).
   const FileSummary s = summarize(R"(
 struct Kernel {
   void arm() { schedule(5, [this] { tick(); }); }

@@ -92,8 +92,6 @@ class Checker {
   void check_determinism();
   void check_ordering();
   void check_index_safety();
-  void check_guarded_timers();
-  void check_engine_api();
   void check_predicate_purity();
   void check_float_accumulation();
   void check_hygiene();
@@ -400,81 +398,6 @@ void Checker::check_index_safety() {
   }
 }
 
-void Checker::check_guarded_timers() {
-  for (const Config::GuardedTimer& guarded : config_.guarded_timers) {
-    bool owner = false;
-    for (const std::string& o : guarded.owners) {
-      if (path_matches(path_, o)) owner = true;
-    }
-    if (owner) continue;
-    for (std::size_t i = 0; i < toks().size(); ++i) {
-      const Token& t = toks()[i];
-      if (t.kind != Token::kIdent) continue;
-      const bool is_arm_call =
-          (t.text == "reschedule" || t.text.rfind("schedule", 0) == 0) &&
-          is_punct(i + 1, "(");
-      if (!is_arm_call) continue;
-      // Timer passed as an argument: scan the call's parens for it.
-      bool hit = false;
-      int depth = 0;
-      for (std::size_t j = i + 1; j < toks().size(); ++j) {
-        if (is_punct(j, "(")) {
-          ++depth;
-          continue;
-        }
-        if (is_punct(j, ")")) {
-          if (--depth == 0) break;
-          continue;
-        }
-        if (toks()[j].kind == Token::kIdent &&
-            toks()[j].text == guarded.name) {
-          hit = true;
-          break;
-        }
-      }
-      // Call result assigned into the timer: walk the member chain
-      // back to `name =`. (A subscripted `name[i] =` target is already
-      // an index-safety finding via guarded_indexes.)
-      if (!hit) {
-        std::size_t j = i;
-        while (j >= 2 && (is_punct(j - 1, "->") || is_punct(j - 1, ".") ||
-                          is_punct(j - 1, "::"))) {
-          j -= 2;
-        }
-        hit = j >= 2 && is_punct(j - 1, "=") &&
-              toks()[j - 2].kind == Token::kIdent &&
-              toks()[j - 2].text == guarded.name;
-      }
-      if (hit) {
-        report("index-safety", t.line,
-               "direct " + t.text + "() of guarded timer '" + guarded.name +
-                   "' outside its owner — arm it through the owning "
-                   "file's helper so the pending/cookie invariants the "
-                   "batched boundary sweep relies on stay provable");
-      }
-    }
-  }
-}
-
-void Checker::check_engine_api() {
-  bool reschedules = false;
-  for (std::size_t i = 0; i < toks().size(); ++i) {
-    if (is_ident(i, "reschedule") && is_punct(i + 1, "(")) {
-      reschedules = true;
-      break;
-    }
-  }
-  if (!reschedules) return;
-  for (std::size_t i = 0; i < toks().size(); ++i) {
-    if (is_ident(i, "schedule") && is_punct(i + 1, "(")) {
-      report("engine-api", toks()[i].line,
-             "bare schedule() in a file that calls reschedule() — "
-             "persistent timers must be armed with schedule_tracked() "
-             "or reschedule() will CHECK-fail");
-    }
-  }
-}
-
 void Checker::check_predicate_purity() {
   const std::string rule = "predicate-purity";
   for (std::size_t i = 0; i < toks().size(); ++i) {
@@ -600,15 +523,6 @@ void Checker::run() {
     check_ordering();
   }
   check_index_safety();
-  check_guarded_timers();
-  bool engine_api = false;
-  for (const std::string& dir : config_.engine_api_dirs) {
-    if (path_matches(path_, dir)) engine_api = true;
-  }
-  for (const std::string& exempt : config_.engine_api_exempt) {
-    if (path_matches(path_, exempt)) engine_api = false;
-  }
-  if (engine_api) check_engine_api();
   bool predicate_purity = false;
   for (const std::string& dir : config_.predicate_purity_dirs) {
     if (path_matches(path_, dir)) predicate_purity = true;
@@ -644,13 +558,7 @@ Config default_config() {
       {"slot_of_", {"src/sim/engine.hpp", "src/sim/engine.cpp"}},
       {"outbox_",
        {"src/sim/sharded_engine.hpp", "src/sim/sharded_engine.cpp"}},
-      {"boundary_", {"src/os/kernel.cpp", "src/os/kernel.hpp"}},
   };
-  config.guarded_timers = {
-      {"boundary_", {"src/os/kernel.cpp"}},
-  };
-  config.engine_api_dirs = {"src/"};
-  config.engine_api_exempt = {"src/sim/engine.hpp", "src/sim/engine.cpp"};
   config.predicate_purity_dirs = {"src/", "bench/", "examples/"};
   config.float_accumulation_dirs = {"src/", "bench/", "examples/"};
   config.index_dirs = {"src/"};

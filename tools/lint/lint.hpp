@@ -22,9 +22,6 @@
 //   index-safety  raw subscript use of the known back-pointer fields
 //                 (rq_index, park_index, the engine's slot_of_ array)
 //                 outside the files that own the invariant.
-//   engine-api    bare Engine::schedule() in a file that also calls
-//                 reschedule() — persistent timers must be armed with
-//                 schedule_tracked() or reschedule() will CHECK-fail.
 //   predicate-purity
 //                 run_until() predicates that read g_-prefixed mutable
 //                 globals — a stop condition on shared mutable state is
@@ -95,25 +92,6 @@ struct Config {
     std::vector<std::string> owners;
   };
   std::vector<GuardedIndex> guarded_indexes;
-
-  /// A persistent timer handle whose arming discipline one file owns
-  /// (e.g. the kernel's quantum-boundary timers: only arm_boundary may
-  /// schedule or move them, or the batched sweep's cookie/pending
-  /// invariants break). Passing the name to schedule*()/reschedule(),
-  /// or assigning their result into it, anywhere else is an
-  /// index-safety finding.
-  struct GuardedTimer {
-    std::string name;
-    std::vector<std::string> owners;
-  };
-  std::vector<GuardedTimer> guarded_timers;
-
-  /// Paths exempt from the engine-api rule (the engine itself, which
-  /// defines schedule()/reschedule(), and tests that exercise both).
-  std::vector<std::string> engine_api_exempt;
-
-  /// Directory prefixes the engine-api rule applies to.
-  std::vector<std::string> engine_api_dirs;
 
   /// Directory prefixes the predicate-purity rule applies to: inside a
   /// run_until(...) call, identifiers with the g_ mutable-global prefix

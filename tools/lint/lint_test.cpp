@@ -153,44 +153,6 @@ TEST(LintIndexSafety, SilentOnReadsLambdasAndAnnotated) {
                  "src/os/fixture_index_safety_ok.cpp", {});
 }
 
-// --- guarded timers (index-safety group) ----------------------------------
-
-TEST(LintGuardedTimer, FlagsArmingBoundaryTimersOutsideOwner) {
-  expect_markers("boundary_timer_bad.cpp",
-                 "src/virt/fixture_boundary_timer_bad.cpp");
-}
-
-TEST(LintGuardedTimer, OwnerFileMayArmItsOwnTimer) {
-  expect_exactly("boundary_timer_bad.cpp", "src/os/kernel.cpp", {});
-}
-
-TEST(LintGuardedTimer, SilentOnReadsOtherTimersAndAnnotated) {
-  expect_exactly("boundary_timer_ok.cpp",
-                 "src/virt/fixture_boundary_timer_ok.cpp", {});
-}
-
-// --- engine-api -----------------------------------------------------------
-
-TEST(LintEngineApi, FlagsBareScheduleNextToReschedule) {
-  expect_markers("engine_api_bad.cpp", "src/os/fixture_engine_api_bad.cpp");
-}
-
-TEST(LintEngineApi, SilentOnTrackedAndAnnotated) {
-  expect_exactly("engine_api_ok.cpp", "src/os/fixture_engine_api_ok.cpp",
-                 {});
-}
-
-TEST(LintEngineApi, DoesNotApplyOutsideSrc) {
-  // Engine tests legitimately exercise schedule() and reschedule()
-  // side by side; the rule is scoped to src/.
-  expect_exactly("engine_api_bad.cpp", "tests/sim/fixture_engine_api.cpp",
-                 {});
-}
-
-TEST(LintEngineApi, EngineItselfIsExempt) {
-  expect_exactly("engine_api_bad.cpp", "src/sim/engine.cpp", {});
-}
-
 // --- predicate-purity -----------------------------------------------------
 
 TEST(LintPredicatePurity, FlagsMutableGlobalsInRunUntilPredicates) {

@@ -33,8 +33,8 @@ int usage(int code) {
   std::cout
       << "usage: pinsim_lint [--root DIR] [--jobs N] [--json] [path...]\n"
          "  Checks pinsim's determinism / ordering / index-safety /\n"
-         "  engine-api / float-accumulation / hygiene invariants, plus\n"
-         "  the cross-file shard-affinity / hot-path / quiet-funnel\n"
+         "  predicate-purity / float-accumulation / hygiene invariants,\n"
+         "  plus the cross-file shard-affinity / hot-path / quiet-funnel\n"
          "  reachability rules. Paths are repo-relative (default: src\n"
          "  tests bench examples tools). --jobs N parallelizes the scan\n"
          "  (same output as --jobs 1); --json emits a machine-readable\n"
