@@ -35,22 +35,6 @@ CpuSet CpuSet::of(std::initializer_list<CpuId> ids) {
   return set;
 }
 
-void CpuSet::add(CpuId cpu) {
-  PINSIM_CHECK(cpu >= 0 && cpu < kMaxCpus);
-  words_[static_cast<std::size_t>(cpu / 64)] |= std::uint64_t{1} << (cpu % 64);
-}
-
-void CpuSet::remove(CpuId cpu) {
-  PINSIM_CHECK(cpu >= 0 && cpu < kMaxCpus);
-  words_[static_cast<std::size_t>(cpu / 64)] &=
-      ~(std::uint64_t{1} << (cpu % 64));
-}
-
-bool CpuSet::contains(CpuId cpu) const {
-  if (cpu < 0 || cpu >= kMaxCpus) return false;
-  return (words_[static_cast<std::size_t>(cpu / 64)] >> (cpu % 64)) & 1;
-}
-
 CpuSet CpuSet::operator&(const CpuSet& other) const {
   CpuSet result;
   for (std::size_t w = 0; w < static_cast<std::size_t>(kWords); ++w) {
@@ -105,7 +89,7 @@ CpuId CpuSet::nth_set(int k) const {
   PINSIM_CHECK(k >= 0);
   for (std::size_t w = 0; w < static_cast<std::size_t>(kWords); ++w) {
     std::uint64_t bits = words_[w];
-    const int in_word = std::popcount(bits);
+    const int in_word = popcount64(bits);
     if (k >= in_word) {
       k -= in_word;
       continue;

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace pinsim::hw {
 
 using CpuId = int;
@@ -36,13 +38,25 @@ class CpuSet {
   /// A set from explicit ids.
   static CpuSet of(std::initializer_list<CpuId> ids);
 
-  void add(CpuId cpu);
-  void remove(CpuId cpu);
-  bool contains(CpuId cpu) const;
+  void add(CpuId cpu) {
+    PINSIM_CHECK(cpu >= 0 && cpu < kMaxCpus);
+    words_[static_cast<std::size_t>(cpu / 64)] |= std::uint64_t{1}
+                                                  << (cpu % 64);
+  }
+  void remove(CpuId cpu) {
+    PINSIM_CHECK(cpu >= 0 && cpu < kMaxCpus);
+    words_[static_cast<std::size_t>(cpu / 64)] &=
+        ~(std::uint64_t{1} << (cpu % 64));
+  }
+  /// False for ids outside [0, kMaxCpus).
+  bool contains(CpuId cpu) const {
+    if (cpu < 0 || cpu >= kMaxCpus) return false;
+    return (words_[static_cast<std::size_t>(cpu / 64)] >> (cpu % 64)) & 1;
+  }
 
   int count() const {
     int total = 0;
-    for (const std::uint64_t word : words_) total += std::popcount(word);
+    for (const std::uint64_t word : words_) total += popcount64(word);
     return total;
   }
   bool empty() const {
@@ -97,6 +111,16 @@ class CpuSet {
   std::string to_string() const;
 
  private:
+  /// Set bits of one word, by word-wise bit arithmetic: std::popcount
+  /// compiles to a libgcc call on targets built without a popcount
+  /// instruction.
+  static constexpr int popcount64(std::uint64_t word) {
+    word -= (word >> 1) & 0x5555555555555555u;
+    word = (word & 0x3333333333333333u) + ((word >> 2) & 0x3333333333333333u);
+    word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+    return static_cast<int>((word * 0x0101010101010101u) >> 56);
+  }
+
   std::array<std::uint64_t, kWords> words_{};
 };
 

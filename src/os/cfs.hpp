@@ -93,13 +93,16 @@ inline hw::CpuSet allowed_cpus(const hw::CpuSet& cpus, const Task& task) {
   return allowed;
 }
 
-/// Whether a steal or balance move may put queued `task` on `to`: the
-/// task is allowed there and its cgroup is not throttled there (parking
-/// it on arrival would just churn).
+/// Whether a steal or balance move may put queued `task` on `to`: its
+/// cgroup is not throttled there (parking it on arrival would just
+/// churn) and the task is allowed there. The one-load throttle test
+/// goes first, so a throttled task never builds its allowed mask; the
+/// mask's "no allowed cpus" CHECK still runs for every other task, and
+/// for every task where it is placed.
 inline bool steal_eligible(const hw::CpuSet& cpus, const Task& task,
                            hw::CpuId to) {
-  if (!allowed_cpus(cpus, task).contains(to)) return false;
-  return task.cgroup == nullptr || !task.cgroup->throttled_on(to);
+  if (task.cgroup != nullptr && task.cgroup->throttled_on(to)) return false;
+  return allowed_cpus(cpus, task).contains(to);
 }
 
 /// The most-serviced task on `rq` that may move to `to` (the fairest
@@ -120,7 +123,9 @@ struct StealPick {
 /// order, the busiest runqueue (`rq_of(cpu)`) that holds a task movable
 /// to `to`, and that task. A queue must be strictly longer than the
 /// best so far, so on a tie the lowest cpu wins. {-1, null} when no
-/// queue holds a movable task.
+/// queue holds a movable task. The search draws no random numbers and
+/// changes nothing, so a caller may skip it when
+/// CgroupTable::bars_every_steal_to says it would find nothing.
 template <class RqOf>
 StealPick find_steal(const hw::CpuSet& victims, RqOf&& rq_of,
                      const hw::CpuSet& cpus, hw::CpuId to) {
@@ -229,6 +234,30 @@ class CgroupTable {
   }
 
   bool empty() const { return groups_.empty(); }
+
+  /// Whether `group` was created by this table.
+  bool owns(const Cgroup& group) const {
+    return std::any_of(groups_.begin(), groups_.end(),
+                       [&](const auto& own) { return own.get() == &group; });
+  }
+
+  /// True when throttling alone bars every task of the kernel from a
+  /// steal or balance move to `cpu`, so find_steal would return
+  /// {-1, null}: every quota group is throttled on `cpu`, and their
+  /// members add up to all `unretired` tasks of the kernel (created,
+  /// not yet retired), so none is uncapped. Exact because queued tasks
+  /// are started and unretired, and a task joins only its own kernel's
+  /// group; a created-but-unstarted uncapped task can only switch the
+  /// answer to false. O(groups).
+  bool bars_every_steal_to(hw::CpuId cpu, int unretired) const {
+    int capped = 0;
+    for (const auto& group : groups_) {
+      if (!group->has_quota()) continue;
+      if (!group->throttled_on(cpu)) return false;
+      capped += group->member_count();
+    }
+    return capped == unretired;
+  }
 
   /// Housekeeping (re)starts at `now`: no period falls due before it.
   void restart(SimTime now) {

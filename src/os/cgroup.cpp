@@ -59,13 +59,6 @@ SimDuration Cgroup::charge(hw::CpuId cpu, SimDuration amount) {
   return overhead;
 }
 
-SimDuration Cgroup::local_runtime(hw::CpuId cpu) const {
-  if (local_slice_.empty() || cpu < 0 || cpu >= hw::CpuSet::kMaxCpus) {
-    return 0;
-  }
-  return local_slice_[static_cast<std::size_t>(cpu)];
-}
-
 SimDuration Cgroup::runtime_horizon(hw::CpuId cpu) const {
   PINSIM_CHECK(has_quota());
   return local_runtime(cpu) + runtime_left_;

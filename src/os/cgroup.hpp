@@ -93,7 +93,12 @@ class Cgroup {
   SimDuration runtime_left() const { return runtime_left_; }
 
   /// Runtime cached locally on `cpu` (slice already transferred).
-  SimDuration local_runtime(hw::CpuId cpu) const;
+  SimDuration local_runtime(hw::CpuId cpu) const {
+    if (local_slice_.empty() || cpu < 0 || cpu >= hw::CpuSet::kMaxCpus) {
+      return 0;
+    }
+    return local_slice_[static_cast<std::size_t>(cpu)];
+  }
 
   /// How much the group may still consume on `cpu` before throttling:
   /// local slice + global pool. The kernel uses this to program the next

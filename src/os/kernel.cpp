@@ -79,6 +79,8 @@ Cgroup& Kernel::create_cgroup(Cgroup::Config config) {
 Task& Kernel::create_task(std::string name,
                           std::unique_ptr<TaskDriver> driver,
                           TaskConfig config) {
+  PINSIM_CHECK_MSG(config.cgroup == nullptr || cgroups_.owns(*config.cgroup),
+                   "task " << name << " joins another kernel's cgroup");
   return tasks_.create(std::move(name), std::move(driver), std::move(config),
                        topology_->all_cpus());
 }

@@ -11,6 +11,8 @@ namespace pinsim::os {
 void Kernel::steal_for(hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
   PINSIM_CHECK(rq_[i].empty());
+  // Throttling alone may rule out every queued task: skip the scan.
+  if (cgroups_.bars_every_steal_to(cpu, tasks_.unretired())) return;
 
   // Only cpus with queued work can be victims; word-scan the queued
   // mask in ascending cpu order (the historical visitation order, so

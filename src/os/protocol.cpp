@@ -25,6 +25,7 @@ Task& TaskTable::create(std::string name, std::unique_ptr<TaskDriver> driver,
     config.cgroup->add_member(task);
   }
   on_exit_.push_back(std::move(config.on_exit));
+  ++unretired_;
   return task;
 }
 
@@ -40,6 +41,7 @@ void TaskTable::retire(Task& task, SimTime now) {
   task.state = TaskState::Finished;
   task.stats.finished_at = now;
   --live_;
+  --unretired_;
   if (task.cgroup != nullptr) task.cgroup->remove_member(task);
 }
 

@@ -43,7 +43,8 @@ struct TaskConfig {
 };
 
 /// An executor's tasks, their exit hooks, and how many are live
-/// (started, not yet finished). Finished tasks stay in the table.
+/// (started, not yet finished) and unretired (created, not yet
+/// finished). Finished tasks stay in the table.
 class TaskTable {
  public:
   /// A new task configured from `config`. A non-empty affinity must
@@ -60,12 +61,16 @@ class TaskTable {
   void run_on_exit(Task& task);
 
   int live() const { return live_; }
+  /// Created and not yet retired: every task that may be a cgroup
+  /// member (a task joins its group at create, before start).
+  int unretired() const { return unretired_; }
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
 
  private:
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::function<void(Task&)>> on_exit_;  // parallel to tasks_
   int live_ = 0;
+  int unretired_ = 0;
 };
 
 /// Running -> Blocked at `now`.

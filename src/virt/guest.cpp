@@ -40,6 +40,8 @@ os::Task& GuestKernel::create_task(std::string name,
   // Affinity is over vCPU ids. The platform layer folds the hypervisor's
   // inflation into config.compute_inflation (scaled by workload
   // sensitivity).
+  PINSIM_CHECK_MSG(config.cgroup == nullptr || cgroups_.owns(*config.cgroup),
+                   "task " << name << " joins another kernel's cgroup");
   return tasks_.create(std::move(name), std::move(driver), std::move(config),
                        all_vcpus_);
 }
@@ -107,6 +109,7 @@ void GuestKernel::enqueue_task(os::Task& task, int vcpu) {
   exit_guest_quiet();
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
   os::requeue(task, v.rq, vcpu, host_->engine().now());
+  refresh_queued(vcpu);
   if (v.halted) kick(vcpu);
 }
 
@@ -126,7 +129,9 @@ void GuestKernel::kick(int vcpu) {
 
 os::Task* GuestKernel::pick_next(int vcpu) {
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
-  if (os::Task* task = os::pop_runnable(v.rq, vcpu)) return task;
+  os::Task* own = os::pop_runnable(v.rq, vcpu);
+  refresh_queued(vcpu);
+  if (own != nullptr) return own;
 
   // Guest new-idle balance: steal the most-serviced compatible task from
   // the busiest sibling vCPU; it runs here at once.
@@ -135,12 +140,14 @@ os::Task* GuestKernel::pick_next(int vcpu) {
   os::move_queued(*steal.task,
                   vcpus_[static_cast<std::size_t>(steal.victim)].rq, v.rq,
                   -1);
+  refresh_queued(steal.victim);
   return steal.task;
 }
 
 os::StealPick GuestKernel::find_steal_for(int vcpu) const {
+  if (cgroups_.bars_every_steal_to(vcpu, tasks_.unretired())) return {};
   return os::find_steal(
-      all_vcpus_,
+      queued_,
       [this](int other) -> const os::Runqueue& {
         return vcpus_[static_cast<std::size_t>(other)].rq;
       },
@@ -207,7 +214,8 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
     }
     if (v.slice_used >= v.slice_length) {
       if (!v.rq.empty()) {
-        // Guest slice expired: preempt within the guest.
+        // Guest slice expired: preempt within the guest (the queue was
+        // non-empty, so queued_ already holds this vCPU).
         os::requeue(task, v.rq, vcpu, host_->engine().now());
         v.current = nullptr;
         continue;
@@ -357,6 +365,8 @@ void GuestKernel::balance_idle_vcpus() {
     ++stats_.guest_migrations;
     steal.task->overhead_debt += host_->costs().guest_ipc;
     v.rq.enqueue(*steal.task);
+    refresh_queued(steal.victim);
+    refresh_queued(vcpu);
     kick(vcpu);
   }
 }
@@ -387,6 +397,8 @@ void GuestKernel::rotate_surplus_task() {
   candidate->overhead_debt += host_->costs().guest_ipc;
   ++stats_.guest_migrations;
   to.rq.enqueue(*candidate);
+  refresh_queued(busiest);
+  refresh_queued(idlest);
   if (to.halted) kick(idlest);
 }
 
@@ -416,7 +428,7 @@ void GuestKernel::housekeeping_tick() {
       [this](os::Task& task) { return place_task(task); },
       [this](os::Task& task, int vcpu) { enqueue_task(task, vcpu); });
   if (config_.params.quiet_fast_forward && cgroups_.empty() &&
-      all_runqueues_empty()) {
+      queued_.empty()) {
     // Quiet guest: every vCPU is either halted or running its only
     // task, so each following tick is a pure no-op — balance and the
     // surplus rotation both need a non-empty runqueue and there are no
@@ -431,11 +443,12 @@ void GuestKernel::housekeeping_tick() {
   housekeeping_.arm(host_->engine().now() + costs.cgroup_aggregate_interval);
 }
 
-bool GuestKernel::all_runqueues_empty() const {
-  for (const auto& v : vcpus_) {
-    if (!v.rq.empty()) return false;
+void GuestKernel::refresh_queued(int vcpu) {
+  if (vcpus_[static_cast<std::size_t>(vcpu)].rq.empty()) {
+    queued_.remove(vcpu);
+  } else {
+    queued_.add(vcpu);
   }
-  return true;
 }
 
 void GuestKernel::exit_guest_quiet() {
@@ -443,7 +456,7 @@ void GuestKernel::exit_guest_quiet() {
   guest_quiet_ = false;
   sim::Engine& engine = host_->engine();
   PINSIM_CHECK_MSG(cgroups_.empty(), "quiet guest grew a cgroup");
-  PINSIM_CHECK_MSG(all_runqueues_empty(), "quiet guest acquired queued work");
+  PINSIM_CHECK_MSG(queued_.empty(), "quiet guest acquired queued work");
   const SimDuration interval = host_->costs().cgroup_aggregate_interval;
   // Ticks strictly before t on the suspended cadence; each was a no-op
   // whose only effect was ++housekeeping_ticks_ (the %8 rotation phase

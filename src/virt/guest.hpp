@@ -104,6 +104,8 @@ class GuestKernel {
   void wake(os::Task& task, SimDuration extra_debt = 0);
 
   int vcpus() const { return static_cast<int>(vcpus_.size()); }
+  /// vCPUs whose runqueue holds a task: the steal victims.
+  const hw::CpuSet& queued_vcpus() const { return queued_; }
   int live_tasks() const { return tasks_.live(); }
   const GuestStats& stats() const { return stats_; }
   const std::vector<std::unique_ptr<os::Task>>& tasks() const {
@@ -147,8 +149,11 @@ class GuestKernel {
     const VcpuState& v = vcpus_[static_cast<std::size_t>(vcpu)];
     return v.rq.size() + (v.current != nullptr ? 1 : 0);
   }
-  /// The shared steal search for `vcpu` over every vCPU's runqueue
-  /// (`vcpu`'s own is empty whenever it steals, so it never wins).
+  /// The shared steal search for `vcpu` over the queued_ vCPUs
+  /// (`vcpu`'s own queue is empty whenever it steals). When the guest's
+  /// quota groups are throttled on `vcpu` and hold every unretired task
+  /// (a VMCN guest out of quota), it answers {-1, null} in O(groups)
+  /// without visiting a queue.
   os::StealPick find_steal_for(int vcpu) const;
 
   void ensure_housekeeping();
@@ -158,7 +163,8 @@ class GuestKernel {
   /// cgroups) and re-arm the timer on the original cadence, or emulate
   /// the idle-stop if the fleet drained mid-window.
   void exit_guest_quiet();
-  bool all_runqueues_empty() const;
+  /// Re-derive `vcpu`'s bit of queued_ after its runqueue changed.
+  void refresh_queued(int vcpu);
   /// Guest periodic load balance: push queued work to halted vCPUs (the
   /// guest's timer-tick balancing; without it an HLT'd vCPU would sleep
   /// through imbalance forever).
@@ -175,6 +181,10 @@ class GuestKernel {
   /// {0, ..., vcpus()-1}, built once: every allowed-mask query starts
   /// from it instead of rebuilding it per call.
   hw::CpuSet all_vcpus_;
+  /// vCPUs with a non-empty runqueue, refreshed at every queue change,
+  /// so a steal visits only them: visiting every vCPU in ascending order
+  /// picks the same victim, since an empty queue never wins.
+  hw::CpuSet queued_;
   os::TaskTable tasks_;
   os::CgroupTable cgroups_;
   bool housekeeping_active_ = false;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace pinsim::hw {
 namespace {
@@ -147,6 +150,26 @@ TEST(CpuSetTest, RangeMatchesBitByBitAcrossWordBoundaries) {
       if (lo == 0) {
         EXPECT_EQ(CpuSet::first_n(hi), expected) << "first_n(" << hi << ")";
       }
+    }
+  }
+}
+
+TEST(CpuSetTest, CountAndNthSetMatchBitByBitOnRandomSets) {
+  // count() and nth_set() use a bit-arithmetic popcount per word.
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double density = static_cast<double>(trial % 11) / 10.0;
+    CpuSet set;
+    for (CpuId cpu = 0; cpu < CpuSet::kMaxCpus; ++cpu) {
+      if (rng.chance(density)) set.add(cpu);
+    }
+    std::vector<CpuId> ids;
+    for (CpuId cpu = 0; cpu < CpuSet::kMaxCpus; ++cpu) {
+      if (set.contains(cpu)) ids.push_back(cpu);
+    }
+    ASSERT_EQ(set.count(), static_cast<int>(ids.size())) << "trial " << trial;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      EXPECT_EQ(set.nth_set(static_cast<int>(k)), ids[k]) << "trial " << trial;
     }
   }
 }

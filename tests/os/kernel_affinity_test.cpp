@@ -220,5 +220,44 @@ TEST(KernelAffinityTest, DisjointAffinityRejected) {
                InvariantViolation);
 }
 
+TEST(KernelAffinityTest, NoAllowedCpusFailsAtPlacement) {
+  // Affinity and cgroup cpuset each intersect the host but not each
+  // other: start placement rejects the task, and so does wake placement
+  // when the two part while the task sleeps. (The steal search tests
+  // the throttle first, so these are the CHECK's sure call sites.)
+  sim::Engine engine;
+  const hw::Topology topo(1, 4, 1, 16.0);
+  hw::CostModel costs;
+  Kernel kernel(engine, topo, costs, Rng(15));
+  Cgroup& group = kernel.create_cgroup({"cn", 0.0, hw::CpuSet::of({0, 1})});
+  TaskConfig config;
+  config.cgroup = &group;
+  config.affinity = hw::CpuSet::of({2, 3});
+  Task& never = kernel.create_task("never", compute_once(msec(1)), config);
+  EXPECT_THROW(kernel.start_task(never), InvariantViolation);
+
+  config.affinity = hw::CpuSet::of({1, 2});
+  Task& sleeper = kernel.create_task(
+      "sleeper", compute_sleep_loop(msec(1), msec(5), 2), config);
+  kernel.start_task(sleeper);
+  ASSERT_TRUE(engine.run_until(
+      [&] { return sleeper.state == TaskState::Blocked; }, msec(10)));
+  sleeper.affinity = hw::CpuSet::of({2, 3});
+  EXPECT_THROW(engine.run(msec(20)), InvariantViolation);
+}
+
+TEST(KernelAffinityTest, TaskMayNotJoinAnotherKernelsCgroup) {
+  sim::Engine engine;
+  const hw::Topology topo(1, 2, 1, 16.0);
+  hw::CostModel costs;
+  Kernel kernel(engine, topo, costs, Rng(16));
+  Kernel other(engine, topo, costs, Rng(17));
+  Cgroup& foreign = other.create_cgroup({"cn", 1.0, {}});
+  TaskConfig config;
+  config.cgroup = &foreign;
+  EXPECT_THROW(kernel.create_task("t", compute_once(msec(1)), config),
+               InvariantViolation);
+}
+
 }  // namespace
 }  // namespace pinsim::os

@@ -1,6 +1,7 @@
 // Properties of the two-level (host + guest) scheduling stack.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <tuple>
 
@@ -155,6 +156,64 @@ TEST(GuestPropertyTest, PinnedVcpusNeverLeaveTheirCpus) {
     EXPECT_EQ(vcpu->stats.migrations, 0) << vcpu->name();
     EXPECT_TRUE(vcpu->affinity.contains(vcpu->last_cpu));
   }
+}
+
+TEST(GuestPropertyTest, QueuedMaskMatchesTheRunqueuesAfterEveryEvent) {
+  // The steal search visits only queued_vcpus(), so the mask must name
+  // every vCPU with a queued task. Recompute it from the tasks' queue
+  // slots after each event of VMCN runs: short naps throttle and park
+  // the guest group, long naps let sticky and vanilla wakes queue work
+  // behind busy vCPUs for the idle-vCPU balance and the rotation.
+  struct Mix {
+    int tasks;
+    SimDuration work;
+    SimDuration nap;
+  };
+  std::int64_t throttles = 0;
+  for (const Mix mix : {Mix{14, usec(200), usec(50)},
+                        Mix{8, usec(500), usec(3000)}}) {
+    for (const CpuMode mode : {CpuMode::Vanilla, CpuMode::Pinned}) {
+      const PlatformSpec spec{PlatformKind::VmContainer, mode,
+                              instance_by_name("xLarge")};
+      Host host(hw::Topology::dell_r830(), hw::CostModel{}, 21);
+      VmContainerPlatform platform(host, spec);
+      int done = 0;
+      for (int i = 0; i < mix.tasks; ++i) {
+        auto rounds = std::make_shared<int>(0);
+        const SimDuration work = mix.work + usec(150 * (i % 5));
+        const SimDuration nap = mix.nap * (i % 4);
+        WorkTaskConfig config;
+        config.name = "w" + std::to_string(i);
+        config.on_exit = [&done](os::Task&) { ++done; };
+        os::Task& task = platform.spawn(
+            std::move(config),
+            std::make_unique<os::LambdaDriver>([rounds, work, nap](os::Task&) {
+              const int round = (*rounds)++;
+              if (round >= 60) return os::Action::exit();
+              return round % 2 == 0 ? os::Action::compute(work)
+                                    : os::Action::sleep_for(nap);
+            }));
+        platform.start(task);
+      }
+      const GuestKernel& guest = platform.guest();
+      std::int64_t non_empty = 0;
+      ASSERT_TRUE(host.engine().run_until(
+          [&] {
+            hw::CpuSet queued;
+            for (const auto& task : guest.tasks()) {
+              if (task->queued_cpu >= 0) queued.add(task->queued_cpu);
+            }
+            EXPECT_EQ(guest.queued_vcpus().to_string(), queued.to_string())
+                << "at " << host.engine().now();
+            if (!queued.empty()) ++non_empty;
+            return done == mix.tasks;
+          },
+          sec(60)));
+      EXPECT_GT(non_empty, 100);
+      throttles += platform.guest_cgroup().stats().throttles;
+    }
+  }
+  EXPECT_GT(throttles, 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "util/check.hpp"
 #include "virt/factory.hpp"
@@ -16,6 +17,16 @@ std::unique_ptr<os::TaskDriver> compute_once(SimDuration work) {
     if (*state) return os::Action::exit();
     *state = true;
     return os::Action::compute(work);
+  });
+}
+
+/// Compute `work`, sleep `sleep`, forever.
+std::unique_ptr<os::TaskDriver> compute_sleep_forever(SimDuration work,
+                                                      SimDuration sleep) {
+  auto sleeping = std::make_shared<bool>(false);
+  return std::make_unique<os::LambdaDriver>([sleeping, work, sleep](os::Task&) {
+    *sleeping = !*sleeping;
+    return *sleeping ? os::Action::compute(work) : os::Action::sleep_for(sleep);
   });
 }
 
@@ -215,6 +226,84 @@ TEST(VmTest, VmSlowerThanBareMetalForCpuBoundWork) {
       static_cast<double>(vm_time) / static_cast<double>(bm_time);
   EXPECT_GT(ratio, 1.8);
   EXPECT_LT(ratio, 2.3);
+}
+
+TEST(VmTest, ThrottledGuestGroupLeavesAnIdleVcpuNothingToSteal) {
+  // VMCN-shaped: one guest quota group holds every guest task. Once its
+  // pool runs dry, a halted vCPU with no local slice may steal none of
+  // the tasks still queued on its siblings, and they stay queued there.
+  VmHarness h(CpuMode::Vanilla, "xLarge");
+  GuestKernel& guest = h.platform.guest();
+  os::Cgroup& cn = guest.create_cgroup({"cn", 1.0, {}});
+  std::vector<os::Task*> tasks;
+  // Uneven bursts and sleeps stagger the vCPUs, so their local slices
+  // run out at different instants.
+  for (int i = 0; i < 12; ++i) {
+    os::TaskConfig config;
+    config.cgroup = &cn;
+    os::Task& task = guest.create_task(
+        "app" + std::to_string(i),
+        compute_sleep_forever(usec(300 + 170 * i), usec(100 * (i % 3))),
+        config);
+    guest.start_task(task);
+    tasks.push_back(&task);
+  }
+  // A blocked vCPU task is a halted vCPU with an empty queue and no
+  // grant outstanding, so the test may ask its guest for a burst.
+  int idle = -1;
+  auto halted_beside_queued = [&] {
+    if (!cn.throttled()) return false;
+    for (int vcpu = 0; vcpu < guest.vcpus(); ++vcpu) {
+      const os::Task* host_task =
+          h.platform.vcpu_tasks()[static_cast<std::size_t>(vcpu)];
+      if (host_task->state != os::TaskState::Blocked ||
+          !cn.throttled_on(vcpu)) {
+        continue;
+      }
+      for (const os::Task* task : tasks) {
+        if (task->state == os::TaskState::Runnable &&
+            task->queued_cpu != vcpu) {
+          idle = vcpu;
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  ASSERT_TRUE(h.host.engine().run_until(halted_beside_queued, sec(1)));
+  std::vector<hw::CpuId> queued_on;
+  for (const os::Task* task : tasks) queued_on.push_back(task->queued_cpu);
+
+  EXPECT_FALSE(guest.next_burst(idle).has_value());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(tasks[i]->queued_cpu, queued_on[i]) << tasks[i]->name();
+    if (queued_on[i] >= 0) {
+      EXPECT_EQ(tasks[i]->state, os::TaskState::Runnable) << tasks[i]->name();
+    }
+  }
+}
+
+TEST(VmTest, GuestTaskWithNoAllowedVcpusFailsAtStart) {
+  // Affinity and the group's cpuset are each fine alone but disjoint:
+  // placement (not just a later steal) rejects the task.
+  VmHarness h(CpuMode::Vanilla, "xLarge");
+  GuestKernel& guest = h.platform.guest();
+  os::Cgroup& cn = guest.create_cgroup({"cn", 0.0, hw::CpuSet::of({0, 1})});
+  os::TaskConfig config;
+  config.cgroup = &cn;
+  config.affinity = hw::CpuSet::of({2, 3});
+  os::Task& task = guest.create_task("app", compute_once(msec(1)), config);
+  EXPECT_THROW(guest.start_task(task), InvariantViolation);
+}
+
+TEST(VmTest, GuestTaskMayNotJoinAnotherKernelsCgroup) {
+  VmHarness h(CpuMode::Vanilla, "xLarge");
+  os::Cgroup& host_group = h.host.kernel().create_cgroup({"cn", 1.0, {}});
+  os::TaskConfig config;
+  config.cgroup = &host_group;
+  EXPECT_THROW(h.platform.guest().create_task("app", compute_once(msec(1)),
+                                              config),
+               InvariantViolation);
 }
 
 TEST(VmTest, RejectsGuestParamsWithZeroLatencyOrGranularity) {
