@@ -10,8 +10,9 @@
 //               PINSIM_JOBS). Results are bit-identical to --jobs 1.
 //   --reps N    override the paper's repetition count (same as PINSIM_REPS)
 //   --json P    also write machine-readable results + timing to file P
-//   --stats     print aggregated sim::Engine counters (events fired,
-//               tombstone pops, deferred re-arms, peak heap) after the run
+//   --stats     print aggregated sim::Engine counters (events fired and
+//               scheduled, tombstone pops, deferred re-arms, reschedules,
+//               peak_heap: the slab high-water mark) after the run
 #pragma once
 
 #include <charconv>
@@ -182,22 +183,13 @@ inline void maybe_print_engine_stats(const BenchOptions& options) {
       stats.fired > 0 ? static_cast<double>(stats.tombstone_pops) /
                             static_cast<double>(stats.fired)
                       : 0.0;
-  const double skipped_ratio =
-      stats.fired + stats.boundaries_skipped > 0
-          ? static_cast<double>(stats.boundaries_skipped) /
-                static_cast<double>(stats.fired + stats.boundaries_skipped)
-          : 0.0;
   std::cout << "engine stats: fired=" << stats.fired
             << " scheduled=" << stats.scheduled
             << " tombstone_pops=" << stats.tombstone_pops
             << " (ratio " << std::setprecision(4) << tombstone_ratio
             << ") deferred_rearms=" << stats.deferred_rearms
             << " reschedules=" << stats.reschedules
-            << " peak_heap=" << stats.peak_heap
-            << " boundaries_batched=" << stats.boundaries_batched
-            << " boundaries_skipped=" << stats.boundaries_skipped
-            << " (ratio " << std::setprecision(4) << skipped_ratio
-            << ") quiet_windows=" << stats.quiet_windows << "\n";
+            << " peak_heap=" << stats.peak_heap << "\n";
 }
 
 }  // namespace pinsim::bench

@@ -10,25 +10,20 @@
 # 2. Build + run the tier-1 tests under ASan+UBSan (the indexed-heap
 #    runqueue and the flat cgroup slice arrays index by raw task/cpu
 #    ids; the sanitizers catch any stale-index use the unit tests
-#    would miss). The quantum-boundary fuzz oracle (randomized
-#    wakeup/preemption traces, fast-forward vs skip-free path) runs
-#    here too, so the quiet-core replay arithmetic is exercised with
-#    poisoned redzones. Skip with PINSIM_SKIP_SANITIZERS=1 for a
-#    quick pass.
+#    would miss). Skip with PINSIM_SKIP_SANITIZERS=1 for a quick
+#    pass.
 # 3. Build + run the parallel-harness tests under ThreadSanitizer
 #    (util::ThreadPool, ExperimentRunner::measure_all, and the
 #    barrier-synchronized sim::ShardedEngine round loop are the only
 #    concurrent code in the tree; TSan is the only tool that proves
 #    the sweep protocol and the shard workers race-free). Skipped
 #    together with the other sanitizers via PINSIM_SKIP_SANITIZERS=1.
-# 4. Build micro_engine + micro_sched + micro_cluster + micro_hotloop in
-#    a Release tree so perf-relevant flags (-O2 -DNDEBUG) compile on
-#    every change, and run the micro suites once, writing
-#    machine-readable timings to BENCH_engine_latest.json,
-#    BENCH_sched_latest.json, BENCH_timer_latest.json (the timer-path
-#    subset tracked by BENCH_timer.json), BENCH_cluster_latest.json,
-#    and BENCH_hotloop_latest.json (quiet-core fast-forward +
-#    boundary batching, tracked by BENCH_hotloop.json) — all
+# 4. Build micro_engine + micro_sched + micro_cluster in a Release
+#    tree so perf-relevant flags (-O2 -DNDEBUG) compile on every
+#    change, and run the micro suites once, writing machine-readable
+#    timings to BENCH_engine_latest.json, BENCH_sched_latest.json,
+#    BENCH_timer_latest.json (the timer-path subset tracked by
+#    BENCH_timer.json) and BENCH_cluster_latest.json — all
 #    gitignored; diff against the committed BENCH_*.json snapshots
 #    when touching hot paths. The tier-1 stage also archives the lint
 #    report (findings + per-rule counts + scan wall time) to the
@@ -57,8 +52,6 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # This tree builds no bench binaries, so the "bench" label (golden
   # stdout hashes, CLI rejection) runs in the tier-1 stage only.
   (cd build-asan && ctest --output-on-failure -j --timeout 300 -LE bench)
-  echo "== quantum-boundary fuzz oracle under ASan+UBSan =="
-  ./build-asan/tests/pinsim_tests --gtest_filter='*BoundaryFuzz*'
 
   echo "== parallel harness under TSan =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -71,7 +64,7 @@ fi
 echo "== Release build of the micro-benchmarks =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release --target micro_engine micro_sched \
-  micro_cluster micro_hotloop -j
+  micro_cluster -j
 
 echo "== engine micro smoke (BENCH_engine_latest.json) =="
 ./build-release/bench/micro_engine \
@@ -88,11 +81,6 @@ echo "== timer-path micro smoke (BENCH_timer_latest.json) =="
 ./build-release/bench/micro_engine \
   --benchmark_filter='BM_BoundaryChurn|BM_EngineReschedule' \
   --benchmark_out=BENCH_timer_latest.json \
-  --benchmark_out_format=json
-
-echo "== scheduler hot-loop micro smoke (BENCH_hotloop_latest.json) =="
-./build-release/bench/micro_hotloop \
-  --benchmark_out=BENCH_hotloop_latest.json \
   --benchmark_out_format=json
 
 echo "== cluster micro smoke (BENCH_cluster_latest.json) =="

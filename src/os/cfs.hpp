@@ -15,11 +15,10 @@
 //  - the cgroup table: creation, the bandwidth-period cadence, and the
 //    unthrottle loop.
 // Each level keeps what is its own: the host its idle/busy/queued
-// masks, wake_affine, NUMA, IRQs, observers and the quiet-core window;
-// the guest halt-poll, kicks, burst grants, inflation and its quiet
-// housekeeping window. The steps are inline templates with no
-// allocation and no type erasure, because both per-quantum paths run
-// them.
+// masks, wake_affine, NUMA, IRQs and observers; the guest halt-poll,
+// kicks, burst grants and inflation. The steps are inline templates
+// with no allocation and no type erasure, because both per-quantum
+// paths run them.
 #pragma once
 
 #include <algorithm>
@@ -52,12 +51,6 @@ struct SchedParams {
   /// Sleeper credit: a waking task's vruntime is floored at
   /// (queue min_vruntime − sched_latency).
   bool sleeper_credit = true;
-  /// Quiet-core fast-forward: a core whose single runnable task cannot
-  /// be preempted before its next real event skips its quantum-boundary
-  /// timers (see Kernel::reprogram). Simulated behaviour is identical
-  /// either way — the flag exists so the fuzz oracle can run the
-  /// skip-free path against the fast-forward path on the same seed.
-  bool quiet_fast_forward = true;
 };
 
 /// CHECKs what every level's slice arithmetic relies on: a zero latency

@@ -27,18 +27,9 @@ Kernel::Kernel(sim::Engine& engine, const hw::Topology& topology,
   charged_until_.resize(n, 0);
   slice_started_.resize(n, 0);
   slice_length_.resize(n, 0);
-  quiet_.resize(n, 0);
-  quiet_b0_.resize(n, 0);
-  quiet_land_.resize(n, 0);
-  quiet_task_.resize(n, nullptr);
-  quiet_burned_.resize(n, 0);
-  solo_slice_ = slice_length(params_, 1);
-  batch_domain_ = engine_->new_batch_domain();
   boundary_.reserve(n);
   for (int cpu = 0; cpu < topology.num_cpus(); ++cpu) {
-    boundary_.push_back(engine_->make_timer(
-        (batch_domain_ << 16) | static_cast<std::uint32_t>(cpu),
-        [this, cpu] { on_boundary(cpu); }));
+    boundary_.push_back(engine_->make_timer([this, cpu] { on_boundary(cpu); }));
   }
   housekeeping_ = engine_->make_timer([this] { housekeeping_tick(); });
   idle_socket_.resize(static_cast<std::size_t>(topology.sockets()));
@@ -133,10 +124,6 @@ SimDuration Kernel::remaining_cost_on(const Task& task,
              std::llround(static_cast<double>(task.burst_remaining) * slow));
 }
 
-// A quiet cpu always has a running task, so dispatch (which requires
-// current_ == nullptr) can never observe an open quiet window: every
-// revocation path exits it before clearing current_.
-// pinsim-lint: quiet-mutator
 void Kernel::dispatch(hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
   PINSIM_CHECK(current_[i] == nullptr);
@@ -203,87 +190,25 @@ void Kernel::dispatch(hw::CpuId cpu) {
   reprogram(cpu);
 }
 
-// Calls the funnel first; everything downstream (charge_up_to) then
-// runs with the quiet window closed.
-// pinsim-lint: quiet-mutator
 void Kernel::charge_running(hw::CpuId cpu) {
-  exit_quiet(cpu);
-  charge_up_to(cpu, now());
-}
-
-void Kernel::charge_up_to(hw::CpuId cpu, SimTime t_end) {
   const auto i = static_cast<std::size_t>(cpu);
   Task* task = current_[i];
   if (task == nullptr) {
-    charged_until_[i] = t_end;
+    charged_until_[i] = now();
     return;
   }
-  const SimDuration elapsed = t_end - charged_until_[i];
+  const SimDuration elapsed = now() - charged_until_[i];
   PINSIM_CHECK(elapsed >= 0);
   if (elapsed == 0) return;
-  charged_until_[i] = t_end;
+  charged_until_[i] = now();
   // On a NUMA-remote socket the same wall time advances the burst more
   // slowly; the shortfall is remote-access stall time. A cgroup
   // throttle is enforced lazily at the next boundary/dispatch.
   charge_task(task, cpu, elapsed, numa_slowdown(*task, cpu));
 }
 
-void Kernel::exit_quiet(hw::CpuId cpu) {
-  const auto i = static_cast<std::size_t>(cpu);
-  if (!quiet_[i]) return;
-  quiet_[i] = 0;
-  // The invariant behind the fast-forward: nothing that could have
-  // changed a scheduling decision happened while the window was open.
-  // Every mutation path (wakeup enqueue, balance move, charge) exits
-  // the window first, so at exit the core must still be running the
-  // entry task, alone, ungrouped.
-  Task* task = current_[i];
-  PINSIM_CHECK_MSG(task == quiet_task_[i],
-                   "quiet core " << cpu << " changed tasks mid-window");
-  PINSIM_CHECK_MSG(rq_[i].empty(),
-                   "quiet core " << cpu << " acquired queued work");
-  PINSIM_CHECK_MSG(task->cgroup == nullptr,
-                   "quiet core " << cpu << " running a grouped task");
-  const SimTime b0 = quiet_b0_[i];
-  const SimDuration L = solo_slice_;
-  PINSIM_CHECK(now() <= quiet_land_[i]);
-  std::int64_t skipped = 0;
-  if (now() > b0) {
-    // Replay the skipped pure-restart boundaries b_0..b_k (k the last
-    // one strictly before now) as one lump charge — exact because the
-    // entry predicate admits only weight-1.0, NUMA-local, ungrouped
-    // tasks, for which chunked charging is associative. The slice
-    // window is then the one the skip-free path would be in.
-    const std::int64_t k = (now() - b0 - 1) / L;
-    charge_up_to(cpu, b0 + k * L);
-    slice_started_[i] = b0 + k * L;
-    slice_length_[i] = L;
-    skipped = k + 1;
-  }
-  quiet_burned_[i] = static_cast<std::uint8_t>(skipped == 0);
-  engine_->note_boundaries_skipped(skipped);
-  if (!boundary_[i].armed()) {
-    // Landing: the parked timer itself fired (we are inside its
-    // handle_boundary), which replays as a normal boundary at the last
-    // restart instant before the task's real event.
-    return;
-  }
-  // Revocation by a foreign event: put the timer where the skip-free
-  // path would have it armed — the first boundary at or after now. The
-  // timer currently sits parked at the last boundary before landing,
-  // b0 + j_last*L; re-keying it to the instant it is already armed at
-  // would burn a sequence number for nothing, so skip the no-op move.
-  const std::int64_t j_last = (quiet_land_[i] - b0 - 1) / L;
-  const SimTime target = b0 + skipped * L;  // == b0 when now() <= b0
-  if (target != b0 + j_last * L) boundary_[i].arm(target);
-}
-
-// The quiet-window ENTRY point: reprogram is where quiet_ flips on.
-// The CHECK below proves no window is already open when it runs.
-// pinsim-lint: quiet-mutator
 void Kernel::reprogram(hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
-  PINSIM_CHECK_MSG(!quiet_[i], "reprogram on a quiet core");
   Task* task = current_[i];
   if (task == nullptr) {
     boundary_[i].cancel();
@@ -302,31 +227,6 @@ void Kernel::reprogram(hw::CpuId cpu) {
     next = std::min(next, costs_->cgroup_aggregate_interval);
     const SimDuration horizon = task->cgroup->runtime_horizon(cpu);
     next = std::min(next, std::max<SimDuration>(horizon, 1));
-  } else if (params_.quiet_fast_forward && rq_[i].empty() &&
-             !quiet_burned_[i] &&
-             cost > until_slice && until_slice >= 1 &&
-             task->cgroup == nullptr && task->weight == 1.0 &&
-             (task->numa_home == nullptr ||
-              *task->numa_home == topology_->socket_of(cpu))) {
-    // Quiet-core fast-forward. Alone on the cpu with no group and more
-    // work than slice, every boundary until the task's real event is a
-    // pure slice restart: charge (exact in one lump for weight-1.0
-    // NUMA-local ungrouped tasks), restart the solo slice, re-arm. Any
-    // event that could change that — a wakeup enqueue, a balance move,
-    // an IRQ charge — funnels through exit_quiet() first. So park the
-    // timer at the last boundary before the event in one move and skip
-    // the intermediate fires outright.
-    const SimDuration L = solo_slice_;
-    const std::int64_t j_last = (cost - until_slice - 1) / L;
-    if (j_last >= 1) {
-      quiet_[i] = 1;
-      quiet_b0_[i] = now() + until_slice;
-      quiet_land_[i] = now() + cost;
-      quiet_task_[i] = task;
-      engine_->note_quiet_window();
-      boundary_[i].arm(now() + until_slice + j_last * L);
-      return;
-    }
   }
   boundary_[i].arm(now() + next);
 }
@@ -336,29 +236,9 @@ void Kernel::reprogram(hw::CpuId cpu) {
 // held to the hot-path allocation rules.
 // pinsim-lint: hot
 void Kernel::on_boundary(hw::CpuId cpu) {
-  handle_boundary(cpu);
-  // Drain every same-instant peer boundary of this kernel without
-  // paying a callback dispatch each: the engine pops matching entries
-  // one at a time (so a handler that re-arms or cancels a peer's entry
-  // is observed before that peer pops) and hands back the cpu id.
-  int peer;
-  while ((peer = engine_->pop_batched_peer(batch_domain_)) >= 0) {
-    handle_boundary(static_cast<hw::CpuId>(peer));
-  }
-}
-
-// A real boundary fire means the window already lapsed; charge_running
-// (below) exits it before any slice bookkeeping is rewritten. The
-// quiet_burned_ reset ahead of that call is the one write that happens
-// first, and it only re-enables future quiet entry.
-// pinsim-lint: quiet-mutator
-void Kernel::handle_boundary(hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
   Task* task = current_[i];
   PINSIM_CHECK(task != nullptr);
-  // A boundary firing for real means the core survived a whole slice
-  // since the last revocation, so quiet entry is worth trying again.
-  quiet_burned_[i] = 0;
   charge_running(cpu);
 
   if (task->cgroup != nullptr && task->cgroup->throttled_on(cpu)) {

@@ -21,8 +21,8 @@
 // granted host CPU time. Both kernels run actions, accept messages,
 // charge cpu time, steal, move, pick, requeue, wake and unthrottle
 // through the one copy of each. What this class adds is the host's own:
-// the idle/busy/queued masks, wake_affine hints, NUMA, IRQs, observers
-// and the quiet-core window.
+// the idle/busy/queued masks, wake_affine hints, NUMA, IRQs and
+// observers.
 #pragma once
 
 #include <memory>
@@ -120,27 +120,11 @@ class Kernel {
 
   // --- core scheduling (kernel.cpp) ---------------------------------------
   void dispatch(hw::CpuId cpu);
-  /// Boundary-timer callback: handle this core's boundary, then drain
-  /// every same-instant peer boundary of this kernel through the
-  /// engine's batched pop — one sweep over the SoA core state instead
-  /// of N independent callback dispatches.
+  /// Boundary-timer callback: this core's quantum-boundary work.
   void on_boundary(hw::CpuId cpu);
-  /// One core's quantum-boundary work (the old per-core callback body).
-  void handle_boundary(hw::CpuId cpu);
+  /// Charge the running task for [charged_until_[cpu], now()].
   void charge_running(hw::CpuId cpu);
-  /// Charge the running task for [charged_until_[cpu], t_end]. The
-  /// quiet-core replay calls this directly (charge_running() adds the
-  /// exit_quiet() hook on top).
-  void charge_up_to(hw::CpuId cpu, SimTime t_end);
   void reprogram(hw::CpuId cpu);
-  /// Leave the quiet-core window (no-op when `cpu` is not quiet):
-  /// replay the skipped pure-restart boundaries up to now() as one lump
-  /// charge — exact because the quiet predicate admits only tasks whose
-  /// chunked charges are associative (weight 1.0, NUMA-local, no
-  /// cgroup) — and move the parked boundary timer to the instant the
-  /// skip-free path would have it armed at. CHECKs that no skipped
-  /// boundary could have changed a scheduling decision.
-  void exit_quiet(hw::CpuId cpu);
   void stop_running(hw::CpuId cpu, bool requeue);
   /// The shared action protocol (os::run_actions) with the host's costs
   /// and effects. Returns true while the task should stay on the cpu.
@@ -203,41 +187,16 @@ class Kernel {
   SchedParams params_;
   std::string name_;
 
-  // Struct-of-arrays per-core scheduler state, indexed by cpu id. The
-  // boundary sweep and the charge path walk one field across cores, so
-  // same-tick work touches dense homogeneous arrays instead of striding
-  // over an array-of-structs with a cold Runqueue in the middle.
-  // Canonical task fields (vruntime, burst, debt) stay on os::Task —
-  // mirroring them here would trade bit-identity risk for little gain,
-  // since the quiet fast-forward removes most boundary fires outright.
+  // Struct-of-arrays per-core scheduler state, indexed by cpu id.
+  // Canonical task fields (vruntime, burst, debt) stay on os::Task.
   std::vector<Task*> current_;
   std::vector<Runqueue> rq_;
-  /// Per-core quantum-boundary timers, made once with the kernel's batch
-  /// cookie (`batch_domain_ << 16 | cpu`) and re-armed in place.
+  /// Per-core quantum-boundary timers, made once and re-armed in place;
+  /// each fires through Engine::step() into on_boundary().
   std::vector<sim::Timer> boundary_;
   std::vector<SimTime> charged_until_;
   std::vector<SimTime> slice_started_;
   std::vector<SimDuration> slice_length_;
-  // Quiet-core fast-forward bookkeeping, valid while quiet_[cpu] != 0:
-  // the first skipped boundary instant, the landing instant (when the
-  // task's remaining cost is exhausted), and the task the window was
-  // entered for (invariant: it must still be current at exit).
-  std::vector<std::uint8_t> quiet_;
-  std::vector<SimTime> quiet_b0_;
-  std::vector<SimTime> quiet_land_;
-  std::vector<Task*> quiet_task_;
-  // Revocation hysteresis: set when a window is revoked before its
-  // first skipped boundary (the entry/exit reschedules bought nothing),
-  // cleared when a boundary fires naturally or a window pays off. While
-  // set, reprogram() keeps the skip-free arming for that core so a
-  // wakeup-heavy phase cannot thrash quiet entry. Timer-placement only;
-  // simulated behaviour is identical either way.
-  std::vector<std::uint8_t> quiet_burned_;
-  /// Slice length of a core running exactly one task (the only slice a
-  /// quiet window ever restarts with).
-  SimDuration solo_slice_ = 0;
-  /// Engine batch-cookie domain for this kernel's boundary timers.
-  std::uint32_t batch_domain_ = 0;
   // Incrementally-updated placement masks (see refresh_cpu_masks):
   // idle_ holds every cpu with no current task and an empty runqueue,
   // idle_socket_[s] the idle cpus of socket s, busy_ every cpu with a

@@ -81,10 +81,6 @@ void Kernel::periodic_balance() {
   auto& to_rq = rq_[static_cast<std::size_t>(idlest)];
   move_queued(*candidate, from_rq, to_rq, idlest);
   refresh_cpu_masks(busiest);
-  // The balance path enqueues directly (no wakeup), and a quiet core —
-  // one task, load 1 — can be the idlest target; revoke its window
-  // before handing it queued work.
-  exit_quiet(idlest);
   to_rq.enqueue(*candidate);
   refresh_cpu_masks(idlest);
   ++stats_.balance_moves;
@@ -131,9 +127,6 @@ void Kernel::cgroup_aggregate(Cgroup& group) {
   // member currently on a cpu stalls for the duration of the walk,
   // which grows with the group's spread. Only cpus in the busy mask can
   // host a member, so the sweep skips idle cores entirely.
-  // Quiet cores are in the busy mask but can never host a member: the
-  // quiet predicate requires an ungrouped current task, so the cgroup
-  // test below skips them without touching their window.
   busy_.for_each([&](hw::CpuId cpu) {
     const auto i = static_cast<std::size_t>(cpu);
     if (current_[i] != nullptr && current_[i]->cgroup == &group) {

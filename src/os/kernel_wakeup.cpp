@@ -74,21 +74,12 @@ hw::CpuId Kernel::place_task(Task& task, hw::CpuId hint) {
       allowed, [this](hw::CpuId cpu) { return load_of(cpu); }, rng_);
 }
 
-// Exits the quiet window (see the comment at the exit_quiet call)
-// before the enqueue; the wakeup-preemption slice rewrite at the
-// bottom therefore runs with the window closed.
-// pinsim-lint: quiet-mutator
 void Kernel::enqueue_task(Task& task, hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
   if (task.cgroup != nullptr && task.cgroup->throttled_on(cpu)) {
     task.cgroup->park(task);
     return;
   }
-  // A wakeup enqueue is exactly the preemption opportunity the quiet
-  // window assumed away. Exit before anything reads the running task —
-  // the preempt check below compares against its vruntime, which the
-  // replay brings up to date.
-  exit_quiet(cpu);
   requeue(task, rq_[i], cpu, now());
   refresh_cpu_masks(cpu);
 

@@ -17,9 +17,6 @@ std::atomic<std::int64_t> g_tombstone_pops{0};
 std::atomic<std::int64_t> g_deferred_rearms{0};
 std::atomic<std::int64_t> g_reschedules{0};
 std::atomic<std::int64_t> g_peak_heap{0};
-std::atomic<std::int64_t> g_boundaries_batched{0};
-std::atomic<std::int64_t> g_boundaries_skipped{0};
-std::atomic<std::int64_t> g_quiet_windows{0};
 
 }  // namespace
 
@@ -31,11 +28,6 @@ EngineStats aggregate_engine_stats() {
   stats.deferred_rearms = g_deferred_rearms.load(std::memory_order_relaxed);
   stats.reschedules = g_reschedules.load(std::memory_order_relaxed);
   stats.peak_heap = g_peak_heap.load(std::memory_order_relaxed);
-  stats.boundaries_batched =
-      g_boundaries_batched.load(std::memory_order_relaxed);
-  stats.boundaries_skipped =
-      g_boundaries_skipped.load(std::memory_order_relaxed);
-  stats.quiet_windows = g_quiet_windows.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -46,11 +38,6 @@ Engine::~Engine() {
   g_tombstone_pops.fetch_add(s.tombstone_pops, std::memory_order_relaxed);
   g_deferred_rearms.fetch_add(s.deferred_rearms, std::memory_order_relaxed);
   g_reschedules.fetch_add(s.reschedules, std::memory_order_relaxed);
-  g_boundaries_batched.fetch_add(s.boundaries_batched,
-                                 std::memory_order_relaxed);
-  g_boundaries_skipped.fetch_add(s.boundaries_skipped,
-                                 std::memory_order_relaxed);
-  g_quiet_windows.fetch_add(s.quiet_windows, std::memory_order_relaxed);
   std::int64_t peak = g_peak_heap.load(std::memory_order_relaxed);
   while (peak < s.peak_heap &&
          !g_peak_heap.compare_exchange_weak(peak, s.peak_heap,
@@ -150,7 +137,6 @@ __attribute__((noinline)) void Engine::grow_slab() {
   chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
   slot_of_.resize(chunks_.size() << kChunkShift);
   deferred_.resize(chunks_.size() << kChunkShift);
-  cookie_.resize(chunks_.size() << kChunkShift);
   // Every heap entry and every free-list entry refers to a distinct live
   // node, so node capacity bounds each heap and the free list. Reserving
   // here makes scheduling, arming and freeing allocation-free between

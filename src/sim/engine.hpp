@@ -24,8 +24,8 @@
 // 128-bit key, so sift-up/down moves are plain copies instead of
 // type-erased callback moves. A fire-once event takes a node when
 // scheduled and gives it back when it fires. A timer holds its node (its
-// callback and batch cookie) for its whole life, so firing never rebuilds
-// or moves its callback.
+// callback) for its whole life, so firing never rebuilds or moves its
+// callback.
 //
 // A timer has at most one heap entry. Timer-heap entries maintain a dense
 // node→heap-slot back-pointer array (updated on every timer-heap move,
@@ -76,9 +76,13 @@ struct EngineStats {
   std::int64_t deferred_rearms = 0;  // deferred timer entries re-pushed
   std::int64_t reschedules = 0;      // arms that re-keyed a queued entry
   std::int64_t peak_heap = 0;        // high-water mark of slab nodes
-  std::int64_t boundaries_batched = 0;  // same-instant peers drained batched
-  std::int64_t boundaries_skipped = 0;  // boundary fires elided by quiet cores
-  std::int64_t quiet_windows = 0;       // quiet-core fast-forwards entered
+  /// Always 0: nothing batches, skips or fast-forwards timer fires any
+  /// more (every boundary fires through step()). Kept only because
+  /// perfbench/ still reads and prints them; neither the process-wide
+  /// aggregate nor operator+= carries them.
+  std::int64_t boundaries_batched = 0;
+  std::int64_t boundaries_skipped = 0;
+  std::int64_t quiet_windows = 0;
 
   /// Field-wise sum, peak_heap included: the fold of engines whose heaps
   /// coexist (the shards of one ShardedEngine). The process-wide
@@ -90,9 +94,6 @@ struct EngineStats {
     deferred_rearms += other.deferred_rearms;
     reschedules += other.reschedules;
     peak_heap += other.peak_heap;
-    boundaries_batched += other.boundaries_batched;
-    boundaries_skipped += other.boundaries_skipped;
-    quiet_windows += other.quiet_windows;
     return *this;
   }
 };
@@ -159,65 +160,7 @@ class Engine {
   void schedule_detached_at(SimTime when, Callback fn);
 
   /// A new timer running `fn` on every fire; it starts disarmed.
-  Timer make_timer(Callback fn) { return make_timer(0, std::move(fn)); }
-
-  /// A timer carrying a batch cookie `(domain << 16) | payload`. Cookied
-  /// timers are eligible for pop_batched_peer(): when one fires through
-  /// the normal step() path, the owner can drain its same-instant domain
-  /// peers without paying a callback dispatch each. Domain ids come from
-  /// new_batch_domain(); cookie 0 means "not batchable".
-  Timer make_timer(std::uint32_t cookie, Callback fn);
-
-  /// Allocate a batch-cookie domain id (16-bit, starts at 1 so the
-  /// implicit cookie 0 of un-cookied timers never matches). Several
-  /// kernels can share one engine (a fleet); each takes its own domain
-  /// so a sweep never drains a foreign kernel's timers.
-  std::uint32_t new_batch_domain() {
-    PINSIM_CHECK_MSG(next_batch_domain_ < 0xffffu, "batch domains exhausted");
-    return next_batch_domain_++;
-  }
-
-  /// Batched same-instant drain: if the next event to fire is an
-  /// un-deferred timer entry armed at exactly now() whose cookie belongs
-  /// to `domain`, pop it without dispatching its callback and return the
-  /// cookie's 16-bit payload; otherwise return -1 and leave the heaps
-  /// alone (a fire-once event keyed ahead of the timer top fires first,
-  /// through step()). Cancelled matching entries are discarded and the
-  /// scan continues. Callers loop until -1, handling each payload inline
-  /// — one at a time, so a handler that cancels or re-arms a peer's
-  /// timer is observed before that peer is popped, exactly like the
-  /// one-step()-per-fire path this replaces.
-  // pinsim-lint: hot
-  int pop_batched_peer(std::uint32_t domain) {
-    while (!timers_.empty()) {
-      const Entry top = timers_.front();
-      if (when_of(top) != now_) return -1;
-      if (!events_.empty() && events_.front().key < top.key) return -1;
-      if (top.node & kDeferredBit) return -1;
-      const std::uint32_t id = top.node & kNodeIdMask;
-      const std::uint32_t cookie = cookie_[id];
-      if ((cookie >> 16) != domain) return -1;
-      pop_min<true>();
-      slot_of_[id] = kNotQueued;
-      if (top.node & kCancelledBit) {
-        ++stats_.tombstone_pops;
-        continue;
-      }
-      // A batched pop is a real fire for accounting purposes — the
-      // owner runs the same handler the callback would have run.
-      ++stats_.fired;
-      ++stats_.boundaries_batched;
-      return static_cast<int>(cookie & 0xffffu);
-    }
-    return -1;
-  }
-
-  /// Quiet-core fast-forward accounting (the counters live here so
-  /// aggregate_engine_stats() folds them with everything else).
-  void note_boundaries_skipped(std::int64_t n) {
-    stats_.boundaries_skipped += n;
-  }
-  void note_quiet_window() { ++stats_.quiet_windows; }
+  Timer make_timer(Callback fn);
 
   /// Run until the event queue drains or `horizon` is reached (events at
   /// exactly `horizon` still fire). Returns the number of events fired.
@@ -427,9 +370,6 @@ class Engine {
   /// timer node id -> deferred re-arm key (valid while the entry is
   /// tagged kDeferredBit).
   std::vector<Deferred> deferred_;
-  /// timer node id -> batch cookie (0 = none).
-  std::vector<std::uint32_t> cookie_;
-  std::uint32_t next_batch_domain_ = 1;
   std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::uint32_t node_count_ = 0;
   std::vector<std::uint32_t> free_nodes_;
@@ -479,10 +419,9 @@ inline void Engine::schedule_detached_at(SimTime when, Callback fn) {
   sift_up<false>(events_.size() - 1);
 }
 
-inline Timer Engine::make_timer(std::uint32_t cookie, Callback fn) {
+inline Timer Engine::make_timer(Callback fn) {
   const std::uint32_t id = acquire_node();
   node(id) = std::move(fn);
-  cookie_[id] = cookie;
   slot_of_[id] = kNotQueued;
   return Timer(this, id);
 }

@@ -18,6 +18,7 @@ GuestKernel::GuestKernel(Host& host, Config config)
   PINSIM_CHECK(config.burst_cap > 0);
   os::validate(config.params);
   all_vcpus_ = hw::CpuSet::first_n(config.vcpus);
+  idle_ = all_vcpus_;  // every vCPU starts idle
   housekeeping_ = host.engine().make_timer([this] { housekeeping_tick(); });
 }
 
@@ -28,9 +29,6 @@ void GuestKernel::attach_vcpu_task(int vcpu, os::Task& host_task) {
 }
 
 os::Cgroup& GuestKernel::create_cgroup(os::Cgroup::Config config) {
-  // A cgroup makes future ticks do aggregation work; revoke while the
-  // group list is still empty so the replayed ticks stay no-ops.
-  exit_guest_quiet();
   return cgroups_.create(std::move(config), all_vcpus_, host_->costs());
 }
 
@@ -82,17 +80,10 @@ int GuestKernel::place_task(os::Task& task) {
   if (task.sticky_wakeup && prev >= 0 && allowed.contains(prev)) {
     return prev;
   }
-  auto is_idle = [this](int vcpu) {
-    const auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
-    return v.current == nullptr && v.rq.empty();
-  };
-  if (prev >= 0 && allowed.contains(prev) && is_idle(prev)) return prev;
-
-  hw::CpuSet idle;
-  allowed.for_each([&](hw::CpuId vcpu) {
-    if (is_idle(vcpu)) idle.add(vcpu);
-  });
-  const int pick = os::pick_uniform(idle, rng_);
+  if (prev >= 0 && allowed.contains(prev) && idle_.contains(prev)) {
+    return prev;
+  }
+  const int pick = os::pick_uniform(allowed & idle_, rng_);
   if (pick >= 0) return pick;
   return os::pick_least_loaded(
       allowed, [this](int vcpu) { return load_of(vcpu); }, rng_);
@@ -103,13 +94,9 @@ void GuestKernel::enqueue_task(os::Task& task, int vcpu) {
     task.cgroup->park(task);
     return;
   }
-  // Queued work ends the quiet window: the next tick would no longer be
-  // a no-op (idle-vCPU balance can act on a non-empty runqueue). Revoke
-  // before the enqueue so the replayed ticks still see empty queues.
-  exit_guest_quiet();
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
   os::requeue(task, v.rq, vcpu, host_->engine().now());
-  refresh_queued(vcpu);
+  refresh_masks(vcpu);
   if (v.halted) kick(vcpu);
 }
 
@@ -130,7 +117,7 @@ void GuestKernel::kick(int vcpu) {
 os::Task* GuestKernel::pick_next(int vcpu) {
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
   os::Task* own = os::pop_runnable(v.rq, vcpu);
-  refresh_queued(vcpu);
+  refresh_masks(vcpu);
   if (own != nullptr) return own;
 
   // Guest new-idle balance: steal the most-serviced compatible task from
@@ -140,7 +127,7 @@ os::Task* GuestKernel::pick_next(int vcpu) {
   os::move_queued(*steal.task,
                   vcpus_[static_cast<std::size_t>(steal.victim)].rq, v.rq,
                   -1);
-  refresh_queued(steal.victim);
+  refresh_masks(steal.victim);
   return steal.task;
 }
 
@@ -200,6 +187,7 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
       next->last_cpu = vcpu;
       next->state = os::TaskState::Running;
       v.current = next;
+      refresh_masks(vcpu);
       v.slice_used = 0;
       v.slice_length = os::slice_length(config_.params, v.rq.size() + 1);
     }
@@ -209,13 +197,15 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
     if (os::remaining_cost(task) == 0) {
       if (!advance_actions(task)) {
         v.current = nullptr;
+        refresh_masks(vcpu);
         continue;
       }
     }
     if (v.slice_used >= v.slice_length) {
       if (!v.rq.empty()) {
         // Guest slice expired: preempt within the guest (the queue was
-        // non-empty, so queued_ already holds this vCPU).
+        // non-empty, so the masks already read this vCPU queued, not
+        // idle).
         os::requeue(task, v.rq, vcpu, host_->engine().now());
         v.current = nullptr;
         continue;
@@ -269,6 +259,7 @@ void GuestKernel::complete_burst(int vcpu) {
     ++stats_.throttle_events;
     task->cgroup->park(*task);
     v.current = nullptr;
+    refresh_masks(vcpu);
   }
 }
 
@@ -289,13 +280,6 @@ bool GuestKernel::advance_actions(os::Task& task) {
 
 void GuestKernel::finish_task(os::Task& task) {
   tasks_.retire(task, host_->engine().now());
-  // Record (don't revoke): the old path's next tick would idle-stop
-  // here, but a task starting before it would keep the cadence alive —
-  // exit_guest_quiet resolves which happened when the window ends.
-  // Recorded before the exit hook, which may start tasks.
-  if (guest_quiet_ && tasks_.live() == 0) {
-    guest_quiet_idle_at_ = host_->engine().now();
-  }
   tasks_.run_on_exit(task);
 }
 
@@ -365,8 +349,8 @@ void GuestKernel::balance_idle_vcpus() {
     ++stats_.guest_migrations;
     steal.task->overhead_debt += host_->costs().guest_ipc;
     v.rq.enqueue(*steal.task);
-    refresh_queued(steal.victim);
-    refresh_queued(vcpu);
+    refresh_masks(steal.victim);
+    refresh_masks(vcpu);
     kick(vcpu);
   }
 }
@@ -397,8 +381,8 @@ void GuestKernel::rotate_surplus_task() {
   candidate->overhead_debt += host_->costs().guest_ipc;
   ++stats_.guest_migrations;
   to.rq.enqueue(*candidate);
-  refresh_queued(busiest);
-  refresh_queued(idlest);
+  refresh_masks(busiest);
+  refresh_masks(idlest);
   if (to.halted) kick(idlest);
 }
 
@@ -427,67 +411,21 @@ void GuestKernel::housekeeping_tick() {
       },
       [this](os::Task& task) { return place_task(task); },
       [this](os::Task& task, int vcpu) { enqueue_task(task, vcpu); });
-  if (config_.params.quiet_fast_forward && cgroups_.empty() &&
-      queued_.empty()) {
-    // Quiet guest: every vCPU is either halted or running its only
-    // task, so each following tick is a pure no-op — balance and the
-    // surplus rotation both need a non-empty runqueue and there are no
-    // cgroups to aggregate. Skip them: leave the timer disarmed and replay
-    // the tick counter on revocation.
-    guest_quiet_ = true;
-    guest_quiet_entered_ = host_->engine().now();
-    guest_quiet_idle_at_ = -1;
-    host_->engine().note_quiet_window();
-    return;
-  }
   housekeeping_.arm(host_->engine().now() + costs.cgroup_aggregate_interval);
 }
 
-void GuestKernel::refresh_queued(int vcpu) {
-  if (vcpus_[static_cast<std::size_t>(vcpu)].rq.empty()) {
+void GuestKernel::refresh_masks(int vcpu) {
+  const auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
+  if (v.rq.empty()) {
     queued_.remove(vcpu);
   } else {
     queued_.add(vcpu);
   }
-}
-
-void GuestKernel::exit_guest_quiet() {
-  if (!guest_quiet_) return;
-  guest_quiet_ = false;
-  sim::Engine& engine = host_->engine();
-  PINSIM_CHECK_MSG(cgroups_.empty(), "quiet guest grew a cgroup");
-  PINSIM_CHECK_MSG(queued_.empty(), "quiet guest acquired queued work");
-  const SimDuration interval = host_->costs().cgroup_aggregate_interval;
-  // Ticks strictly before t on the suspended cadence; each was a no-op
-  // whose only effect was ++housekeeping_ticks_ (the %8 rotation phase
-  // must stay aligned).
-  auto ticks_before = [&](SimTime t) -> std::int64_t {
-    const SimDuration d = t - guest_quiet_entered_;
-    return d == 0 ? 0 : (d - 1) / interval;
-  };
-  if (guest_quiet_idle_at_ >= 0) {
-    // The fleet drained mid-window. The first tick after that instant
-    // would have found no live task and idle-stopped; if it lies in
-    // the past, emulate the stop so a starting task re-arms from
-    // scratch through ensure_housekeeping (fresh cadence, as the old
-    // path would).
-    const SimTime stop_tick =
-        guest_quiet_entered_ +
-        (ticks_before(guest_quiet_idle_at_) + 1) * interval;
-    guest_quiet_idle_at_ = -1;
-    if (stop_tick <= engine.now()) {
-      const std::int64_t skipped = ticks_before(stop_tick);
-      housekeeping_ticks_ += skipped;
-      engine.note_boundaries_skipped(skipped);
-      housekeeping_active_ = false;
-      if (tasks_.live() > 0) ensure_housekeeping();
-      return;
-    }
+  if (v.current == nullptr && v.rq.empty()) {
+    idle_.add(vcpu);
+  } else {
+    idle_.remove(vcpu);
   }
-  const std::int64_t skipped = ticks_before(engine.now());
-  housekeeping_ticks_ += skipped;
-  engine.note_boundaries_skipped(skipped);
-  housekeeping_.arm(guest_quiet_entered_ + (skipped + 1) * interval);
 }
 
 }  // namespace pinsim::virt

@@ -27,7 +27,7 @@
 // random picks, requeue, wake accounting and the cgroup period/unthrottle
 // loop are the shared steps of os/cfs.hpp, over the vCPU runqueues.
 // What stays here is the guest's own: halt-polling, vCPU kicks, burst
-// grants, compute inflation and the quiet housekeeping window.
+// grants and compute inflation.
 #pragma once
 
 #include <cstdint>
@@ -106,6 +106,9 @@ class GuestKernel {
   int vcpus() const { return static_cast<int>(vcpus_.size()); }
   /// vCPUs whose runqueue holds a task: the steal victims.
   const hw::CpuSet& queued_vcpus() const { return queued_; }
+  /// vCPUs with no current task and an empty runqueue: the placement
+  /// targets.
+  const hw::CpuSet& idle_vcpus() const { return idle_; }
   int live_tasks() const { return tasks_.live(); }
   const GuestStats& stats() const { return stats_; }
   const std::vector<std::unique_ptr<os::Task>>& tasks() const {
@@ -158,13 +161,9 @@ class GuestKernel {
 
   void ensure_housekeeping();
   void housekeeping_tick();
-  /// Revoke a quiet housekeeping window: replay the skipped no-op ticks
-  /// (counter only — each would have found empty runqueues and no
-  /// cgroups) and re-arm the timer on the original cadence, or emulate
-  /// the idle-stop if the fleet drained mid-window.
-  void exit_guest_quiet();
-  /// Re-derive `vcpu`'s bit of queued_ after its runqueue changed.
-  void refresh_queued(int vcpu);
+  /// Re-derive `vcpu`'s bits of queued_ and idle_ after its current
+  /// task or its runqueue changed.
+  void refresh_masks(int vcpu);
   /// Guest periodic load balance: push queued work to halted vCPUs (the
   /// guest's timer-tick balancing; without it an HLT'd vCPU would sleep
   /// through imbalance forever).
@@ -181,25 +180,18 @@ class GuestKernel {
   /// {0, ..., vcpus()-1}, built once: every allowed-mask query starts
   /// from it instead of rebuilding it per call.
   hw::CpuSet all_vcpus_;
-  /// vCPUs with a non-empty runqueue, refreshed at every queue change,
-  /// so a steal visits only them: visiting every vCPU in ascending order
-  /// picks the same victim, since an empty queue never wins.
+  /// vCPUs with a non-empty runqueue, so a steal visits only them:
+  /// visiting every vCPU in ascending order picks the same victim, since
+  /// an empty queue never wins. idle_ holds the vCPUs with no current
+  /// task and an empty runqueue, so placement is `allowed & idle_` and
+  /// one pick. Both are refreshed by refresh_masks().
   hw::CpuSet queued_;
+  hw::CpuSet idle_;
   os::TaskTable tasks_;
   os::CgroupTable cgroups_;
   bool housekeeping_active_ = false;
   sim::Timer housekeeping_;  // the guest's cgroup / balance tick
   std::int64_t housekeeping_ticks_ = 0;
-  /// Quiet housekeeping window: set when a tick found no queued work and
-  /// no cgroups (so every following tick is a pure no-op) and declined
-  /// to re-arm. The guest stays AoS per-vCPU — unlike the host there is
-  /// no same-instant multi-core boundary sweep to batch, only the single
-  /// shared housekeeping timer to fast-forward.
-  bool guest_quiet_ = false;
-  SimTime guest_quiet_entered_ = 0;
-  /// When the live count hit 0 inside a quiet window (-1 otherwise); the
-  /// old path's next tick would have idle-stopped there.
-  SimTime guest_quiet_idle_at_ = -1;
   GuestStats stats_;
 };
 

@@ -19,8 +19,8 @@ struct VmConfig {
   /// Hot guest state a vCPU thread drags along when the host migrates
   /// it (guest kernel + the share of the app working set it runs).
   double vcpu_working_set_mb = 16.0;
-  /// Guest scheduler parameters (tests toggle quiet_fast_forward here
-  /// to run the guest's skip-free path against the fast-forward one).
+  /// Guest scheduler parameters (the validation tests set invalid ones
+  /// here).
   os::SchedParams guest_params;
 };
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -322,40 +321,6 @@ TEST(EngineTest, RescheduleEarlierLeavesNoTombstone) {
   EXPECT_EQ(engine.stats().tombstone_pops, 0);
   EXPECT_EQ(engine.stats().deferred_rearms, 0);
   EXPECT_EQ(engine.stats().fired, 1);
-}
-
-TEST(EngineTest, BatchedPeerNeverOvertakesEarlierOneShot) {
-  // Timers and fire-once events live in separate heaps; a batched drain
-  // must still stop at a same-instant one-shot event whose sequence
-  // number comes before the next timer peer's.
-  Engine engine;
-  const std::uint32_t domain = engine.new_batch_domain();
-  std::vector<std::string> order;
-  std::vector<Timer> timers;
-  auto peer = [&](std::uint32_t payload) {
-    timers.push_back(
-        engine.make_timer((domain << 16) | payload, [&, payload] {
-          order.push_back("t" + std::to_string(payload));
-          int batched;
-          while ((batched = engine.pop_batched_peer(domain)) >= 0) {
-            order.push_back("b" + std::to_string(batched));
-          }
-        }));
-    timers.back().arm(msec(1));
-  };
-  auto one_shot = [&](const std::string& name) {
-    engine.schedule_detached_at(msec(1),
-                                [&order, name] { order.push_back(name); });
-  };
-  peer(0);
-  one_shot("x");  // seq between peer 0 and peer 1: blocks the drain
-  peer(1);
-  peer(2);
-  one_shot("y");  // seq after every peer: peer 1's drain passes it
-  engine.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"t0", "x", "t1", "b2", "y"}));
-  EXPECT_EQ(engine.stats().boundaries_batched, 1);
-  EXPECT_EQ(engine.stats().fired, 5);
 }
 
 TEST(EngineTest, PeekNextReportsEarliestEventOfAnyKind) {

@@ -160,10 +160,12 @@ TEST(GuestPropertyTest, PinnedVcpusNeverLeaveTheirCpus) {
 
 TEST(GuestPropertyTest, QueuedMaskMatchesTheRunqueuesAfterEveryEvent) {
   // The steal search visits only queued_vcpus(), so the mask must name
-  // every vCPU with a queued task. Recompute it from the tasks' queue
-  // slots after each event of VMCN runs: short naps throttle and park
-  // the guest group, long naps let sticky and vanilla wakes queue work
-  // behind busy vCPUs for the idle-vCPU balance and the rotation.
+  // every vCPU with a queued task; placement picks from idle_vcpus(),
+  // the vCPUs with neither a running nor a queued task. Recompute both
+  // from the tasks' queue slots and running vCPUs after each event of
+  // VMCN runs: short naps throttle and park the guest group, long naps
+  // let sticky and vanilla wakes queue work behind busy vCPUs for the
+  // idle-vCPU balance and the rotation.
   struct Mix {
     int tasks;
     SimDuration work;
@@ -200,10 +202,19 @@ TEST(GuestPropertyTest, QueuedMaskMatchesTheRunqueuesAfterEveryEvent) {
       ASSERT_TRUE(host.engine().run_until(
           [&] {
             hw::CpuSet queued;
+            hw::CpuSet idle = hw::CpuSet::first_n(guest.vcpus());
             for (const auto& task : guest.tasks()) {
-              if (task->queued_cpu >= 0) queued.add(task->queued_cpu);
+              if (task->queued_cpu >= 0) {
+                queued.add(task->queued_cpu);
+                idle.remove(task->queued_cpu);
+              }
+              if (task->state == os::TaskState::Running) {
+                idle.remove(task->last_cpu);
+              }
             }
             EXPECT_EQ(guest.queued_vcpus().to_string(), queued.to_string())
+                << "at " << host.engine().now();
+            EXPECT_EQ(guest.idle_vcpus().to_string(), idle.to_string())
                 << "at " << host.engine().now();
             if (!queued.empty()) ++non_empty;
             return done == mix.tasks;

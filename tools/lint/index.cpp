@@ -64,8 +64,8 @@ bool in_dirs(std::string_view path, const std::vector<std::string>& dirs) {
 /// Walks one file's token stream and produces its FileSummary. The
 /// scope stack tracks namespace/class braces so definitions are only
 /// recognized where C++ allows them; function bodies are consumed by a
-/// dedicated scanner that records calls, subscript writes, hot-path
-/// risk sites, and declaration-bound touches.
+/// dedicated scanner that records calls, hot-path risk sites, and
+/// declaration-bound touches.
 class Summarizer {
  public:
   Summarizer(std::string_view path, const LexResult& lexed)
@@ -263,21 +263,6 @@ void Summarizer::scan_body(std::size_t begin, std::size_t end,
       if (bound != out_.bindings.end()) {
         fn->touches.push_back(
             BoundTouch{s, bound->second, in_post(j), t.line});
-      }
-    }
-
-    // `name[...] =` / `name[...] op=` subscript writes.
-    if (is_punct(j + 1, "[")) {
-      std::size_t m = skip_group(j + 1);
-      while (is_punct(m, "[")) m = skip_group(m);
-      const bool plain = is_punct(m, "=") && !is_punct(m + 1, "=");
-      const bool compound =
-          (is_punct(m, "+") || is_punct(m, "-") || is_punct(m, "*") ||
-           is_punct(m, "/") || is_punct(m, "|") || is_punct(m, "&") ||
-           is_punct(m, "^")) &&
-          is_punct(m + 1, "=");
-      if (plain || compound) {
-        fn->writes.push_back(SubscriptWrite{s, t.line});
       }
     }
   }
@@ -706,7 +691,6 @@ class IndexChecker {
 
   void run() {
     check_hot_path();
-    check_quiet_funnel();
     check_shard_affinity();
   }
 
@@ -731,7 +715,6 @@ class IndexChecker {
   }
 
   void check_hot_path();
-  void check_quiet_funnel();
   void check_shard_affinity();
 
   const Config& config_;
@@ -773,9 +756,7 @@ void IndexChecker::check_hot_path() {
         case RiskSite::kNew:
           report("hot-path", f.file, risk.line,
                  "`new` in '" + f.name + "' (" + where +
-                     ") — allocate up front or draw from a pool; a heap "
-                     "round-trip on the tick path dominates the quiet-core "
-                     "fast-forward savings");
+                     ") — allocate up front or draw from a pool");
           break;
         case RiskSite::kMakeUnique:
         case RiskSite::kMakeShared:
@@ -804,93 +785,6 @@ void IndexChecker::check_hot_path() {
                      "util::MoveFunction or a template parameter");
           break;
       }
-    }
-  }
-}
-
-void IndexChecker::check_quiet_funnel() {
-  const Config::QuietFunnel& qf = config_.quiet_funnel;
-  if (qf.funnel.empty()) return;
-  const int n = static_cast<int>(index_.functions.size());
-
-  const auto is_state = [&](const std::string& name) {
-    for (const std::string& prefix : qf.state_prefixes) {
-      if (starts_with(name, prefix)) return true;
-    }
-    return false;
-  };
-  const auto writes_state = [&](int id) {
-    for (const SubscriptWrite& w : fn(id).writes) {
-      if (is_state(w.name)) return true;
-    }
-    return false;
-  };
-  const auto blocked = [&](int id) {
-    return fn(id).name == qf.funnel ||
-           fn(id).annotations.count("quiet-mutator") != 0;
-  };
-
-  // Forward closure from entry points (functions nothing in the index
-  // calls), never traversing THROUGH the funnel or an annotated
-  // mutator: anything marked here can run without exit_quiet() having
-  // run first.
-  std::vector<int> callers(n, 0);
-  for (int id = 0; id < n; ++id) {
-    for (const CallSite& call : fn(id).calls) {
-      const int tgt = resolve(call, id);
-      if (tgt >= 0) ++callers[tgt];
-    }
-  }
-  std::vector<char> not_funneled(n, 0);
-  std::vector<int> work;
-  for (int id = 0; id < n; ++id) {
-    if (callers[id] == 0 && !blocked(id)) {
-      not_funneled[id] = 1;
-      work.push_back(id);
-    }
-  }
-  for (std::size_t qi = 0; qi < work.size(); ++qi) {
-    for (const CallSite& call : fn(work[qi]).calls) {
-      const int tgt = resolve(call, work[qi]);
-      if (tgt < 0 || not_funneled[tgt] != 0 || blocked(tgt)) continue;
-      not_funneled[tgt] = 1;
-      work.push_back(tgt);
-    }
-  }
-
-  for (int id = 0; id < n; ++id) {
-    const FunctionDef& f = fn(id);
-    if (!in_dirs(f.file, qf.dirs)) continue;
-    if (f.name == qf.funnel) continue;
-    if (f.annotations.count("quiet-mutator") != 0) {
-      // A stale annotation is itself a finding: the audit claim must
-      // be about something.
-      bool touches_quiet_state = writes_state(id);
-      for (const CallSite& call : f.calls) {
-        if (touches_quiet_state) break;
-        if (call.name == qf.funnel) touches_quiet_state = true;
-        const int tgt = resolve(call, id);
-        if (tgt >= 0 && writes_state(tgt)) touches_quiet_state = true;
-      }
-      if (!touches_quiet_state) {
-        report("quiet-funnel", f.file, f.line,
-               "'" + f.name +
-                   "' is annotated quiet-mutator but neither writes "
-                   "quiet-window state nor calls " +
-                   qf.funnel + "() — drop the stale annotation");
-      }
-      continue;
-    }
-    if (!writes_state(id) || not_funneled[id] == 0) continue;
-    for (const SubscriptWrite& w : f.writes) {
-      if (!is_state(w.name)) continue;
-      report("quiet-funnel", f.file, w.line,
-             "'" + f.name + "' writes quiet-window state '" + w.name +
-                 "' but is reachable without passing through " + qf.funnel +
-                 "() — fast-forward bookkeeping can be skipped; call " +
-                 qf.funnel +
-                 "() first, or annotate the function quiet-mutator after "
-                 "auditing the path");
     }
   }
 }

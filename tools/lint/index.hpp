@@ -6,7 +6,7 @@
 // namespace/class braces, out-of-class `Ret Class::name(...)`
 // definitions, constructors with member-init lists, and lambdas folded
 // into their enclosing function), every call site inside each body,
-// subscript writes, allocation-risk sites for the hot-path rule,
+// allocation-risk sites for the hot-path rule,
 // `Type [*|&] var` declaration bindings, `.reserve()` sites, and the
 // cross-shard mailbox `post(...)` lambdas. Summaries are cheap,
 // independent per file, and therefore parallelize over a
@@ -25,7 +25,7 @@
 // edge (no false paths), which the rules compensate for with explicit
 // annotations on the entry points they care about.
 //
-// The three rule groups:
+// The two rule groups:
 //
 //   shard-affinity  lambdas passed to a member `post(...)` whose
 //                   destination argument is not the literal 0 run on a
@@ -37,9 +37,6 @@
 //                   functions; allocation / std::function /
 //                   unreserved-push_back sites on any reached function
 //                   are findings.
-//   quiet-funnel    writers of the configured quiet-window SoA arrays
-//                   must be the funnel function itself, reachable only
-//                   through it, or annotated `quiet-mutator`.
 #pragma once
 
 #include <map>
@@ -60,12 +57,6 @@ struct CallSite {
   std::string receiver;   // identifier before . or -> for member calls
   bool member = false;
   bool in_post = false;  // inside the argument list of a member post()
-  int line = 0;
-};
-
-/// A `name[...] =` / `name[...] op=` subscript write.
-struct SubscriptWrite {
-  std::string name;
   int line = 0;
 };
 
@@ -92,7 +83,6 @@ struct FunctionDef {
   int line = 0;  // line of the name token
   std::set<std::string> annotations;
   std::vector<CallSite> calls;
-  std::vector<SubscriptWrite> writes;
   std::vector<RiskSite> risks;
   std::vector<BoundTouch> touches;
 };

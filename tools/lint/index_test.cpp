@@ -150,7 +150,7 @@ TEST(IndexSummary, AnnotationsAttachToDefinitions) {
   const FileSummary s = summarize(R"(
 // pinsim-lint: hot
 void spin() {}
-void relax() {}  // pinsim-lint: quiet-mutator
+void relax() {}  // pinsim-lint: hot
 // pinsim-lint: shard-owner(0)
 struct Front {};
 // A comment merely TALKING about pinsim-lint: hot loops in prose must
@@ -158,8 +158,7 @@ struct Front {};
 void cold() {}
 )");
   EXPECT_EQ(find_fn(s, "spin")->annotations, std::set<std::string>{"hot"});
-  EXPECT_EQ(find_fn(s, "relax")->annotations,
-            std::set<std::string>{"quiet-mutator"});
+  EXPECT_EQ(find_fn(s, "relax")->annotations, std::set<std::string>{"hot"});
   ASSERT_EQ(s.classes.size(), 1u);
   EXPECT_EQ(s.classes[0].name, "Front");
   EXPECT_EQ(s.classes[0].annotations,
@@ -382,12 +381,6 @@ TEST(IndexRules, HotPathBad) {
 TEST(IndexRules, HotPathOk) {
   expect_index_clean("hot_path_ok.cpp", "src/os/hot.cpp");
 }
-TEST(IndexRules, QuietFunnelBad) {
-  expect_index_markers("quiet_funnel_bad.cpp", "src/os/kernel_x.cpp");
-}
-TEST(IndexRules, QuietFunnelOk) {
-  expect_index_clean("quiet_funnel_ok.cpp", "src/os/kernel_x.cpp");
-}
 TEST(IndexRules, ShardAffinityBad) {
   expect_index_markers("shard_affinity_bad.cpp", "src/cluster/fleet_x.cpp");
 }
@@ -395,10 +388,6 @@ TEST(IndexRules, ShardAffinityOk) {
   expect_index_clean("shard_affinity_ok.cpp", "src/cluster/fleet_x.cpp");
 }
 
-TEST(IndexRules, QuietFunnelScopedToConfiguredDirs) {
-  // The same writers outside config.quiet_funnel.dirs are silent.
-  expect_index_clean("quiet_funnel_bad.cpp", "src/sim/elsewhere.cpp");
-}
 TEST(IndexRules, ShardAffinityScopedToConfiguredDirs) {
   expect_index_clean("shard_affinity_bad.cpp", "src/sim/elsewhere.cpp");
 }

@@ -14,12 +14,11 @@ bool ident_char(char c) {
 bool mark_word_char(char c) { return ident_char(c) || c == '-'; }
 
 /// Parse everything after "pinsim-lint:" in a comment body: allow(a, b)
-/// suppressions and the index annotations (hot / quiet-mutator /
-/// shard-owner(n)). `line` is where the comment starts, `end_line`
-/// where it ends (they differ for block comments and backslash-
-/// continued line comments); the annotation-above form attaches one
-/// line past the END, so a continued comment still covers the line of
-/// code that follows it.
+/// suppressions and the index annotations (hot / shard-owner(n)).
+/// `line` is where the comment starts, `end_line` where it ends (they
+/// differ for block comments and backslash-continued line comments);
+/// the annotation-above form attaches one line past the END, so a
+/// continued comment still covers the line of code that follows it.
 void record_marks(std::string_view comment, int line, int end_line,
                   bool whole_line, LexResult* out) {
   const std::string_view marker = "pinsim-lint:";
@@ -67,7 +66,7 @@ void record_marks(std::string_view comment, int line, int end_line,
         while (p < names.size() && mark_word_char(names[p])) ++p;
         attach(&out->allows, std::string(names.substr(s, p - s)));
       }
-    } else if (word == "hot" || word == "quiet-mutator") {
+    } else if (word == "hot") {
       attach(&out->annotations, std::string(word));
     } else if (word == "shard-owner") {
       std::string_view arg = paren_arg(&i);

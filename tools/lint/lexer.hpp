@@ -8,8 +8,8 @@
 //   * `// pinsim-lint: allow(a, b)` suppressions, recorded into a
 //     per-line allow map (the line of the comment, plus the next line
 //     when the comment stands alone — the annotation-above form).
-//   * symbol annotations for the cross-file index: `hot`,
-//     `quiet-mutator`, and `shard-owner(<n>)`, recorded into a per-line
+//   * symbol annotations for the cross-file index: `hot` and
+//     `shard-owner(<n>)`, recorded into a per-line
 //     annotation map with the same attachment rules. Unknown words
 //     after the marker are ignored so prose that merely mentions
 //     "pinsim-lint:" cannot annotate code by accident.
@@ -43,7 +43,7 @@ struct LexResult {
   /// line -> rules allowed on that line ("all" allows everything).
   std::map<int, std::set<std::string>> allows;
   /// line -> index annotations attached to that line ("hot",
-  /// "quiet-mutator", "shard-owner(0)", ...).
+  /// "shard-owner(0)").
   std::map<int, std::set<std::string>> annotations;
 };
 

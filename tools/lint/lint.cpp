@@ -563,10 +563,6 @@ Config default_config() {
   config.float_accumulation_dirs = {"src/", "bench/", "examples/"};
   config.index_dirs = {"src/"};
   config.hot_path_dirs = {"src/"};
-  config.quiet_funnel.funnel = "exit_quiet";
-  config.quiet_funnel.state_prefixes = {"quiet_", "charged_until_",
-                                        "slice_started_", "slice_length_"};
-  config.quiet_funnel.dirs = {"src/os/"};
   config.shard_affinity_dirs = {"src/cluster/"};
   return config;
 }

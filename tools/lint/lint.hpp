@@ -39,7 +39,7 @@
 // On top of the per-file passes, a second pass runs over a cross-file
 // symbol index (function definitions, an approximate call graph, and
 // per-symbol annotations read from `// pinsim-lint: hot` /
-// `shard-owner(0)` / `quiet-mutator` comments — see index.hpp):
+// `shard-owner(0)` comments — see index.hpp):
 //
 //   shard-affinity
 //                 code reachable from a cross-shard mailbox post()
@@ -49,10 +49,6 @@
 //                 push_back into a never-reserved container),
 //                 or std::function construction reachable from a
 //                 function annotated hot.
-//   quiet-funnel  a function writing the kernel's quiet-window SoA
-//                 arrays must be the exit_quiet() funnel itself,
-//                 reachable only through it, or annotated as an
-//                 audited quiet-mutator.
 //
 // Which rules apply to a file is decided from its repo-relative path by
 // a Config (see default_config()), so the policy lives in one place and
@@ -117,16 +113,6 @@ struct Config {
   /// Directory prefixes where hot-path findings are reported (the
   /// whole index is still traversed for reachability).
   std::vector<std::string> hot_path_dirs;
-
-  /// Quiet-funnel policy: writers of the SoA arrays named by
-  /// `state_prefixes` in files under `dirs` must be `funnel` itself,
-  /// reachable only through it, or annotated `quiet-mutator`.
-  struct QuietFunnel {
-    std::string funnel;
-    std::vector<std::string> state_prefixes;
-    std::vector<std::string> dirs;
-  };
-  QuietFunnel quiet_funnel;
 
   /// Directory prefixes whose member `post(...)` lambdas are treated
   /// as cross-shard mailbox callbacks (shard-affinity roots).

@@ -7,12 +7,11 @@
 // .cpp/.hpp/.h files; the lint's own fixture corpus (any directory
 // named `fixtures`) and build trees are skipped. On top of the
 // per-file passes, the whole of src/ is summarized into the cross-file
-// symbol index so shard-affinity / hot-path / quiet-funnel see whole
-// call chains; --jobs parallelizes the per-file work (output is
-// byte-identical to --jobs 1). --json emits findings, per-rule counts,
-// and the scan wall time as a machine-readable report. Exit status:
-// 0 clean, 1 findings, 2 usage or IO error — same convention as the
-// benches.
+// symbol index so shard-affinity / hot-path see whole call chains;
+// --jobs parallelizes the per-file work (output is byte-identical to
+// --jobs 1). --json emits findings, per-rule counts, and the scan wall
+// time as a machine-readable report. Exit status: 0 clean, 1 findings,
+// 2 usage or IO error — same convention as the benches.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -34,11 +33,11 @@ int usage(int code) {
       << "usage: pinsim_lint [--root DIR] [--jobs N] [--json] [path...]\n"
          "  Checks pinsim's determinism / ordering / index-safety /\n"
          "  predicate-purity / float-accumulation / hygiene invariants,\n"
-         "  plus the cross-file shard-affinity / hot-path / quiet-funnel\n"
-         "  reachability rules. Paths are repo-relative (default: src\n"
-         "  tests bench examples tools). --jobs N parallelizes the scan\n"
-         "  (same output as --jobs 1); --json emits a machine-readable\n"
-         "  report. Suppress a finding with\n"
+         "  plus the cross-file shard-affinity / hot-path reachability\n"
+         "  rules. Paths are repo-relative (default: src tests bench\n"
+         "  examples tools). --jobs N parallelizes the scan (same output\n"
+         "  as --jobs 1); --json emits a machine-readable report.\n"
+         "  Suppress a finding with\n"
          "  // pinsim-lint: allow(<rule>)\n";
   return code;
 }
