@@ -11,8 +11,8 @@
 //   --reps N    override the paper's repetition count (same as PINSIM_REPS)
 //   --json P    also write machine-readable results + timing to file P
 //   --stats     print aggregated sim::Engine counters (events fired and
-//               scheduled, tombstone pops, deferred re-arms, reschedules,
-//               peak_heap: the slab high-water mark) after the run
+//               scheduled, reschedules, peak_heap: the slab high-water
+//               mark) after the run
 #pragma once
 
 #include <charconv>
@@ -179,15 +179,8 @@ inline void maybe_write_json(const BenchOptions& options,
 inline void maybe_print_engine_stats(const BenchOptions& options) {
   if (!options.engine_stats) return;
   const sim::EngineStats stats = sim::aggregate_engine_stats();
-  const double tombstone_ratio =
-      stats.fired > 0 ? static_cast<double>(stats.tombstone_pops) /
-                            static_cast<double>(stats.fired)
-                      : 0.0;
   std::cout << "engine stats: fired=" << stats.fired
             << " scheduled=" << stats.scheduled
-            << " tombstone_pops=" << stats.tombstone_pops
-            << " (ratio " << std::setprecision(4) << tombstone_ratio
-            << ") deferred_rearms=" << stats.deferred_rearms
             << " reschedules=" << stats.reschedules
             << " peak_heap=" << stats.peak_heap << "\n";
 }

@@ -58,7 +58,7 @@ BENCHMARK(BM_EngineScheduleCancelHalf);
 
 void BM_EngineReschedule(benchmark::State& state) {
   // In-place deadline moves on one armed timer, alternating later
-  // (lazy deferral: two stores) and back (re-key + sift). This is the
+  // (re-key + sift-down) and back (re-key + sift-up). This is the
   // per-reprogram cost of the kernel's persistent boundary timers.
   sim::Engine engine;
   sim::Timer timer = engine.make_timer([] {});

@@ -13,8 +13,6 @@ namespace {
 // simulation, not per event.
 std::atomic<std::int64_t> g_scheduled{0};
 std::atomic<std::int64_t> g_fired{0};
-std::atomic<std::int64_t> g_tombstone_pops{0};
-std::atomic<std::int64_t> g_deferred_rearms{0};
 std::atomic<std::int64_t> g_reschedules{0};
 std::atomic<std::int64_t> g_peak_heap{0};
 
@@ -24,8 +22,6 @@ EngineStats aggregate_engine_stats() {
   EngineStats stats;
   stats.scheduled = g_scheduled.load(std::memory_order_relaxed);
   stats.fired = g_fired.load(std::memory_order_relaxed);
-  stats.tombstone_pops = g_tombstone_pops.load(std::memory_order_relaxed);
-  stats.deferred_rearms = g_deferred_rearms.load(std::memory_order_relaxed);
   stats.reschedules = g_reschedules.load(std::memory_order_relaxed);
   stats.peak_heap = g_peak_heap.load(std::memory_order_relaxed);
   return stats;
@@ -35,8 +31,6 @@ Engine::~Engine() {
   const EngineStats s = stats();
   g_scheduled.fetch_add(s.scheduled, std::memory_order_relaxed);
   g_fired.fetch_add(s.fired, std::memory_order_relaxed);
-  g_tombstone_pops.fetch_add(s.tombstone_pops, std::memory_order_relaxed);
-  g_deferred_rearms.fetch_add(s.deferred_rearms, std::memory_order_relaxed);
   g_reschedules.fetch_add(s.reschedules, std::memory_order_relaxed);
   std::int64_t peak = g_peak_heap.load(std::memory_order_relaxed);
   while (peak < s.peak_heap &&
@@ -105,8 +99,8 @@ template Engine::Entry Engine::pop_min<true>();
 template Engine::Entry Engine::pop_min<false>();
 
 void Engine::sift_down(std::size_t i) {
-  // Reached from a same-instant re-arm (fresh seq grows the key) and from
-  // drop_timer(), so the walk is usually short.
+  // Reached from a re-arm to the same instant (the fresh seq grows the
+  // key) or later, and from cancel_timer().
   const Entry value = timers_[i];
   const std::size_t n = timers_.size();
   while (true) {
@@ -136,7 +130,6 @@ __attribute__((noinline)) void Engine::grow_slab() {
   // pinsim-lint: allow(hot-path)
   chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
   slot_of_.resize(chunks_.size() << kChunkShift);
-  deferred_.resize(chunks_.size() << kChunkShift);
   // Every heap entry and every free-list entry refers to a distinct live
   // node, so node capacity bounds each heap and the free list. Reserving
   // here makes scheduling, arming and freeing allocation-free between
@@ -146,79 +139,54 @@ __attribute__((noinline)) void Engine::grow_slab() {
   free_nodes_.reserve(chunks_.size() << kChunkShift);
 }
 
-void Engine::drop_timer(std::uint32_t id) {
+void Engine::cancel_timer(std::uint32_t id) {
   const std::uint32_t slot = slot_of_[id];
-  if (slot != kNotQueued) {
-    // Remove the entry outright: once the node is reused, a leftover
-    // entry would alias the next tenant's.
-    const Entry last = timers_.back();
-    timers_.pop_back();
-    if (slot < timers_.size()) {
-      put<true>(slot, last);
-      if (slot > 0 && last.key < timers_[(slot - 1) >> 2].key) {
-        sift_up<true>(slot);
-      } else {
-        sift_down(slot);
-      }
-    }
+  if (slot == kNotQueued) return;
+  slot_of_[id] = kNotQueued;
+  const Entry last = timers_.back();
+  timers_.pop_back();
+  if (slot == timers_.size()) return;
+  put<true>(slot, last);
+  if (slot > 0 && last.key < timers_[(slot - 1) >> 2].key) {
+    sift_up<true>(slot);
+  } else {
+    sift_down(slot);
   }
+}
+
+void Engine::drop_timer(std::uint32_t id) {
+  cancel_timer(id);
   node(id) = Callback();
   free_nodes_.push_back(id);
 }
 
-// Out of line (and never inlined) so step()'s fast path stays compact:
-// inlining the re-arm push + sift would triple step()'s code size and
-// measurably slow the common fire path.
-__attribute__((noinline)) void Engine::resolve_tagged(
-    std::uint32_t tagged_node) {
-  // Cancel wins over a deferral: the deferred key is never pushed.
-  const std::uint32_t id = tagged_node & kNodeIdMask;
-  if (tagged_node & kCancelledBit) {
-    ++stats_.tombstone_pops;
-    slot_of_[id] = kNotQueued;
-    return;
-  }
-  // The deadline moved later while this entry was queued: re-push with
-  // the (when, seq) pair stored at arm time — one push, no firing.
-  ++stats_.deferred_rearms;
-  const Deferred d = deferred_[id];
-  timers_.push_back(Entry{make_key(d.when, d.seq), id});
-  sift_up<true>(timers_.size() - 1);
-}
-
 bool Engine::step(SimTime horizon) {
-  while (true) {
-    // Fire whichever top has the smaller (when, seq) key: the order one
-    // merged heap would give. Keys are unique, so there are no ties.
-    const bool from_timers =
-        !timers_.empty() &&
-        (events_.empty() || timers_.front().key < events_.front().key);
-    const std::vector<Entry>& next = from_timers ? timers_ : events_;
-    if (next.empty() || when_of(next.front()) > horizon) return false;
-    if (from_timers) {
-      const Entry top = pop_min<true>();
-      if (top.node & (kDeferredBit | kCancelledBit)) [[unlikely]] {
-        resolve_tagged(top.node);
-        continue;
-      }
-      // The timer keeps its node and callback: mark it unqueued (so it
-      // reads as disarmed inside its own callback) and run it in place.
-      slot_of_[top.node] = kNotQueued;
-      now_ = when_of(top);
-      ++stats_.fired;
-      node(top.node)();
-      return true;
-    }
-    const Entry top = pop_min<false>();
+  // Fire whichever top has the smaller (when, seq) key: the order one
+  // merged heap would give. Keys are unique, so there are no ties.
+  const bool from_timers =
+      !timers_.empty() &&
+      (events_.empty() || timers_.front().key < events_.front().key);
+  const std::vector<Entry>& next = from_timers ? timers_ : events_;
+  if (next.empty() || when_of(next.front()) > horizon) return false;
+  if (from_timers) {
+    const Entry top = pop_min<true>();
+    // The timer keeps its node and callback: mark it unqueued (so it
+    // reads as disarmed inside its own callback) and run it in place.
+    slot_of_[top.node] = kNotQueued;
     now_ = when_of(top);
     ++stats_.fired;
-    // Move the callback out and free the node before invoking, so nested
-    // scheduling can reuse the node immediately.
-    Callback fn = std::move(node(top.node));
-    free_nodes_.push_back(top.node);
-    fn();
+    node(top.node)();
     return true;
   }
+  const Entry top = pop_min<false>();
+  now_ = when_of(top);
+  ++stats_.fired;
+  // Move the callback out and free the node before invoking, so nested
+  // scheduling can reuse the node immediately.
+  Callback fn = std::move(node(top.node));
+  free_nodes_.push_back(top.node);
+  fn();
+  return true;
 }
 
 std::int64_t Engine::run(SimTime horizon) {

@@ -27,18 +27,15 @@
 // callback) for its whole life, so firing never rebuilds or moves its
 // callback.
 //
-// A timer has at most one heap entry. Timer-heap entries maintain a dense
+// A timer has at most one heap entry, and every timer-heap entry is a
+// live, armed timer at its real key. Timer-heap entries maintain a dense
 // node→heap-slot back-pointer array (updated on every timer-heap move,
-// the Task::rq_index trick), so re-arming a timer that is already in the
-// heap re-keys its entry in place. Moving it *earlier* is an O(log n)
-// decrease-key; to the *same* instant the fresh seq grows the key, so it
-// sifts down. Moving it *later* is a lazy deferral: the new (deadline,
-// seq) pair goes into a dense side array, the entry gets a tag bit and is
-// otherwise left alone; when the stale entry reaches the top, step()
-// re-arms it with a single push instead of firing. cancel() tags the
-// entry too, and the pop discards it; a re-arm before that pop reuses the
-// entry. Either way the timer fires with the (when, seq-at-arm-time) key,
-// exactly where a fresh event scheduled at arm time would have fired.
+// the Task::rq_index trick), so arming a timer that is already queued
+// writes the new (when, seq) key into its entry in place: an earlier
+// deadline sifts up, the same instant or a later one sifts down (the
+// fresh seq grows a same-instant key). cancel() removes the entry at
+// once. The timer fires with the (when, seq-at-arm-time) key, exactly
+// where a fresh event scheduled at arm time would have fired.
 //
 // Why two heaps: a kernel has a handful of timers that fire and re-arm
 // every millisecond or so, among many fire-once events that mostly wait
@@ -72,14 +69,16 @@ class Engine;
 struct EngineStats {
   std::int64_t scheduled = 0;        // fire-once events + fresh timer pushes
   std::int64_t fired = 0;            // callbacks invoked
-  std::int64_t tombstone_pops = 0;   // cancelled timer entries popped
-  std::int64_t deferred_rearms = 0;  // deferred timer entries re-pushed
   std::int64_t reschedules = 0;      // arms that re-keyed a queued entry
   std::int64_t peak_heap = 0;        // high-water mark of slab nodes
-  /// Always 0: nothing batches, skips or fast-forwards timer fires any
-  /// more (every boundary fires through step()). Kept only because
-  /// perfbench/ still reads and prints them; neither the process-wide
-  /// aggregate nor operator+= carries them.
+  /// Always 0: a cancel removes its entry at once and a re-arm re-keys it
+  /// in place (no tombstones, no deferred re-pushes), and nothing
+  /// batches, skips or fast-forwards timer fires any more (every boundary
+  /// fires through step()). Kept only because perfbench/ still reads and
+  /// prints them; neither the process-wide aggregate nor operator+=
+  /// carries them.
+  std::int64_t tombstone_pops = 0;
+  std::int64_t deferred_rearms = 0;
   std::int64_t boundaries_batched = 0;
   std::int64_t boundaries_skipped = 0;
   std::int64_t quiet_windows = 0;
@@ -90,8 +89,6 @@ struct EngineStats {
   EngineStats& operator+=(const EngineStats& other) {
     scheduled += other.scheduled;
     fired += other.fired;
-    tombstone_pops += other.tombstone_pops;
-    deferred_rearms += other.deferred_rearms;
     reschedules += other.reschedules;
     peak_heap += other.peak_heap;
     return *this;
@@ -184,11 +181,9 @@ class Engine {
     return timers_.size() + events_.size();
   }
 
-  /// Instant of the earliest pending heap entry of either kind, or
-  /// kNoHorizon when both heaps are empty. For a timer entry that was
-  /// cancelled or deferred later this reports the stale queued instant —
-  /// a lower bound on when anything can actually fire, which is exactly
-  /// what the sharded round loop needs for a conservative window.
+  /// Instant of the next event to fire (fire-once or timer), or
+  /// kNoHorizon when both heaps are empty. Exact: every heap entry is
+  /// live at its real key. The sharded round loop starts its window here.
   SimTime peek_next() const {
     const SimTime t = timers_.empty() ? kNoHorizon : when_of(timers_.front());
     const SimTime e = events_.empty() ? kNoHorizon : when_of(events_.front());
@@ -196,10 +191,11 @@ class Engine {
   }
 
   /// Jump the clock forward to `when` without firing anything. Only
-  /// legal when no pending event lies at or before `when` (checked) —
-  /// the sharded engine uses this to keep every shard's clock aligned
-  /// at a window boundary so cross-shard deliveries are never in a
-  /// receiver's past.
+  /// legal when no pending event lies at or before `when` (checked
+  /// against peek_next(), so a cancelled or moved timer never blocks the
+  /// jump) — the sharded engine uses this to keep every shard's clock
+  /// aligned at a window boundary so cross-shard deliveries are never in
+  /// a receiver's past.
   void advance_clock_to(SimTime when) {
     PINSIM_CHECK_MSG(when >= now_, "clock moved backwards (" << when << " < "
                                                              << now_ << ")");
@@ -231,14 +227,6 @@ class Engine {
  private:
   friend class Timer;
 
-  /// Deferred re-arm key for a timer whose deadline moved later while its
-  /// heap entry stayed queued. Only valid while the entry carries
-  /// kDeferredBit; stale contents are harmless once the bit clears.
-  struct Deferred {
-    SimTime when;
-    std::uint64_t seq;
-  };
-
   /// Heap entry: trivially copyable so sift moves are plain copies. The
   /// (when, seq) ordering key is packed into one 128-bit integer so the
   /// comparison is a single sub/sbb with no data-dependent branch — the
@@ -247,18 +235,9 @@ class Engine {
   /// starts at zero and only advances), so the unsigned compare is safe.
   struct Entry {
     unsigned __int128 key;
-    /// Node id; a timer-heap entry may carry kDeferredBit and/or
-    /// kCancelledBit on top.
-    std::uint32_t node;
+    std::uint32_t node;  // slab node id
   };
 
-  /// Tags on a timer-heap Entry::node: the timer's deadline moved later
-  /// than the entry's key (the real key is in deferred_), or the timer
-  /// was cancelled. Node ids stay far below 2^30 (the slab would exceed
-  /// memory long before), so the bits are free.
-  static constexpr std::uint32_t kDeferredBit = 0x80000000u;
-  static constexpr std::uint32_t kCancelledBit = 0x40000000u;
-  static constexpr std::uint32_t kNodeIdMask = kCancelledBit - 1;
   /// slot_of_ value of a timer with no heap entry.
   static constexpr std::uint32_t kNotQueued = UINT32_MAX;
 
@@ -275,21 +254,13 @@ class Engine {
   /// next event lies beyond `horizon`.
   bool step(SimTime horizon);
 
-  /// Slow path for a popped timer entry carrying a tag: discard it if
-  /// cancelled, otherwise re-push at its deferred (when, seq). Kept out
-  /// of line so step()'s fast path stays small enough to inline well.
-  void resolve_tagged(std::uint32_t tagged_node);
-
   void arm_timer(std::uint32_t id, SimTime when);
   bool timer_armed(std::uint32_t id) const {
-    const std::uint32_t slot = slot_of_[id];
-    return slot != kNotQueued && !(timers_[slot].node & kCancelledBit);
+    return slot_of_[id] != kNotQueued;
   }
-  void cancel_timer(std::uint32_t id) {
-    const std::uint32_t slot = slot_of_[id];
-    if (slot != kNotQueued) timers_[slot].node |= kCancelledBit;
-  }
-  /// Remove the timer's heap entry, if any, and free its node.
+  /// Remove the timer's heap entry, if any.
+  void cancel_timer(std::uint32_t id);
+  /// Cancel the timer and free its node.
   void drop_timer(std::uint32_t id);
 
   /// The timer heap (kTimer) or the fire-once heap.
@@ -309,7 +280,7 @@ class Engine {
   void put(std::size_t i, const Entry& e) {
     heap<kTimer>()[i] = e;
     if constexpr (kTimer) {
-      slot_of_[e.node & kNodeIdMask] = static_cast<std::uint32_t>(i);
+      slot_of_[e.node] = static_cast<std::uint32_t>(i);
     }
   }
 
@@ -327,7 +298,8 @@ class Engine {
     }
     put<kTimer>(i, value);
   }
-  /// Timer heap only: same-instant re-arms and drop_timer() use it.
+  /// Timer heap only: re-arms to the same instant or later and
+  /// cancel_timer() use it.
   void sift_down(std::size_t i);
   template <bool kTimer>
   Entry pop_min();
@@ -338,8 +310,8 @@ class Engine {
       free_nodes_.pop_back();
       return slot;
     }
-    // grow_slab() is outlined: with the chunk allocation and the two
-    // side-array resizes inlined here, acquire_node() exceeds the
+    // grow_slab() is outlined: with the chunk allocation, the slot_of_
+    // resize and the reserves inlined here, acquire_node() exceeds the
     // inliner's budget and turns into an out-of-line call on every
     // schedule — measurably slower than keeping this wrapper tiny.
     if ((node_count_ >> kChunkShift) == chunks_.size()) [[unlikely]] {
@@ -367,9 +339,6 @@ class Engine {
   std::vector<Entry> events_;  // fire-once entries
   /// timer node id -> index of its timer-heap entry, or kNotQueued.
   std::vector<std::uint32_t> slot_of_;
-  /// timer node id -> deferred re-arm key (valid while the entry is
-  /// tagged kDeferredBit).
-  std::vector<Deferred> deferred_;
   std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::uint32_t node_count_ = 0;
   std::vector<std::uint32_t> free_nodes_;
@@ -437,20 +406,10 @@ inline void Engine::arm_timer(std::uint32_t id, SimTime when) {
     sift_up<true>(timers_.size() - 1);
     return;
   }
-  // Still queued (armed, or cancelled and not yet popped): re-key the
-  // entry in place, dropping any earlier deferral or cancel tag.
+  // Already queued: re-key the entry in place.
   ++stats_.reschedules;
   Entry& entry = timers_[slot];
   const SimTime queued = when_of(entry);
-  if (when > queued) {
-    // Later than the entry: defer lazily. step() re-arms with one push
-    // when the tagged entry surfaces at `queued`. Repeated deferrals
-    // just overwrite the side-array key.
-    deferred_[id] = Deferred{when, seq};
-    entry.node = id | kDeferredBit;
-    return;
-  }
-  entry.node = id;
   entry.key = make_key(when, seq);
   if (when < queued) {
     sift_up<true>(slot);

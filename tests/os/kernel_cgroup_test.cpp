@@ -177,12 +177,10 @@ TEST(KernelCgroupTest, AggregationEventsRecorded) {
   EXPECT_GT(group.stats().aggregations, 10);
 }
 
-TEST(KernelCgroupTest, BoundaryTimerChurnLeavesNoTombstones) {
-  // The boundary-reprogram storm of a quota-governed sweep used to leave
-  // one tombstone per re-arm in the event heap. With persistent
-  // sim::Timers re-armed in place, popped-dead entries should be a
-  // vanishing fraction of fired events (only genuine cancels remain:
-  // cores going idle, wakeup retractions).
+TEST(KernelCgroupTest, BoundaryTimerChurnReArmsQueuedTimers) {
+  // The boundary-reprogram storm of a quota-governed sweep re-arms each
+  // core's persistent sim::Timer while it is still queued, re-keying its
+  // heap entry in place rather than pushing a new one.
   Harness h(hw::Topology(2, 8, 1, 16.0), 7);
   Cgroup& group = h.kernel.create_cgroup({"cn", 3.0, {}});
   for (int i = 0; i < 12; ++i) {
@@ -197,11 +195,6 @@ TEST(KernelCgroupTest, BoundaryTimerChurnLeavesNoTombstones) {
   const sim::EngineStats& stats = h.engine.stats();
   ASSERT_GT(stats.fired, 1000);
   EXPECT_GT(stats.reschedules, 0);
-  // Tombstone pops must be a rounding error relative to fired events.
-  EXPECT_LT(static_cast<double>(stats.tombstone_pops),
-            0.02 * static_cast<double>(stats.fired))
-      << "tombstone_pops=" << stats.tombstone_pops
-      << " fired=" << stats.fired;
 }
 
 TEST(KernelCgroupTest, TaskWokenDuringThrottleParksUntilRefill) {

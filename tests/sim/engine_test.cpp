@@ -259,18 +259,21 @@ TEST(EngineTest, RescheduleSameInstantDropsBehindTies) {
 }
 
 TEST(EngineTest, CancelWinsOverDeferredReschedule) {
+  // cancel() removes the entry at once, even after the deadline moved
+  // later: the heap holds only armed timers.
   Engine engine;
   bool fired = false;
   Timer timer = engine.make_timer([&] { fired = true; });
   timer.arm(msec(1));
-  timer.arm(msec(5));  // lazy deferral
+  timer.arm(msec(5));
+  EXPECT_EQ(engine.pending_events(), 1u);
   timer.cancel();
   EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.peek_next(), Engine::kNoHorizon);
   engine.run();
   EXPECT_FALSE(fired);
-  EXPECT_TRUE(engine.empty());
-  EXPECT_EQ(engine.stats().tombstone_pops, 1);
-  EXPECT_EQ(engine.stats().deferred_rearms, 0);
+  EXPECT_EQ(engine.stats().fired, 0);
 }
 
 TEST(EngineTest, RepeatedDeferralKeepsLatestDeadline) {
@@ -285,31 +288,33 @@ TEST(EngineTest, RepeatedDeferralKeepsLatestDeadline) {
   EXPECT_EQ(fired_at, msec(6));
 }
 
-TEST(EngineTest, StatsCountFiresTombstonesAndDeferrals) {
+TEST(EngineTest, StatsCountFiresAndReschedules) {
   // stats() derives scheduled/peak_heap at read time, so each snapshot
   // must be taken after the activity it checks.
   Engine engine;
   Timer cancelled = engine.make_timer([] {});
-  Timer deferred = engine.make_timer([] {});
+  Timer moved = engine.make_timer([] {});
   cancelled.arm(msec(1));
-  deferred.arm(msec(2));
+  moved.arm(msec(2));
   engine.schedule_detached(msec(3), [] {});
   EXPECT_EQ(engine.stats().scheduled, 3);
   EXPECT_EQ(engine.stats().peak_heap, 3);
   cancelled.cancel();
-  deferred.arm(msec(5));
+  moved.arm(msec(5));
   engine.run();
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.scheduled, 3);       // re-keying is not a new event
-  EXPECT_EQ(stats.fired, 2);           // cancelled one never fires
-  EXPECT_EQ(stats.tombstone_pops, 1);  // only the explicit cancel
-  EXPECT_EQ(stats.deferred_rearms, 1);
+  EXPECT_EQ(stats.scheduled, 3);  // re-keying is not a new event
+  EXPECT_EQ(stats.fired, 2);      // cancelled one never fires
   EXPECT_EQ(stats.reschedules, 1);
   // Arming a fired timer pushes a fresh entry: a new event again.
-  deferred.arm(msec(6));
+  moved.arm(msec(6));
   engine.run();
   EXPECT_EQ(engine.stats().scheduled, 4);
   EXPECT_EQ(engine.stats().peak_heap, 3);  // the timers keep their nodes
+  // So does arming a cancelled timer: the cancel removed its entry.
+  cancelled.arm(msec(7));
+  EXPECT_EQ(engine.stats().scheduled, 5);
+  EXPECT_EQ(engine.stats().reschedules, 1);
 }
 
 TEST(EngineTest, RescheduleEarlierLeavesNoTombstone) {
@@ -317,10 +322,12 @@ TEST(EngineTest, RescheduleEarlierLeavesNoTombstone) {
   Timer timer = engine.make_timer([] {});
   timer.arm(msec(5));
   timer.arm(msec(1));
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_EQ(engine.peek_next(), msec(1));
   engine.run();
-  EXPECT_EQ(engine.stats().tombstone_pops, 0);
-  EXPECT_EQ(engine.stats().deferred_rearms, 0);
   EXPECT_EQ(engine.stats().fired, 1);
+  EXPECT_EQ(engine.stats().reschedules, 1);
+  EXPECT_TRUE(engine.empty());
 }
 
 TEST(EngineTest, PeekNextReportsEarliestEventOfAnyKind) {

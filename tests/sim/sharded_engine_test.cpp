@@ -232,8 +232,6 @@ TEST(ShardedEngineStatsTest, EngineStatsFoldEqualsPerShardSum) {
     const EngineStats per = sharded.shard(s).stats();
     manual.scheduled += per.scheduled;
     manual.fired += per.fired;
-    manual.tombstone_pops += per.tombstone_pops;
-    manual.deferred_rearms += per.deferred_rearms;
     manual.reschedules += per.reschedules;
     manual.peak_heap += per.peak_heap;
   }
@@ -247,9 +245,10 @@ TEST(ShardedEngineStatsTest, EngineStatsFoldEqualsPerShardSum) {
 }
 
 TEST(ShardedEngineStatsTest, EngineStatsFoldCoversEveryField) {
-  // Every counter is driven to a different nonzero value per shard:
-  // cancelled timers (tombstones) and timers moved later (deferred
-  // re-arms, reschedules). The fold must match a field-by-field sum.
+  // Every folded counter is driven to a different nonzero value per
+  // shard: fire-once events, cancelled timers (scheduled, never fired)
+  // and timers moved later (reschedules). The fold must match a
+  // field-by-field sum.
   constexpr int kShards = 3;
   ShardedEngine sharded(config_for(kShards));
   std::vector<Timer> timers;
@@ -272,24 +271,22 @@ TEST(ShardedEngineStatsTest, EngineStatsFoldCoversEveryField) {
   EngineStats manual;
   for (int s = 0; s < kShards; ++s) {
     const EngineStats per = sharded.shard(s).stats();
-    EXPECT_GT(per.tombstone_pops, 0) << "shard " << s;
-    EXPECT_GT(per.deferred_rearms, 0) << "shard " << s;
+    EXPECT_EQ(per.scheduled, 6 + 3 * s) << "shard " << s;
+    EXPECT_EQ(per.fired, 5 + 2 * s) << "shard " << s;
+    EXPECT_EQ(per.reschedules, 1 + s) << "shard " << s;
     manual.scheduled += per.scheduled;
     manual.fired += per.fired;
-    manual.tombstone_pops += per.tombstone_pops;
-    manual.deferred_rearms += per.deferred_rearms;
     manual.reschedules += per.reschedules;
     manual.peak_heap += per.peak_heap;
   }
   const EngineStats folded = sharded.engine_stats();
   EXPECT_EQ(folded.scheduled, manual.scheduled);
   EXPECT_EQ(folded.fired, manual.fired);
-  EXPECT_EQ(folded.tombstone_pops, manual.tombstone_pops);
-  EXPECT_EQ(folded.deferred_rearms, manual.deferred_rearms);
   EXPECT_EQ(folded.reschedules, manual.reschedules);
   EXPECT_EQ(folded.peak_heap, manual.peak_heap);
   // Closed forms of the pattern above, summed over shards 0..2.
-  EXPECT_EQ(folded.tombstone_pops, 1 + 2 + 3);
+  EXPECT_EQ(folded.scheduled, 6 + 9 + 12);
+  EXPECT_EQ(folded.fired, 5 + 7 + 9);
   EXPECT_EQ(folded.reschedules, 1 + 2 + 3);
 }
 
