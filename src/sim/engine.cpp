@@ -100,7 +100,8 @@ template Engine::Entry Engine::pop_min<false>();
 
 void Engine::sift_down(std::size_t i) {
   // Reached from a re-arm to the same instant (the fresh seq grows the
-  // key) or later, and from cancel_timer().
+  // key) or later, from the re-arm of a firing timer (i = 0, the fired
+  // entry re-keyed at the top), and from cancel_timer().
   const Entry value = timers_[i];
   const std::size_t n = timers_.size();
   while (true) {
@@ -141,7 +142,8 @@ __attribute__((noinline)) void Engine::grow_slab() {
 
 void Engine::cancel_timer(std::uint32_t id) {
   const std::uint32_t slot = slot_of_[id];
-  if (slot == kNotQueued) return;
+  // A fired entry goes when its callback returns.
+  if (slot >= kFired) return;
   slot_of_[id] = kNotQueued;
   const Entry last = timers_.back();
   timers_.pop_back();
@@ -155,12 +157,23 @@ void Engine::cancel_timer(std::uint32_t id) {
 }
 
 void Engine::drop_timer(std::uint32_t id) {
+  PINSIM_CHECK_MSG(id != firing_, "timer destroyed inside its own callback");
   cancel_timer(id);
   node(id) = Callback();
   free_nodes_.push_back(id);
 }
 
+SimTime Engine::next_timer_behind_firing() const {
+  const std::size_t end = std::min<std::size_t>(5, timers_.size());
+  SimTime t = kNoHorizon;
+  for (std::size_t c = 1; c < end; ++c) t = std::min(t, when_of(timers_[c]));
+  return t;
+}
+
 bool Engine::step(SimTime horizon) {
+  // A nested run would fire the fired entry at the top again.
+  PINSIM_CHECK_MSG(firing_ == kNotQueued,
+                   "engine run from inside a timer callback");
   // Fire whichever top has the smaller (when, seq) key: the order one
   // merged heap would give. Keys are unique, so there are no ties.
   const bool from_timers =
@@ -169,13 +182,23 @@ bool Engine::step(SimTime horizon) {
   const std::vector<Entry>& next = from_timers ? timers_ : events_;
   if (next.empty() || when_of(next.front()) > horizon) return false;
   if (from_timers) {
-    const Entry top = pop_min<true>();
-    // The timer keeps its node and callback: mark it unqueued (so it
-    // reads as disarmed inside its own callback) and run it in place.
-    slot_of_[top.node] = kNotQueued;
+    // The timer keeps its node and callback and its entry stays at the
+    // top: mark it fired (so it reads as disarmed inside its own
+    // callback) and run it in place. A re-arm from the callback re-keys
+    // the entry (see arm_timer()); otherwise finish_fire() pops it. On a
+    // throw the entry is popped too, so the heap stays exact.
+    const Entry top = timers_.front();
+    firing_ = top.node;
+    slot_of_[top.node] = kFired;
     now_ = when_of(top);
     ++stats_.fired;
-    node(top.node)();
+    try {
+      node(top.node)();
+    } catch (...) {
+      finish_fire();
+      throw;
+    }
+    finish_fire();
     return true;
   }
   const Entry top = pop_min<false>();

@@ -37,6 +37,15 @@
 // once. The timer fires with the (when, seq-at-arm-time) key, exactly
 // where a fresh event scheduled at arm time would have fired.
 //
+// A fire marks the timer disarmed and runs its callback in place, with
+// its entry left at the top of the timer heap. A re-arm from inside the
+// callback re-keys that top entry and sifts it down once (replace-top);
+// a fire with no re-arm pops the entry after the callback returns. No
+// sift or cancel can move the entry off the top meanwhile: every key
+// armed during the callback is (>= now, fresh seq), larger than the
+// firing key. The queries (pending_events(), empty(), peek_next()) leave
+// the fired entry out, so they read the same as if it had been popped.
+//
 // Why two heaps: a kernel has a handful of timers that fire and re-arm
 // every millisecond or so, among many fire-once events that mostly wait
 // far longer (a serving host holds hundreds of sleeping requests). In one
@@ -46,7 +55,9 @@
 //
 // Timers must not outlive the engine that made them (they hold a raw
 // pointer into it) and must not be destroyed from inside their own
-// callback; default-constructed timers are inert.
+// callback (checked); default-constructed timers are inert. The engine
+// must not be run from inside a timer callback (checked): the nested
+// run would fire the fired entry again.
 #pragma once
 
 #include <cstdint>
@@ -176,16 +187,21 @@ class Engine {
     return predicate();
   }
 
-  bool empty() const { return timers_.empty() && events_.empty(); }
+  /// Pending fire-once events plus armed timers. A fired entry, still at
+  /// the timer-heap top until its callback re-arms the timer, does not
+  /// count.
   std::size_t pending_events() const {
-    return timers_.size() + events_.size();
+    return timers_.size() + events_.size() - (fired_at_top() ? 1 : 0);
   }
+  bool empty() const { return pending_events() == 0; }
 
   /// Instant of the next event to fire (fire-once or timer), or
-  /// kNoHorizon when both heaps are empty. Exact: every heap entry is
-  /// live at its real key. The sharded round loop starts its window here.
+  /// kNoHorizon when nothing is pending. Exact: every heap entry is live
+  /// at its real key, and a fired entry is skipped. The sharded round
+  /// loop starts its window here.
   SimTime peek_next() const {
-    const SimTime t = timers_.empty() ? kNoHorizon : when_of(timers_.front());
+    SimTime t = timers_.empty() ? kNoHorizon : when_of(timers_.front());
+    if (fired_at_top()) t = next_timer_behind_firing();
     const SimTime e = events_.empty() ? kNoHorizon : when_of(events_.front());
     return t < e ? t : e;
   }
@@ -240,6 +256,9 @@ class Engine {
 
   /// slot_of_ value of a timer with no heap entry.
   static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+  /// slot_of_ value of the firing timer while its fired entry still sits
+  /// at the timer-heap top: disarmed, but a re-arm re-keys that entry.
+  static constexpr std::uint32_t kFired = UINT32_MAX - 1;
 
   static unsigned __int128 make_key(SimTime when, std::uint64_t seq) {
     return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(when))
@@ -255,13 +274,25 @@ class Engine {
   bool step(SimTime horizon);
 
   void arm_timer(std::uint32_t id, SimTime when);
-  bool timer_armed(std::uint32_t id) const {
-    return slot_of_[id] != kNotQueued;
-  }
+  bool timer_armed(std::uint32_t id) const { return slot_of_[id] < kFired; }
   /// Remove the timer's heap entry, if any.
   void cancel_timer(std::uint32_t id);
   /// Cancel the timer and free its node.
   void drop_timer(std::uint32_t id);
+  /// Pop the fired entry unless the callback re-armed its timer.
+  void finish_fire() {
+    if (slot_of_[firing_] == kFired) {
+      slot_of_[firing_] = kNotQueued;
+      pop_min<true>();
+    }
+    firing_ = kNotQueued;
+  }
+  bool fired_at_top() const {
+    return firing_ != kNotQueued && slot_of_[firing_] == kFired;
+  }
+  /// Earliest timer instant other than the fired entry at the top: the
+  /// smallest of the root's children (cold, queries only).
+  SimTime next_timer_behind_firing() const;
 
   /// The timer heap (kTimer) or the fire-once heap.
   template <bool kTimer>
@@ -298,8 +329,8 @@ class Engine {
     }
     put<kTimer>(i, value);
   }
-  /// Timer heap only: re-arms to the same instant or later and
-  /// cancel_timer() use it.
+  /// Timer heap only: re-arms to the same instant or later, the re-arm
+  /// of a firing timer (replace-top) and cancel_timer() use it.
   void sift_down(std::size_t i);
   template <bool kTimer>
   Entry pop_min();
@@ -337,8 +368,10 @@ class Engine {
   // 4-ary min-heaps ordered by (when, seq); keys are unique across both.
   std::vector<Entry> timers_;  // timer entries, at most one per timer
   std::vector<Entry> events_;  // fire-once entries
-  /// timer node id -> index of its timer-heap entry, or kNotQueued.
+  /// timer node id -> index of its timer-heap entry, kFired or kNotQueued.
   std::vector<std::uint32_t> slot_of_;
+  /// The timer whose callback is running, or kNotQueued.
+  std::uint32_t firing_ = kNotQueued;
   std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::uint32_t node_count_ = 0;
   std::vector<std::uint32_t> free_nodes_;
@@ -401,6 +434,14 @@ inline void Engine::arm_timer(std::uint32_t id, SimTime when) {
                                               << ")");
   const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = slot_of_[id];
+  if (slot == kFired) {
+    // Re-armed from its own callback: re-key the fired entry at the top
+    // and sift it down once, instead of a pop plus a push. Counted as a
+    // fresh push, like any arm of a disarmed timer.
+    timers_.front().key = make_key(when, seq);
+    sift_down(0);
+    return;
+  }
   if (slot == kNotQueued) {
     timers_.push_back(Entry{make_key(when, seq), id});
     sift_up<true>(timers_.size() - 1);

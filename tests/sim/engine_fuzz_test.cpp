@@ -99,7 +99,10 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
   // arms of armed, cancelled and fired timers. A firing timer may re-arm
   // itself and then move that arming earlier, to the same instant, or
   // later; it may also arm or cancel another timer. Timers are destroyed
-  // at random too, taking their queued entries with them.
+  // at random too, taking their queued entries with them. A firing
+  // timer's entry stays at the heap top until it re-arms (replace-top),
+  // so each timer callback checks the engine's queries against the
+  // oracle on entry and after each of its own arms and cancels.
   Rng rng(GetParam() * 1007 + 11);
   Engine engine;
   using Key = std::pair<SimTime, std::uint64_t>;
@@ -143,24 +146,40 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
     fired.push_back(id);
     forget(id);
   };
+  // Every queued entry is live at its real key: peek_next() is the
+  // oracle's earliest instant, and pending_events() counts exactly the
+  // pending fire-once events plus the armed timers (a fired entry still
+  // at the top is not counted).
+  auto check_queries = [&] {
+    EXPECT_EQ(engine.peek_next(), oracle.empty()
+                                      ? Engine::kNoHorizon
+                                      : oracle.begin()->first.first);
+    EXPECT_EQ(engine.pending_events(), live.size());
+    EXPECT_EQ(engine.empty(), live.empty());
+  };
   auto add_timer = [&](SimTime when) {
     const int id = next_id++;
     timers.emplace(id, engine.make_timer([&, id] {
       on_fire(id);
       EXPECT_FALSE(timers.at(id).armed());
+      check_queries();
       const std::int64_t dice = rng.uniform_int(0, 99);
       if (dice < 40) {
         arm(id, engine.now() + rng.uniform_int(0, 3) * 1000);
+        check_queries();
         if (dice < 25) {
           // Earlier than, equal to, or later than the arming just made.
           arm(id, engine.now() + rng.uniform_int(0, 6) * 500);
+          check_queries();
         }
       } else if (dice < 55) {
         const int other = random_timer();
         if (other >= 0) arm(other, engine.now() + rng.uniform_int(0, 4000));
+        check_queries();
       } else if (dice < 65) {
         const int other = random_timer();
         if (other >= 0) cancel(other);
+        check_queries();
       }
     }));
     timer_ids.push_back(id);
@@ -193,13 +212,7 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
 
     const auto horizon = static_cast<SimTime>(
         engine.now() + rng.uniform_int(0, 8000));
-    // Every queued entry is live at its real key: peek_next() is the
-    // oracle's earliest instant, and the heaps hold exactly the pending
-    // fire-once events plus the armed timers.
-    EXPECT_EQ(engine.peek_next(), oracle.empty()
-                                      ? Engine::kNoHorizon
-                                      : oracle.begin()->first.first);
-    EXPECT_EQ(engine.pending_events(), live.size());
+    check_queries();
     engine.run(horizon);
     ASSERT_EQ(fired, expected);
     // Nothing due by the horizon was left behind.

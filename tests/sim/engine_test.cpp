@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "util/check.hpp"
@@ -174,21 +175,112 @@ TEST(EngineTest, DetachedNestedScheduling) {
 
 TEST(EngineTest, NotPendingInsideOwnCallback) {
   // A timer is disarmed while its own callback runs, unless the callback
-  // re-arms it.
+  // re-arms it, and the engine's queries agree.
   Engine engine;
   Timer timer;
   std::vector<bool> armed_inside;
-  timer = engine.make_timer([&] {
+  std::vector<std::size_t> pending_inside;
+  std::vector<SimTime> next_inside;
+  auto record = [&] {
     armed_inside.push_back(timer.armed());
+    pending_inside.push_back(engine.pending_events());
+    next_inside.push_back(engine.peek_next());
+    EXPECT_EQ(engine.empty(), pending_inside.back() == 0);
+  };
+  timer = engine.make_timer([&] {
+    record();
     if (armed_inside.size() == 1) {
       timer.arm(engine.now() + msec(1));
-      armed_inside.push_back(timer.armed());
+      record();
     }
   });
   timer.arm(msec(1));
   engine.run();
   EXPECT_EQ(armed_inside, (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(pending_inside, (std::vector<std::size_t>{0, 1, 0}));
+  EXPECT_EQ(next_inside,
+            (std::vector<SimTime>{Engine::kNoHorizon, msec(2),
+                                  Engine::kNoHorizon}));
   EXPECT_EQ(engine.now(), msec(2));
+}
+
+TEST(EngineTest, QueriesSkipTheFiringTimer) {
+  // A firing timer's entry stays at the top of the timer heap until its
+  // callback re-arms it. pending_events(), empty() and peek_next() read
+  // as if it had been popped, before the re-arm and after it, for a
+  // re-arm to the same instant and to a later one.
+  for (const SimDuration delay : {SimDuration{0}, msec(1)}) {
+    Engine engine;
+    Timer other = engine.make_timer([] {});
+    Timer self;
+    std::vector<std::size_t> pending;
+    std::vector<SimTime> next;
+    std::vector<bool> empty;
+    auto record = [&] {
+      pending.push_back(engine.pending_events());
+      next.push_back(engine.peek_next());
+      empty.push_back(engine.empty());
+    };
+    self = engine.make_timer([&] {
+      if (!pending.empty()) return;
+      record();
+      self.arm(engine.now() + delay);
+      record();
+    });
+    self.arm(msec(1));
+    other.arm(msec(3));
+    engine.schedule_detached(msec(5), [] {});
+    EXPECT_EQ(engine.run(), 4);
+    EXPECT_EQ(pending, (std::vector<std::size_t>{2, 3}));
+    EXPECT_EQ(next, (std::vector<SimTime>{msec(3), msec(1) + delay}));
+    EXPECT_EQ(empty, (std::vector<bool>{false, false}));
+    EXPECT_EQ(engine.stats().reschedules, 0);
+  }
+}
+
+TEST(EngineTest, RunFromInsideATimerCallbackFails) {
+  // A nested run would fire the fired entry at the top again. The check
+  // holds after the callback re-armed its timer too.
+  for (const bool rearm : {false, true}) {
+    Engine engine;
+    int fires = 0;
+    Timer timer;
+    timer = engine.make_timer([&] {
+      if (++fires > 1) return;
+      if (rearm) timer.arm(engine.now() + msec(1));
+      engine.run();
+    });
+    timer.arm(msec(1));
+    EXPECT_THROW(engine.run(), InvariantViolation);
+    EXPECT_EQ(fires, 1);
+    // The throw left the heap exact; the engine stays usable.
+    EXPECT_EQ(timer.armed(), rearm);
+    EXPECT_EQ(engine.pending_events(), rearm ? 1u : 0u);
+    bool later = false;
+    engine.schedule_detached(msec(1), [&] { later = true; });
+    EXPECT_EQ(engine.run(), rearm ? 2 : 1);
+    EXPECT_TRUE(later);
+    EXPECT_EQ(fires, rearm ? 2 : 1);
+  }
+}
+
+TEST(EngineDeathTest, DestroyingATimerInsideItsOwnCallbackAborts) {
+  // ~Timer is noexcept, so the engine's check terminates the process,
+  // before the callback re-armed its timer and after.
+  for (const bool rearm : {false, true}) {
+    EXPECT_DEATH(
+        {
+          Engine engine;
+          auto timer = std::make_unique<Timer>();
+          *timer = engine.make_timer([&] {
+            if (rearm) timer->arm(engine.now() + msec(1));
+            timer.reset();
+          });
+          timer->arm(msec(1));
+          engine.run();
+        },
+        "timer destroyed inside its own callback");
+  }
 }
 
 TEST(EngineTest, CancelledSlotIsRecycledAfterDrain) {
