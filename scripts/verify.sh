@@ -10,7 +10,9 @@
 # 2. Build + run the tier-1 tests under ASan+UBSan (the indexed-heap
 #    runqueue and the flat cgroup slice arrays index by raw task/cpu
 #    ids; the sanitizers catch any stale-index use the unit tests
-#    would miss). Skip with PINSIM_SKIP_SANITIZERS=1 for a quick
+#    would miss), then one rep each of fig5_wordpress and
+#    fig6_cassandra (the request-per-process path and the Cassandra
+#    pool end to end). Skip with PINSIM_SKIP_SANITIZERS=1 for a quick
 #    pass.
 # 3. Build + run the parallel-harness tests under ThreadSanitizer
 #    (util::ThreadPool, ExperimentRunner::measure_all, and the
@@ -48,10 +50,15 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan --target pinsim_tests pinsim_examples \
-    pinsim_lint pinsim_lint_tests -j
-  # This tree builds no bench binaries, so the "bench" label (golden
-  # stdout hashes, CLI rejection) runs in the tier-1 stage only.
+    pinsim_lint pinsim_lint_tests fig5_wordpress fig6_cassandra -j
+  # The "bench" label (golden stdout hashes, CLI rejection) runs in the
+  # tier-1 stage only.
   (cd build-asan && ctest --output-on-failure -j --timeout 300 -LE bench)
+  # One rep of each serving figure end to end: the Fig. 5 process per
+  # request (spawn, exit hook, release at exit) and the Fig. 6 server
+  # thread pool.
+  PINSIM_REPS=1 ./build-asan/bench/fig5_wordpress > /dev/null
+  PINSIM_REPS=1 ./build-asan/bench/fig6_cassandra > /dev/null
 
   echo "== parallel harness under TSan =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

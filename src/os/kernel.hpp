@@ -73,6 +73,10 @@ class Kernel {
   // --- setup ---------------------------------------------------------------
   Cgroup& create_cgroup(Cgroup::Config config);
 
+  /// A new task, not yet started. The reference stays valid for the
+  /// kernel's life: when the task exits, the kernel keeps its record
+  /// (id, name, state, stats; listed by tasks()) and destroys its
+  /// driver, NUMA home reference and exit hook.
   Task& create_task(std::string name, std::unique_ptr<TaskDriver> driver,
                     TaskConfig config = {});
 

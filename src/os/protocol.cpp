@@ -1,5 +1,6 @@
 #include "os/protocol.hpp"
 
+#include <functional>
 #include <utility>
 
 namespace pinsim::os {
@@ -19,7 +20,7 @@ Task& TaskTable::create(std::string name, std::unique_ptr<TaskDriver> driver,
   task.weight = config.weight;
   task.working_set_mb = config.working_set_mb;
   task.compute_inflation = config.compute_inflation;
-  task.numa_home = config.numa_home;
+  task.numa_home = std::move(config.numa_home);
   task.device_local_start = config.device_local_start;
   if (config.cgroup != nullptr) {
     config.cgroup->add_member(task);
@@ -43,10 +44,16 @@ void TaskTable::retire(Task& task, SimTime now) {
   --live_;
   --unretired_;
   if (task.cgroup != nullptr) task.cgroup->remove_member(task);
+  task.release_driver();
+  task.numa_home.reset();
 }
 
 void TaskTable::run_on_exit(Task& task) {
-  auto& on_exit = on_exit_[static_cast<std::size_t>(task.id())];
+  // Moved out first: the hook may create tasks, which can reallocate
+  // on_exit_ while it runs. A move allocates nothing.
+  // pinsim-lint: allow(hot-path)
+  const std::function<void(Task&)> on_exit =
+      std::exchange(on_exit_[static_cast<std::size_t>(task.id())], nullptr);
   if (on_exit) on_exit(task);
 }
 

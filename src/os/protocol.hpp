@@ -44,7 +44,10 @@ struct TaskConfig {
 
 /// An executor's tasks, their exit hooks, and how many are live
 /// (started, not yet finished) and unretired (created, not yet
-/// finished). Finished tasks stay in the table.
+/// finished). A finished task stays in the table as its record (id,
+/// name, state, stats), so a Task& stays valid for the executor's
+/// life; its driver, NUMA home reference and exit hook, which only a
+/// live task needs, are destroyed when it exits.
 class TaskTable {
  public:
   /// A new task configured from `config`. A non-empty affinity must
@@ -53,11 +56,13 @@ class TaskTable {
                TaskConfig config, const hw::CpuSet& cpus);
   /// Created -> live: counts the task and stamps its start time.
   void start(Task& task, SimTime now);
-  /// Running -> Finished: stamps the finish time and drops the task
-  /// from the live count and from its cgroup. The exit hook is the
-  /// caller's to run (see run_on_exit), after its own finish-time
-  /// bookkeeping.
+  /// Running -> Finished: stamps the finish time, drops the task from
+  /// the live count and from its cgroup, and destroys its driver and
+  /// its NUMA home reference. The exit hook is the caller's to run (see
+  /// run_on_exit), after its own finish-time bookkeeping.
   void retire(Task& task, SimTime now);
+  /// Run the task's exit hook once and destroy it. The hook may create
+  /// tasks on this executor.
   void run_on_exit(Task& task);
 
   int live() const { return live_; }

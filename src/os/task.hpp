@@ -15,6 +15,7 @@
 
 #include "hw/cpuset.hpp"
 #include "hw/disk.hpp"
+#include "util/check.hpp"
 #include "util/units.hpp"
 
 namespace pinsim::os {
@@ -68,7 +69,8 @@ struct Action {
 
 /// Supplies a task's next action. `next()` is called exactly when the
 /// previous action has fully completed (compute charged, IO finished,
-/// message received). Drivers are owned by their task.
+/// message received). A driver is owned by its task until the task
+/// exits, when the task drops it.
 class TaskDriver {
  public:
   virtual ~TaskDriver() = default;
@@ -101,7 +103,14 @@ class Task {
 
   Id id() const { return id_; }
   const std::string& name() const { return name_; }
-  TaskDriver& driver() { return *driver_; }
+  /// The behaviour of a task that has not exited.
+  TaskDriver& driver() {
+    PINSIM_CHECK_MSG(driver_ != nullptr, "task " << name_ << " has exited");
+    return *driver_;
+  }
+  /// Destroy the driver: the task has exited and asks for no more
+  /// actions. Its record (id, name, state, stats) stays.
+  void release_driver() { driver_.reset(); }
 
   // --- Fields owned by the executor. Kept public: Task is an internal
   // scheduler record, and the kernel manipulates these in concert; mirror
@@ -130,7 +139,7 @@ class Task {
   /// Shared memory-home socket (first-touch NUMA). All threads of a
   /// process share one; set to the first socket any of them runs on.
   /// Null = NUMA-exempt (e.g. vCPU threads, whose guest RAM policy is
-  /// folded into the hypervisor calibration).
+  /// folded into the hypervisor calibration), and after the task exits.
   std::shared_ptr<int> numa_home;
   /// Set once the task performs IO; migrations then also pay the
   /// IO-channel re-establishment cost.

@@ -21,11 +21,12 @@ os::Task& BareMetalPlatform::spawn(WorkTaskConfig config,
   task_config.weight = config.weight;
   task_config.on_exit = std::move(config.on_exit);
   task_config.numa_home = config.numa_home != nullptr
-                              ? config.numa_home
+                              ? std::move(config.numa_home)
                               : std::make_shared<int>(-1);
   task_config.device_local_start = config.network_born;
   return host_->kernel().create_task(std::move(config.name),
-                                     std::move(driver), task_config);
+                                     std::move(driver),
+                                     std::move(task_config));
 }
 
 void BareMetalPlatform::start(os::Task& task) {

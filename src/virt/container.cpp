@@ -25,12 +25,12 @@ os::Task& ContainerPlatform::spawn(WorkTaskConfig config,
   task_config.cgroup = cgroup_;
   task_config.on_exit = std::move(config.on_exit);
   task_config.numa_home = config.numa_home != nullptr
-                              ? config.numa_home
+                              ? std::move(config.numa_home)
                               : std::make_shared<int>(-1);
   task_config.device_local_start = config.network_born;
   os::Task& task = host_->kernel().create_task(std::move(config.name),
                                                std::move(driver),
-                                               task_config);
+                                               std::move(task_config));
   task.sticky_wakeup = spec_.mode == CpuMode::Pinned;
   return task;
 }

@@ -156,15 +156,19 @@ class ServerPool {
   std::size_t size() const { return threads_.size(); }
 
   /// Hand thread `target` one op now; `done` runs when its response is
-  /// sent.
+  /// sent. The thread must not have finished.
   void submit(std::size_t target, OpDone done) {
+    PINSIM_CHECK_MSG(threads_[target]->state != os::TaskState::Finished,
+                     "op submitted to finished " << threads_[target]->name());
     drivers_[target]->enqueue(std::move(done));
     platform_->post(*threads_[target], 1);
   }
 
  private:
   virt::Platform* platform_;
-  std::vector<ServerThreadDriver*> drivers_;  // owned by their tasks
+  // Owned by their tasks, which destroy them when they finish: valid
+  // only while threads_[i] has not finished (submit checks).
+  std::vector<ServerThreadDriver*> drivers_;
   std::vector<os::Task*> threads_;
 };
 
