@@ -6,7 +6,8 @@
 #    hardened warning set (-Wall -Wextra -Wshadow -Wnon-virtual-dtor
 #    -Wold-style-cast) is zero-tolerance, and with the pinsim_lint
 #    tree scan and fixture suite running as ctests (determinism /
-#    ordering / index-safety / hygiene invariants).
+#    ordering / hygiene / hot-path invariants; any finding fails the
+#    pinsim_lint_tree ctest).
 # 2. Build + run the tier-1 tests under ASan+UBSan (the indexed-heap
 #    runqueue and the flat cgroup slice arrays index by raw task/cpu
 #    ids; the sanitizers catch any stale-index use the unit tests
@@ -18,8 +19,10 @@
 #    (util::ThreadPool, ExperimentRunner::measure_all, and the
 #    barrier-synchronized sim::ShardedEngine round loop are the only
 #    concurrent code in the tree; TSan is the only tool that proves
-#    the sweep protocol and the shard workers race-free). Skipped
-#    together with the other sanitizers via PINSIM_SKIP_SANITIZERS=1.
+#    the sweep protocol and the shard workers race-free, and with the
+#    fleet trace tests it is what keeps the cluster front end
+#    shard-0-only). Skipped together with the other sanitizers via
+#    PINSIM_SKIP_SANITIZERS=1.
 # 4. Build micro_engine + micro_sched + micro_cluster in a Release
 #    tree so perf-relevant flags (-O2 -DNDEBUG) compile on every
 #    change, and run the micro suites once, writing machine-readable
@@ -27,9 +30,7 @@
 #    BENCH_timer_latest.json (the timer-path subset tracked by
 #    BENCH_timer.json) and BENCH_cluster_latest.json — all
 #    gitignored; diff against the committed BENCH_*.json snapshots
-#    when touching hot paths. The tier-1 stage also archives the lint
-#    report (findings + per-rule counts + scan wall time) to the
-#    gitignored LINT_latest.json.
+#    when touching hot paths.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,12 +39,6 @@ echo "== tier-1: configure + build + ctest (warnings are errors) =="
 cmake -B build -S . -DPINSIM_WERROR=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j --timeout 300)
-
-echo "== lint report (LINT_latest.json) =="
-# Archive the machine-readable lint report (findings, per-rule counts,
-# scan wall time) next to the BENCH_*_latest.json artifacts. The tree
-# is expected clean — findings fail this stage like a test failure.
-./build/tools/lint/pinsim_lint --root . --json > LINT_latest.json
 
 if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "== tier-1 under ASan+UBSan =="

@@ -48,7 +48,6 @@ struct ArrivalConfig {
 /// Deterministic per-stream arrival-time generator. `next()` returns
 /// absolute arrival instants in non-decreasing order.
 // Front-end state: shard-0-owned (see LoadBalancer).
-// pinsim-lint: shard-owner(0)
 class Arrivals {
  public:
   Arrivals(ArrivalConfig config, Rng rng);

@@ -40,7 +40,6 @@ struct AutoscalerConfig {
 };
 
 // Front-end state: shard-0-owned (see LoadBalancer).
-// pinsim-lint: shard-owner(0)
 class Autoscaler {
  public:
   explicit Autoscaler(AutoscalerConfig config);

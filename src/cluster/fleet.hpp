@@ -136,7 +136,6 @@ struct FleetHostReport {
 };
 
 // Front-end state: shard-0-owned (see LoadBalancer).
-// pinsim-lint: shard-owner(0)
 struct ClusterResult {
   std::vector<RequestRecord> trace;
   std::int64_t dispatched = 0;

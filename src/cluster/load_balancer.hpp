@@ -28,7 +28,6 @@ const char* to_string(BalancerPolicy policy);
 
 // Front-end state: lives on shard 0, mutated only by the dispatch
 // loop there. Worker-shard callbacks reach it by posting back.
-// pinsim-lint: shard-owner(0)
 class LoadBalancer {
  public:
   LoadBalancer(BalancerPolicy policy, int backends);

@@ -38,7 +38,6 @@ struct SloSummary {
 };
 
 // Front-end state: shard-0-owned (see LoadBalancer).
-// pinsim-lint: shard-owner(0)
 class SloTracker {
  public:
   explicit SloTracker(SloConfig config);

@@ -97,32 +97,32 @@ SimDuration Cgroup::aggregate() {
 }
 
 void Cgroup::park(Task& task) {
-  PINSIM_CHECK_MSG(task.park_index < 0,
+  PINSIM_CHECK_MSG(task.park_index_ < 0,
                    "task " << task.name() << " parked twice");
   task.state = TaskState::Throttled;
-  task.park_index = static_cast<int>(parked_.size());
+  task.park_index_ = static_cast<int>(parked_.size());
   parked_.push_back(&task);
 }
 
 void Cgroup::unpark(Task& task) {
   PINSIM_CHECK_MSG(is_parked(task),
                    "task " << task.name() << " not parked here");
-  const std::size_t index = static_cast<std::size_t>(task.park_index);
+  const std::size_t index = static_cast<std::size_t>(task.park_index_);
   Task* last = parked_.back();
   parked_[index] = last;
-  last->park_index = static_cast<int>(index);
+  last->park_index_ = static_cast<int>(index);
   parked_.pop_back();
-  task.park_index = -1;
+  task.park_index_ = -1;
 }
 
 bool Cgroup::is_parked(const Task& task) const {
-  const int index = task.park_index;
+  const int index = task.park_index_;
   return index >= 0 && index < static_cast<int>(parked_.size()) &&
          parked_[static_cast<std::size_t>(index)] == &task;
 }
 
 void Cgroup::take_parked(std::vector<Task*>* out) {
-  for (Task* task : parked_) task->park_index = -1;
+  for (Task* task : parked_) task->park_index_ = -1;
   // A copy, not a swap: parked_ keeps its reservation (park() never
   // allocates), and a re-enqueue may park a taken task again. `out`
   // takes the same geometric reservation, so a reused one reallocates

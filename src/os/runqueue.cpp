@@ -8,7 +8,7 @@ namespace pinsim::os {
 
 void Runqueue::place(std::size_t index, const Slot& slot) {
   heap_[index] = slot;
-  slot.task->rq_index = static_cast<int>(index);
+  slot.task->rq_index_ = static_cast<int>(index);
 }
 
 void Runqueue::sift_up(std::size_t index) {
@@ -43,7 +43,7 @@ void Runqueue::enqueue(Task& task) {
   PINSIM_CHECK_MSG(!contains(task),
                    "task " << task.name() << " enqueued twice");
   heap_.push_back(Slot{task.vruntime, task.id(), &task});
-  task.rq_index = static_cast<int>(heap_.size() - 1);
+  task.rq_index_ = static_cast<int>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
   min_vruntime_ = std::max(min_vruntime_, heap_.front().vruntime);
 }
@@ -51,18 +51,18 @@ void Runqueue::enqueue(Task& task) {
 void Runqueue::remove(Task& task) {
   PINSIM_CHECK_MSG(contains(task),
                    "task " << task.name() << " not in runqueue");
-  const std::size_t index = static_cast<std::size_t>(task.rq_index);
-  task.rq_index = -1;
+  const std::size_t index = static_cast<std::size_t>(task.rq_index_);
+  task.rq_index_ = -1;
   const Slot last = heap_.back();
   heap_.pop_back();
   if (index == heap_.size()) return;  // removed the trailing slot
   place(index, last);
   sift_up(index);
-  sift_down(static_cast<std::size_t>(last.task->rq_index));
+  sift_down(static_cast<std::size_t>(last.task->rq_index_));
 }
 
 bool Runqueue::contains(const Task& task) const {
-  const int index = task.rq_index;
+  const int index = task.rq_index_;
   return index >= 0 && index < static_cast<int>(heap_.size()) &&
          heap_[static_cast<std::size_t>(index)].task == &task;
 }
@@ -77,7 +77,7 @@ Task& Runqueue::pop_min() {
   PINSIM_CHECK(!heap_.empty());
   Task& task = *heap_.front().task;
   min_vruntime_ = std::max(min_vruntime_, heap_.front().vruntime);
-  task.rq_index = -1;
+  task.rq_index_ = -1;
   const Slot last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {

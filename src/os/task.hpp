@@ -166,12 +166,18 @@ class Task {
   SimTime blocked_at = 0;
   /// Cpu whose runqueue currently holds this task (-1 when not queued).
   hw::CpuId queued_cpu = -1;
+
+ private:
+  // The back-pointers behind O(1) removal: only their owners write them.
+  friend class Runqueue;
+  friend class Cgroup;
   /// Slot index in the holding runqueue's heap (-1 when not queued).
-  /// Maintained by Runqueue; nobody else writes it.
-  int rq_index = -1;
+  int rq_index_ = -1;
   /// Slot index in the cgroup's parked list (-1 when not parked).
-  /// Maintained by Cgroup; nobody else writes it.
-  int park_index = -1;
+  int park_index_ = -1;
+
+ public:
+  int park_index() const { return park_index_; }
 
   TaskStats stats;
 

@@ -16,12 +16,13 @@
 namespace pinsim::cluster {
 namespace {
 
-FleetConfig small_fleet(int hosts, int shards, int threads) {
+FleetConfig small_fleet(int hosts, int shards, int threads,
+                        double rate_per_second = 40.0) {
   FleetConfig config;
   config.hosts = hosts;
   config.shards = shards;
   config.threads = threads;
-  config.arrivals.rate_per_second = 40.0;
+  config.arrivals.rate_per_second = rate_per_second;
   config.traffic_seconds = 2.0;
   config.drain_seconds = 60.0;
   return config;
@@ -84,15 +85,27 @@ TEST(ClusterFleetTest, TraceIsIdenticalAcrossRepeatedRuns) {
                    run_cluster(small_fleet(4, 2, 1)));
 }
 
+// The trace tests run each fleet at two rates. At 40 req/s the
+// LeastOutstanding picks do not depend on the outstanding counts; at
+// 400 req/s they do, so a completion that reaches the front end in the
+// wrong round (or from a worker shard) changes which host is picked.
+constexpr double kTraceRates[] = {40.0, 400.0};
+
 TEST(ClusterFleetTest, ThreadCountDoesNotChangeTheTrace) {
-  expect_identical(run_cluster(small_fleet(4, 4, 1)),
-                   run_cluster(small_fleet(4, 4, 4)));
+  for (const double rate : kTraceRates) {
+    SCOPED_TRACE(rate);
+    expect_identical(run_cluster(small_fleet(4, 4, 1, rate)),
+                     run_cluster(small_fleet(4, 4, 4, rate)));
+  }
 }
 
 TEST(ClusterFleetTest, ShardCountDoesNotChangeTheTrace) {
-  const ClusterResult serial = run_cluster(small_fleet(4, 1, 1));
-  expect_identical(serial, run_cluster(small_fleet(4, 2, 1)));
-  expect_identical(serial, run_cluster(small_fleet(4, 4, 2)));
+  for (const double rate : kTraceRates) {
+    SCOPED_TRACE(rate);
+    const ClusterResult serial = run_cluster(small_fleet(4, 1, 1, rate));
+    expect_identical(serial, run_cluster(small_fleet(4, 2, 1, rate)));
+    expect_identical(serial, run_cluster(small_fleet(4, 4, 2, rate)));
+  }
 }
 
 TEST(ClusterFleetTest, RoundsAdvanceByTheDispatchLeg) {

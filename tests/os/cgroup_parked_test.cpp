@@ -44,13 +44,13 @@ TEST(CgroupParkedTest, ParkUnparkMaintainsIndices) {
   // Remove the middle entry: swap-and-pop moves the tail into its slot.
   group.unpark(*b);
   EXPECT_FALSE(group.is_parked(*b));
-  EXPECT_EQ(b->park_index, -1);
+  EXPECT_EQ(b->park_index(), -1);
   EXPECT_TRUE(group.is_parked(*a));
   EXPECT_TRUE(group.is_parked(*c));
   EXPECT_EQ(group.parked().size(), 2u);
   // The survivors' indices must still point at their own slots.
   for (std::size_t i = 0; i < group.parked().size(); ++i) {
-    EXPECT_EQ(group.parked()[i]->park_index, static_cast<int>(i));
+    EXPECT_EQ(group.parked()[i]->park_index(), static_cast<int>(i));
   }
 }
 
@@ -77,9 +77,9 @@ TEST(CgroupParkedTest, TakeParkedPreservesThrottleOrderAndResets) {
   group.take_parked(&taken);
   EXPECT_EQ(taken, (std::vector<Task*>{a.get(), b.get(), c.get()}));
   EXPECT_TRUE(group.parked().empty());
-  EXPECT_EQ(a->park_index, -1);
-  EXPECT_EQ(b->park_index, -1);
-  EXPECT_EQ(c->park_index, -1);
+  EXPECT_EQ(a->park_index(), -1);
+  EXPECT_EQ(b->park_index(), -1);
+  EXPECT_EQ(c->park_index(), -1);
   // Taken tasks can be parked again (unthrottle may re-park on a
   // still-throttled sibling cpu).
   group.park(*b);
@@ -95,7 +95,7 @@ TEST(CgroupParkedTest, RemoveMemberUnparks) {
   group.remove_member(*a);
   EXPECT_FALSE(group.is_parked(*a));
   EXPECT_TRUE(group.parked().empty());
-  EXPECT_EQ(a->park_index, -1);
+  EXPECT_EQ(a->park_index(), -1);
 }
 
 // Regression: simulation results must not depend on the parked list's

@@ -1,7 +1,9 @@
 // Fixture: every determinism violation the analyzer must catch.
 // lint_test.cpp analyzes this file as if it lived under src/os/ (where
-// the determinism rule applies) and under src/core/ (where it does
-// not). An expect marker names the exact line a finding must land on.
+// the whole determinism rule applies), and under src/core/, bench/,
+// examples/ and tests/ (where only the unordered-iteration check, or
+// nothing, applies). An expect marker names the exact line a finding
+// must land on.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>

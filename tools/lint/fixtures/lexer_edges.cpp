@@ -13,7 +13,7 @@ namespace fixture {
 
 inline std::string banned_tokens_in_literals() {
   const char* a = "time(nullptr) rand() getenv(\"HOME\")";
-  const char* b = R"lint(std::random_device dev; slot_of_[i])lint";
+  const char* b = R"lint(std::random_device dev; std::map<int*, int> m)lint";
   const char c = '"';  // a quote char must not open a string
   std::string out = a;
   out += b;

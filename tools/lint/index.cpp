@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <sstream>
 #include <utility>
 
 #include "lexer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pinsim::lint {
 namespace {
@@ -49,11 +47,6 @@ const std::set<std::string>& non_type_words() {
   return kw;
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.compare(0, prefix.size(), prefix) == 0;
-}
-
 bool in_dirs(std::string_view path, const std::vector<std::string>& dirs) {
   for (const std::string& dir : dirs) {
     if (path_matches(path, dir)) return true;
@@ -65,7 +58,7 @@ bool in_dirs(std::string_view path, const std::vector<std::string>& dirs) {
 /// scope stack tracks namespace/class braces so definitions are only
 /// recognized where C++ allows them; function bodies are consumed by a
 /// dedicated scanner that records calls, hot-path risk sites, and
-/// declaration-bound touches.
+/// reserve() sites.
 class Summarizer {
  public:
   Summarizer(std::string_view path, const LexResult& lexed)
@@ -108,16 +101,6 @@ class Summarizer {
 
   void collect_bindings();
   void scan_body(std::size_t begin, std::size_t end, FunctionDef* fn);
-  /// Member `post(...)` at ident index `p`: record a MailboxLambda for
-  /// each top-level lambda argument unless the destination (second)
-  /// argument is the literal 0.
-  void extract_mailbox(std::size_t p, const std::string& enclosing);
-  void scan_mailbox_body(std::size_t begin, std::size_t end,
-                         MailboxLambda* ml);
-  /// Spans (as [first, last) token ranges) of member post(...) calls
-  /// inside [begin, end), including the post ident itself.
-  std::vector<std::pair<std::size_t, std::size_t>> post_spans(
-      std::size_t begin, std::size_t end) const;
 
   std::string_view path_;
   const LexResult& lexed_;
@@ -182,27 +165,8 @@ void Summarizer::collect_bindings() {
   }
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> Summarizer::post_spans(
-    std::size_t begin, std::size_t end) const {
-  std::vector<std::pair<std::size_t, std::size_t>> spans;
-  for (std::size_t j = begin; j < end; ++j) {
-    if (!is_ident(j, "post") || !is_punct(j + 1, "(")) continue;
-    if (j < 1 || !(is_punct(j - 1, ".") || is_punct(j - 1, "->"))) continue;
-    spans.emplace_back(j, std::min(skip_group(j + 1), end));
-  }
-  return spans;
-}
-
 void Summarizer::scan_body(std::size_t begin, std::size_t end,
                            FunctionDef* fn) {
-  const auto posts = post_spans(begin, end);
-  const auto in_post = [&](std::size_t j) {
-    for (const auto& [a, b] : posts) {
-      if (j >= a && j < b) return true;
-    }
-    return false;
-  };
-
   for (std::size_t j = begin; j < end; ++j) {
     const Token& t = toks()[j];
     if (t.kind != Token::kIdent) continue;
@@ -244,7 +208,6 @@ void Summarizer::scan_body(std::size_t begin, std::size_t end,
       call.name = s;
       call.member = member;
       call.receiver = receiver;
-      call.in_post = in_post(j);
       call.line = t.line;
       if (!member && j >= 2 && is_punct(j - 1, "::") &&
           toks()[j - 2].kind == Token::kIdent) {
@@ -252,122 +215,7 @@ void Summarizer::scan_body(std::size_t begin, std::size_t end,
         call.qualifier = toks()[j - 2].text;
       }
       fn->calls.push_back(call);
-      if (member && s == "post") extract_mailbox(j, fn->name);
-      continue;
     }
-
-    // `var.` / `var->` touch of a declaration-bound variable.
-    if ((is_punct(j + 1, ".") || is_punct(j + 1, "->")) && !member &&
-        !(j >= 1 && is_punct(j - 1, "::"))) {
-      const auto bound = out_.bindings.find(s);
-      if (bound != out_.bindings.end()) {
-        fn->touches.push_back(
-            BoundTouch{s, bound->second, in_post(j), t.line});
-      }
-    }
-  }
-}
-
-void Summarizer::extract_mailbox(std::size_t p, const std::string& enclosing) {
-  const std::size_t open = p + 1;
-  const std::size_t close = skip_group(open);  // one past ')'
-  // Top-level commas and lambda starts inside the argument list.
-  std::vector<std::size_t> commas;
-  std::vector<std::size_t> lambdas;
-  int depth = 0;
-  for (std::size_t j = open; j < close; ++j) {
-    const Token& t = toks()[j];
-    if (t.kind != Token::kPunct) continue;
-    if (t.text == "(" || t.text == "{") {
-      ++depth;
-    } else if (t.text == ")" || t.text == "}") {
-      --depth;
-    } else if (t.text == "[") {
-      if (depth == 1 && (is_punct(j - 1, "(") || is_punct(j - 1, ","))) {
-        lambdas.push_back(j);
-      }
-      ++depth;
-    } else if (t.text == "]") {
-      --depth;
-    } else if (t.text == "," && depth == 1) {
-      commas.push_back(j);
-    }
-  }
-  // The mailbox signature is post(src, dst, delay, callback): a
-  // destination that is literally the token `0` is the sanctioned
-  // post-back to the shard-0 front end, not a cross-shard callback.
-  if (commas.size() >= 2) {
-    const std::size_t a = commas[0] + 1;
-    const std::size_t b = commas[1];
-    if (b == a + 1 && toks()[a].kind == Token::kNumber &&
-        toks()[a].text == "0") {
-      return;
-    }
-  }
-  for (const std::size_t ls : lambdas) {
-    std::size_t j = skip_group(ls);                    // past capture list
-    if (is_punct(j, "(")) j = skip_group(j);           // past parameters
-    while (is_ident(j, "mutable") || is_ident(j, "noexcept")) ++j;
-    if (!is_punct(j, "{")) continue;
-    const std::size_t body_end = skip_group(j);
-    MailboxLambda ml;
-    ml.file = std::string(path_);
-    ml.enclosing = enclosing;
-    ml.line = toks()[p].line;
-    scan_mailbox_body(j + 1, body_end - 1, &ml);
-    out_.mailbox.push_back(std::move(ml));
-  }
-}
-
-void Summarizer::scan_mailbox_body(std::size_t begin, std::size_t end,
-                                   MailboxLambda* ml) {
-  const auto posts = post_spans(begin, end);
-  std::size_t j = begin;
-  while (j < end) {
-    // Skip nested mailbox posts entirely: posting back through the
-    // mailbox is the sanctioned way to reach shard-0 state.
-    bool skipped = false;
-    for (const auto& [a, b] : posts) {
-      if (j == a) {
-        j = b;
-        skipped = true;
-        break;
-      }
-    }
-    if (skipped) continue;
-    const Token& t = toks()[j];
-    if (t.kind != Token::kIdent) {
-      ++j;
-      continue;
-    }
-    const std::string& s = t.text;
-    const bool member =
-        j >= 1 && (is_punct(j - 1, ".") || is_punct(j - 1, "->"));
-    if (is_punct(j + 1, "(") && control_keywords().count(s) == 0) {
-      CallSite call;
-      call.name = s;
-      call.member = member;
-      call.receiver = member && j >= 2 && toks()[j - 2].kind == Token::kIdent
-                          ? toks()[j - 2].text
-                          : "";
-      call.line = t.line;
-      if (!member && j >= 2 && is_punct(j - 1, "::") &&
-          toks()[j - 2].kind == Token::kIdent) {
-        if (toks()[j - 2].text == "std") {
-          ++j;
-          continue;
-        }
-        call.qualifier = toks()[j - 2].text;
-      }
-      ml->calls.push_back(call);
-    } else if ((is_punct(j + 1, ".") || is_punct(j + 1, "->")) && !member &&
-               !(j >= 1 && is_punct(j - 1, "::"))) {
-      const auto bound = out_.bindings.find(s);
-      if (bound != out_.bindings.end()) {
-        ml->touches.push_back(BoundTouch{s, bound->second, false, t.line});
-      }
-    }
-    ++j;
   }
 }
 
@@ -443,12 +291,7 @@ FileSummary Summarizer::run() {
         }
       }
       if (is_punct(j, "{") && !name.empty()) {
-        ClassDef cd;
-        cd.name = name;
-        cd.file = std::string(path_);
-        cd.line = t.line;
-        cd.annotations = annotations_at(t.line);
-        out_.classes.push_back(std::move(cd));
+        out_.classes.push_back(name);
         scopes.push_back(Scope{Scope::kClass, name});
         i = j + 1;
         continue;
@@ -632,10 +475,7 @@ SymbolIndex SymbolIndex::build(std::vector<FileSummary> summaries) {
           static_cast<int>(index.functions.size()));
       index.functions.push_back(&fn);
     }
-    for (const ClassDef& cd : file.classes) {
-      index.class_annotations[cd.name].insert(cd.annotations.begin(),
-                                              cd.annotations.end());
-    }
+    index.classes.insert(file.classes.begin(), file.classes.end());
     index.reserved.insert(file.reserved.begin(), file.reserved.end());
   }
   return index;
@@ -660,7 +500,7 @@ int SymbolIndex::resolve(const CallSite& call, const std::string& from_file,
   if (!call.qualifier.empty()) {
     // A qualifier that names no indexed class is a namespace
     // (`os::requeue(...)`): it narrows the call to the free functions.
-    const bool is_class = class_annotations.count(call.qualifier) != 0;
+    const bool is_class = classes.count(call.qualifier) != 0;
     return unique_in_class(is_class ? call.qualifier : "");
   }
   if (call.member && !call.receiver.empty()) {
@@ -689,10 +529,7 @@ class IndexChecker {
                std::vector<Diagnostic>* out)
       : config_(config), index_(index), out_(out) {}
 
-  void run() {
-    check_hot_path();
-    check_shard_affinity();
-  }
+  void run() { check_hot_path(); }
 
  private:
   const FunctionDef& fn(int id) const { return *index_.functions[id]; }
@@ -715,7 +552,6 @@ class IndexChecker {
   }
 
   void check_hot_path();
-  void check_shard_affinity();
 
   const Config& config_;
   const SymbolIndex& index_;
@@ -789,99 +625,6 @@ void IndexChecker::check_hot_path() {
   }
 }
 
-void IndexChecker::check_shard_affinity() {
-  const auto owned_class = [&](const std::string& name) {
-    const auto it = index_.class_annotations.find(name);
-    if (it == index_.class_annotations.end()) return false;
-    for (const std::string& a : it->second) {
-      if (starts_with(a, "shard-owner")) return true;
-    }
-    return false;
-  };
-  const auto owned_fn = [&](int id) {
-    for (const std::string& a : fn(id).annotations) {
-      if (starts_with(a, "shard-owner")) return true;
-    }
-    return !fn(id).klass.empty() && owned_class(fn(id).klass);
-  };
-
-  std::set<std::pair<std::string, int>> reported;  // (file, line) dedupe
-  const auto flag = [&](const std::string& file, int line,
-                        const std::string& what, const std::string& root) {
-    if (!reported.insert({file, line}).second) return;
-    report("shard-affinity", file, line,
-           what + " on a cross-shard path (mailbox callback posted at " +
-               root +
-               ") — shard-0-owned state may only be reached by posting "
-               "back through the mailbox");
-  };
-
-  for (const FileSummary& file : index_.files) {
-    if (!in_dirs(file.path, config_.shard_affinity_dirs)) continue;
-    for (const MailboxLambda& ml : file.mailbox) {
-      const std::string root =
-          ml.file + ":" + std::to_string(ml.line) + " in '" + ml.enclosing +
-          "'";
-      // Direct touches / calls inside the callback body.
-      for (const BoundTouch& touch : ml.touches) {
-        if (owned_class(touch.type)) {
-          flag(ml.file, touch.line,
-               "'" + touch.var + "' ('" + touch.type +
-                   "') is shard-0-owned state touched",
-               root);
-        }
-      }
-      std::vector<int> work;
-      std::set<int> seen;
-      for (const CallSite& call : ml.calls) {
-        // Receiver-typed touches already flag bound receivers; only
-        // resolve the call edge here.
-        const int tgt = index_.resolve(call, ml.file, "");
-        if (tgt < 0) continue;
-        if (owned_fn(tgt)) {
-          const FunctionDef& target = fn(tgt);
-          const std::string label = target.klass.empty()
-                                        ? target.name
-                                        : target.klass + "::" + target.name;
-          flag(ml.file, call.line, "call to shard-0-owned '" + label + "'",
-               root);
-        } else if (seen.insert(tgt).second) {
-          work.push_back(tgt);
-        }
-      }
-      for (std::size_t qi = 0; qi < work.size(); ++qi) {
-        const int id = work[qi];
-        const FunctionDef& f = fn(id);
-        for (const BoundTouch& touch : f.touches) {
-          if (touch.in_post) continue;  // posting back is sanctioned
-          if (owned_class(touch.type)) {
-            flag(f.file, touch.line,
-                 "'" + touch.var + "' ('" + touch.type +
-                     "') is shard-0-owned state touched in '" + f.name + "'",
-                 root);
-          }
-        }
-        for (const CallSite& call : f.calls) {
-          if (call.in_post) continue;
-          const int tgt = resolve(call, id);
-          if (tgt >= 0) {
-            if (owned_fn(tgt)) {
-              const FunctionDef& target = fn(tgt);
-              const std::string label =
-                  target.klass.empty() ? target.name
-                                       : target.klass + "::" + target.name;
-              flag(f.file, call.line,
-                   "call to shard-0-owned '" + label + "'", root);
-            } else if (seen.insert(tgt).second) {
-              work.push_back(tgt);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void run_index_rules(const Config& config, const SymbolIndex& index,
@@ -904,33 +647,6 @@ bool skipped_dir(const fs::path& p) {
   const std::string name = p.filename().string();
   return name == "fixtures" || name.rfind("build", 0) == 0 ||
          name.rfind('.', 0) == 0;
-}
-
-struct FileResult {
-  bool ok = true;
-  std::vector<Diagnostic> diags;
-  FileSummary summary;
-  bool has_summary = false;
-};
-
-FileResult scan_one(const Config& config, const std::string& root,
-                    const std::string& rel, bool analyze, bool index) {
-  FileResult result;
-  const std::string full = root.empty() ? rel : root + "/" + rel;
-  std::ifstream in(full, std::ios::binary);
-  if (!in) {
-    result.ok = false;
-    return result;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-  if (analyze) analyze_file(config, rel, contents, &result.diags);
-  if (index) {
-    result.summary = summarize_file(rel, contents);
-    result.has_summary = true;
-  }
-  return result;
 }
 
 }  // namespace
@@ -975,10 +691,10 @@ bool collect_sources(const std::string& root, const std::string& rel,
 }
 
 bool scan_tree(const Config& config, const std::string& root,
-               const TreeScanOptions& options, TreeScanResult* result,
+               const std::vector<std::string>& paths, TreeScanResult* result,
                std::string* error) {
   std::vector<std::string> analyze;
-  for (const std::string& p : options.paths) {
+  for (const std::string& p : paths) {
     if (!collect_sources(root, p, &analyze, error)) return false;
   }
   std::sort(analyze.begin(), analyze.end());
@@ -997,61 +713,30 @@ bool scan_tree(const Config& config, const std::string& root,
   std::sort(indexed.begin(), indexed.end());
   indexed.erase(std::unique(indexed.begin(), indexed.end()), indexed.end());
 
-  // Path-sorted union; each file is read and lexed once per concern.
-  struct Entry {
-    std::string path;
-    bool analyze = false;
-    bool index = false;
-  };
-  std::vector<Entry> entries;
+  // Walk the path-sorted union; each file is read once.
+  std::vector<FileSummary> summaries;
   std::size_t ai = 0, ii = 0;
   while (ai < analyze.size() || ii < indexed.size()) {
-    if (ii >= indexed.size() ||
-        (ai < analyze.size() && analyze[ai] < indexed[ii])) {
-      entries.push_back(Entry{analyze[ai++], true, false});
-    } else if (ai >= analyze.size() || indexed[ii] < analyze[ai]) {
-      entries.push_back(Entry{indexed[ii++], false, true});
-    } else {
-      entries.push_back(Entry{analyze[ai], true, true});
-      ++ai;
-      ++ii;
-    }
-  }
-
-  std::vector<FileResult> results(entries.size());
-  if (options.jobs > 1) {
-    util::ThreadPool pool(options.jobs);
-    std::vector<std::future<FileResult>> futures;
-    futures.reserve(entries.size());
-    for (const Entry& e : entries) {
-      futures.push_back(pool.submit([&config, &root, e] {
-        return scan_one(config, root, e.path, e.analyze, e.index);
-      }));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      results[k] = futures[k].get();
-    }
-  } else {
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-      results[k] =
-          scan_one(config, root, entries[k].path, entries[k].analyze,
-                   entries[k].index);
-    }
-  }
-
-  std::vector<FileSummary> summaries;
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    if (!results[k].ok) {
-      if (error != nullptr) *error = "cannot read " + entries[k].path;
+    const bool take_analyze =
+        ai < analyze.size() &&
+        (ii >= indexed.size() || analyze[ai] <= indexed[ii]);
+    const bool take_index =
+        ii < indexed.size() &&
+        (ai >= analyze.size() || indexed[ii] <= analyze[ai]);
+    const std::string& rel = take_analyze ? analyze[ai] : indexed[ii];
+    const std::string full = root.empty() ? rel : root + "/" + rel;
+    std::ifstream in(full, std::ios::binary);
+    if (!in) {
+      if (error != nullptr) *error = "cannot read " + rel;
       return false;
     }
-    for (Diagnostic& d : results[k].diags) {
-      result->diags.push_back(std::move(d));
-    }
-    if (results[k].has_summary) {
-      summaries.push_back(std::move(results[k].summary));
-      ++result->indexed;
-    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string contents = buffer.str();
+    if (take_analyze) analyze_file(config, rel, contents, &result->diags);
+    if (take_index) summaries.push_back(summarize_file(rel, contents));
+    if (take_analyze) ++ai;
+    if (take_index) ++ii;
   }
   result->files = std::move(analyze);
 

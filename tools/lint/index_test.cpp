@@ -1,11 +1,9 @@
 // Tests for pinsim-lint pass 1/2: the per-file summarizer (function /
-// class / call / risk / mailbox extraction), the merged SymbolIndex
-// and its conservative call resolution, the three reachability rule
-// groups (exact (rule, line) fixture assertions, triggering and
-// clean), and the serial-vs-parallel whole-tree scan equivalence.
+// class / call / risk extraction), the merged SymbolIndex and its
+// conservative call resolution, and the hot-path reachability rule
+// (exact (rule, line) fixture assertions, triggering and clean).
 #include "index.hpp"
 
-#include <chrono>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -22,9 +20,6 @@ namespace {
 
 #ifndef PINSIM_LINT_FIXTURES
 #error "PINSIM_LINT_FIXTURES must point at tools/lint/fixtures"
-#endif
-#ifndef PINSIM_LINT_REPO_ROOT
-#error "PINSIM_LINT_REPO_ROOT must point at the repo root"
 #endif
 
 std::string read_fixture(const std::string& name) {
@@ -151,7 +146,6 @@ TEST(IndexSummary, AnnotationsAttachToDefinitions) {
 // pinsim-lint: hot
 void spin() {}
 void relax() {}  // pinsim-lint: hot
-// pinsim-lint: shard-owner(0)
 struct Front {};
 // A comment merely TALKING about pinsim-lint: hot loops in prose must
 // not annotate anything.
@@ -159,10 +153,8 @@ void cold() {}
 )");
   EXPECT_EQ(find_fn(s, "spin")->annotations, std::set<std::string>{"hot"});
   EXPECT_EQ(find_fn(s, "relax")->annotations, std::set<std::string>{"hot"});
-  ASSERT_EQ(s.classes.size(), 1u);
-  EXPECT_EQ(s.classes[0].name, "Front");
-  EXPECT_EQ(s.classes[0].annotations,
-            std::set<std::string>{"shard-owner(0)"});
+  EXPECT_TRUE(find_fn(s, "cold")->annotations.empty());
+  EXPECT_EQ(s.classes, std::vector<std::string>{"Front"});
 }
 
 TEST(IndexSummary, BindingsAndReserves) {
@@ -181,11 +173,6 @@ void use() {
   ASSERT_NE(lb, s.bindings.end());
   EXPECT_EQ(lb->second, "Balancer");
   EXPECT_EQ(s.reserved.count({"Pool", "heap_"}), 1u);
-  const FunctionDef* use = find_fn(s, "use");
-  ASSERT_NE(use, nullptr);
-  ASSERT_EQ(use->touches.size(), 1u);
-  EXPECT_EQ(use->touches[0].var, "lb");
-  EXPECT_EQ(use->touches[0].type, "Balancer");
 }
 
 TEST(IndexSummary, CallbackRegistrationFoldsIntoEnclosing) {
@@ -204,40 +191,6 @@ struct Kernel {
   ASSERT_NE(arm, nullptr);
   EXPECT_TRUE(calls_name(*arm, "schedule"));
   EXPECT_TRUE(calls_name(*arm, "tick"));
-}
-
-TEST(IndexSummary, MailboxExtraction) {
-  const FileSummary s = summarize(R"(
-struct Net {
-  template <typename Fn> void post(int, int, int, Fn&&);
-};
-struct Fleet {
-  Net net_;
-  void run() {
-    net_.post(0, 3, 1, [this] {
-      work();
-      net_.post(3, 0, 1, [this] { settle(); });
-    });
-    net_.post(3, 0, 1, [this] { settle(); });
-  }
-  void work();
-  void settle();
-};
-)");
-  // Only the cross-shard post is a mailbox lambda; the two dst==0
-  // posts are the sanctioned hop back and are not recorded. The
-  // nested post's body is excluded from the recorded lambda.
-  ASSERT_EQ(s.mailbox.size(), 1u);
-  const MailboxLambda& ml = s.mailbox[0];
-  EXPECT_EQ(ml.enclosing, "run");
-  bool saw_work = false;
-  bool saw_settle = false;
-  for (const CallSite& call : ml.calls) {
-    saw_work = saw_work || call.name == "work";
-    saw_settle = saw_settle || call.name == "settle";
-  }
-  EXPECT_TRUE(saw_work);
-  EXPECT_FALSE(saw_settle) << "nested post-back body must be excluded";
 }
 
 // ---------------------------------------------------------------------------
@@ -381,16 +334,6 @@ TEST(IndexRules, HotPathBad) {
 TEST(IndexRules, HotPathOk) {
   expect_index_clean("hot_path_ok.cpp", "src/os/hot.cpp");
 }
-TEST(IndexRules, ShardAffinityBad) {
-  expect_index_markers("shard_affinity_bad.cpp", "src/cluster/fleet_x.cpp");
-}
-TEST(IndexRules, ShardAffinityOk) {
-  expect_index_clean("shard_affinity_ok.cpp", "src/cluster/fleet_x.cpp");
-}
-
-TEST(IndexRules, ShardAffinityScopedToConfiguredDirs) {
-  expect_index_clean("shard_affinity_bad.cpp", "src/sim/elsewhere.cpp");
-}
 
 // ---------------------------------------------------------------------------
 // Lexer: token line accounting observable through lex() directly.
@@ -415,48 +358,6 @@ TEST(LexerLines, ContinuedCommentSwallowsNextLine) {
   ASSERT_FALSE(r.tokens.empty());
   EXPECT_EQ(r.tokens[0].text, "int");
   EXPECT_EQ(r.tokens[0].line, 3);
-}
-
-// ---------------------------------------------------------------------------
-// Whole-tree scan: serial and parallel runs are byte-identical, and
-// the parallel scan of the full tree stays under the 2 s budget.
-// ---------------------------------------------------------------------------
-
-TEST(TreeScan, SerialAndParallelAreIdentical) {
-  const Config config = default_config();
-  TreeScanOptions options;
-  for (const char* dir : {"src", "tests", "bench", "examples", "tools"}) {
-    options.paths.push_back(dir);
-  }
-
-  options.jobs = 1;
-  TreeScanResult serial;
-  std::string error;
-  ASSERT_TRUE(
-      scan_tree(config, PINSIM_LINT_REPO_ROOT, options, &serial, &error))
-      << error;
-  ASSERT_GT(serial.files.size(), 100u) << "tree scan found too few files";
-
-  options.jobs = 8;
-  TreeScanResult parallel;
-  const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(
-      scan_tree(config, PINSIM_LINT_REPO_ROOT, options, &parallel, &error))
-      << error;
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-
-  EXPECT_EQ(serial.files, parallel.files);
-  EXPECT_EQ(serial.indexed, parallel.indexed);
-  ASSERT_EQ(serial.diags.size(), parallel.diags.size());
-  for (std::size_t i = 0; i < serial.diags.size(); ++i) {
-    EXPECT_EQ(serial.diags[i].file, parallel.diags[i].file);
-    EXPECT_EQ(serial.diags[i].line, parallel.diags[i].line);
-    EXPECT_EQ(serial.diags[i].rule, parallel.diags[i].rule);
-    EXPECT_EQ(serial.diags[i].message, parallel.diags[i].message);
-  }
-  EXPECT_LT(ms, 2000.0) << "parallel full-tree scan blew the 2 s budget";
 }
 
 }  // namespace

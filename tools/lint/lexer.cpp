@@ -14,7 +14,7 @@ bool ident_char(char c) {
 bool mark_word_char(char c) { return ident_char(c) || c == '-'; }
 
 /// Parse everything after "pinsim-lint:" in a comment body: allow(a, b)
-/// suppressions and the index annotations (hot / shard-owner(n)).
+/// suppressions and the index annotation `hot`.
 /// `line` is where the comment starts, `end_line` where it ends (they
 /// differ for block comments and backslash-continued line comments);
 /// the annotation-above form attaches one line past the END, so a
@@ -68,13 +68,6 @@ void record_marks(std::string_view comment, int line, int end_line,
       }
     } else if (word == "hot") {
       attach(&out->annotations, std::string(word));
-    } else if (word == "shard-owner") {
-      std::string_view arg = paren_arg(&i);
-      std::string owner;
-      for (const char c : arg) {
-        if (std::isspace(static_cast<unsigned char>(c)) == 0) owner += c;
-      }
-      attach(&out->annotations, "shard-owner(" + owner + ")");
     }
     // Any other word after the marker is prose; ignore it.
   }

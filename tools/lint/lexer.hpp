@@ -8,11 +8,10 @@
 //   * `// pinsim-lint: allow(a, b)` suppressions, recorded into a
 //     per-line allow map (the line of the comment, plus the next line
 //     when the comment stands alone — the annotation-above form).
-//   * symbol annotations for the cross-file index: `hot` and
-//     `shard-owner(<n>)`, recorded into a per-line
-//     annotation map with the same attachment rules. Unknown words
-//     after the marker are ignored so prose that merely mentions
-//     "pinsim-lint:" cannot annotate code by accident.
+//   * the cross-file index's one symbol annotation, `hot`, recorded
+//     into a per-line annotation map with the same attachment rules.
+//     Unknown words after the marker are ignored so prose that merely
+//     mentions "pinsim-lint:" cannot annotate code by accident.
 //
 // Line accounting is exact for the constructs that span physical
 // lines: backslash-continued `//` comments cover every continued line
@@ -42,8 +41,7 @@ struct LexResult {
   std::vector<Token> tokens;
   /// line -> rules allowed on that line ("all" allows everything).
   std::map<int, std::set<std::string>> allows;
-  /// line -> index annotations attached to that line ("hot",
-  /// "shard-owner(0)").
+  /// line -> index annotations attached to that line ("hot").
   std::map<int, std::set<std::string>> annotations;
 };
 

@@ -85,15 +85,9 @@ class Checker {
   /// unordered_map/unordered_set type.
   std::set<std::string> collect_unordered_names();
 
-  /// Names of variables/members declared in this file with a plain
-  /// float/double type.
-  std::set<std::string> collect_float_names();
-
-  void check_determinism();
+  void check_host_reads();
+  void check_unordered_iteration();
   void check_ordering();
-  void check_index_safety();
-  void check_predicate_purity();
-  void check_float_accumulation();
   void check_hygiene();
 
   const Config& config_;
@@ -149,116 +143,8 @@ std::set<std::string> Checker::collect_unordered_names() {
   return names;
 }
 
-std::set<std::string> Checker::collect_float_names() {
-  std::set<std::string> names;
-  for (std::size_t i = 0; i < toks().size(); ++i) {
-    if (!(is_ident(i, "float") || is_ident(i, "double"))) continue;
-    std::size_t j = i + 1;
-    while (j < toks().size() &&
-           (is_punct(j, "&") || is_punct(j, "*") || is_ident(j, "const"))) {
-      ++j;
-    }
-    const Token* name = at(j);
-    // Require a declaration shape (`double sum = ...;` / `double w;` /
-    // a parameter `double w,` or `double w)`) so calls and casts that
-    // merely mention the type don't poison the name set.
-    if (name == nullptr || name->kind != Token::kIdent) continue;
-    if (is_punct(j + 1, "(")) continue;  // `double f(...)` declares a function
-    names.insert(name->text);
-  }
-  return names;
-}
-
-void Checker::check_float_accumulation() {
-  const std::string rule = "float-accumulation";
-  const std::set<std::string> unordered = collect_unordered_names();
-  if (unordered.empty()) return;
-  const std::set<std::string> floats = collect_float_names();
-  if (floats.empty()) return;
-  for (std::size_t i = 0; i < toks().size(); ++i) {
-    if (!is_ident(i, "for") || !is_punct(i + 1, "(")) continue;
-    // Range-for shape: colon at paren depth 1 (same scan as the
-    // determinism pass). Classic three-clause fors iterate whatever
-    // order their index imposes and are out of scope here.
-    int depth = 0;
-    std::size_t colon = 0;
-    std::size_t close = 0;
-    for (std::size_t j = i + 1; j < toks().size(); ++j) {
-      if (is_punct(j, "(")) {
-        ++depth;
-      } else if (is_punct(j, ")")) {
-        if (--depth == 0) {
-          close = j;
-          break;
-        }
-      } else if (depth == 1 && colon == 0 && is_punct(j, ":")) {
-        colon = j;
-      }
-    }
-    if (colon == 0 || close == 0) continue;
-    bool over_unordered = false;
-    for (std::size_t j = colon + 1; j < close; ++j) {
-      if (toks()[j].kind == Token::kIdent &&
-          unordered.count(toks()[j].text) != 0) {
-        over_unordered = true;
-        break;
-      }
-    }
-    if (!over_unordered) continue;
-    // Loop body: a brace block after the close paren, or a single
-    // statement up to the next ';'.
-    std::size_t body_begin = close + 1;
-    std::size_t body_end = body_begin;
-    if (is_punct(body_begin, "{")) {
-      int braces = 0;
-      for (std::size_t j = body_begin; j < toks().size(); ++j) {
-        if (is_punct(j, "{")) {
-          ++braces;
-        } else if (is_punct(j, "}")) {
-          if (--braces == 0) {
-            body_end = j;
-            break;
-          }
-        }
-      }
-      ++body_begin;
-    } else {
-      for (std::size_t j = body_begin; j < toks().size(); ++j) {
-        if (is_punct(j, ";")) {
-          body_end = j;
-          break;
-        }
-      }
-    }
-    for (std::size_t j = body_begin; j < body_end; ++j) {
-      const Token& t = toks()[j];
-      if (t.kind != Token::kIdent || floats.count(t.text) == 0) continue;
-      // Compound assignment ops lex as two single-char punct tokens
-      // ('+' then '='), so `sum += x` is ident '+' '='. `sum ++` lexes
-      // as '+' '+' and `sum == x` as '=' '=', so neither shape
-      // matches.
-      const bool compound =
-          (is_punct(j + 1, "+") || is_punct(j + 1, "-") ||
-           is_punct(j + 1, "*") || is_punct(j + 1, "/")) &&
-          is_punct(j + 2, "=");
-      const bool rebind = is_punct(j + 1, "=") && !is_punct(j + 2, "=") &&
-                          is_ident(j + 2, t.text) &&
-                          (is_punct(j + 3, "+") || is_punct(j + 3, "-") ||
-                           is_punct(j + 3, "*") || is_punct(j + 3, "/"));
-      if (!compound && !rebind) continue;
-      report(rule, t.line,
-             "floating-point accumulation into '" + t.text +
-                 "' while iterating an unordered container — float "
-                 "arithmetic is not associative, so the result depends "
-                 "on bucket order; reduce in a sorted order or switch "
-                 "to an integer accumulator");
-    }
-  }
-}
-
-void Checker::check_determinism() {
+void Checker::check_host_reads() {
   const std::string rule = "determinism";
-  const std::set<std::string> unordered = collect_unordered_names();
   for (std::size_t i = 0; i < toks().size(); ++i) {
     const Token& t = toks()[i];
     if (t.kind != Token::kIdent) continue;
@@ -292,8 +178,16 @@ void Checker::check_determinism() {
       report(rule, t.line,
              "std::random_device is nondeterministic; use the seeded "
              "util::Rng plumbed through the experiment");
-      continue;
     }
+  }
+}
+
+void Checker::check_unordered_iteration() {
+  const std::string rule = "determinism";
+  const std::set<std::string> unordered = collect_unordered_names();
+  for (std::size_t i = 0; i < toks().size(); ++i) {
+    const Token& t = toks()[i];
+    if (t.kind != Token::kIdent) continue;
     // Iterator loops: <unordered var>.begin()/cbegin().
     if ((t.text == "begin" || t.text == "cbegin") && i >= 2 &&
         (is_punct(i - 1, ".") || is_punct(i - 1, "->")) &&
@@ -352,82 +246,6 @@ void Checker::check_ordering() {
            "pointer-keyed std::" + what +
                " — pointer order is allocation order and varies across "
                "runs; key by a stable id instead");
-  }
-}
-
-void Checker::check_index_safety() {
-  for (const Config::GuardedIndex& guarded : config_.guarded_indexes) {
-    bool owner = false;
-    for (const std::string& o : guarded.owners) {
-      if (path_matches(path_, o)) owner = true;
-    }
-    if (owner) continue;
-    // Bracket stack: true entries are subscripts (the '[' follows a
-    // value), false entries are lambda captures / attributes.
-    std::vector<bool> subscript;
-    for (std::size_t i = 0; i < toks().size(); ++i) {
-      const Token& t = toks()[i];
-      if (t.kind == Token::kPunct && t.text == "[") {
-        // `x[`, `f()[`, `a[0][` open subscripts; `[capture]` lambdas
-        // and `[[attributes]]` do not. `return [..]` is a lambda even
-        // though `return` lexes as an identifier.
-        const bool after_value =
-            i > 0 &&
-            ((toks()[i - 1].kind == Token::kIdent &&
-              toks()[i - 1].text != "return") ||
-             is_punct(i - 1, ")") || is_punct(i - 1, "]"));
-        subscript.push_back(after_value);
-        continue;
-      }
-      if (t.kind == Token::kPunct && t.text == "]") {
-        if (!subscript.empty()) subscript.pop_back();
-        continue;
-      }
-      if (t.kind != Token::kIdent || t.text != guarded.name) continue;
-      const bool subscripts_array = is_punct(i + 1, "[");
-      const bool used_as_index =
-          std::find(subscript.begin(), subscript.end(), true) !=
-          subscript.end();
-      if (subscripts_array || used_as_index) {
-        report("index-safety", t.line,
-               "raw [] use of back-pointer '" + guarded.name +
-                   "' outside its owning class — go through the checked "
-                   "accessor so the index invariant stays provable");
-      }
-    }
-  }
-}
-
-void Checker::check_predicate_purity() {
-  const std::string rule = "predicate-purity";
-  for (std::size_t i = 0; i < toks().size(); ++i) {
-    if (!is_ident(i, "run_until") || !is_punct(i + 1, "(")) continue;
-    // Scan the argument list (predicate lambda included) to the
-    // matching close paren. Any g_-prefixed identifier in there is a
-    // mutable file-scope global by project convention: the predicate
-    // is re-evaluated at shard-window boundaries, so a stop condition
-    // on shared mutable state makes where the run stops depend on
-    // host-thread interleaving.
-    int depth = 0;
-    for (std::size_t j = i + 1; j < toks().size(); ++j) {
-      if (is_punct(j, "(")) {
-        ++depth;
-        continue;
-      }
-      if (is_punct(j, ")")) {
-        if (--depth == 0) break;
-        continue;
-      }
-      const Token& t = toks()[j];
-      if (t.kind == Token::kIdent && t.text.size() > 2 &&
-          t.text.compare(0, 2, "g_") == 0) {
-        report(rule, t.line,
-               "run_until predicate references mutable global '" + t.text +
-                   "' — stop conditions are evaluated at shard-window "
-                   "boundaries and must be pure functions of simulation "
-                   "state; capture what the predicate needs explicitly");
-      }
-    }
   }
 }
 
@@ -514,25 +332,17 @@ void Checker::check_hygiene() {
 }
 
 void Checker::run() {
-  bool simulated = false;
-  for (const std::string& dir : config_.simulated_dirs) {
-    if (path_matches(path_, dir)) simulated = true;
-  }
-  if (simulated) {
-    check_determinism();
+  const auto in_any = [this](const std::vector<std::string>& dirs) {
+    for (const std::string& dir : dirs) {
+      if (path_matches(path_, dir)) return true;
+    }
+    return false;
+  };
+  if (in_any(config_.simulated_dirs)) {
+    check_host_reads();
     check_ordering();
   }
-  check_index_safety();
-  bool predicate_purity = false;
-  for (const std::string& dir : config_.predicate_purity_dirs) {
-    if (path_matches(path_, dir)) predicate_purity = true;
-  }
-  if (predicate_purity) check_predicate_purity();
-  bool float_accumulation = false;
-  for (const std::string& dir : config_.float_accumulation_dirs) {
-    if (path_matches(path_, dir)) float_accumulation = true;
-  }
-  if (float_accumulation) check_float_accumulation();
+  if (in_any(config_.unordered_iteration_dirs)) check_unordered_iteration();
   check_hygiene();
 }
 
@@ -552,18 +362,9 @@ Config default_config() {
   config.simulated_dirs = {"src/sim/",      "src/os/",       "src/hw/",
                            "src/virt/",     "src/workload/", "src/cluster/"};
   config.output_allowed = {"bench/", "examples/", "tools/"};
-  config.guarded_indexes = {
-      {"rq_index", {"src/os/runqueue.cpp", "src/os/task.hpp"}},
-      {"park_index", {"src/os/cgroup.cpp", "src/os/task.hpp"}},
-      {"slot_of_", {"src/sim/engine.hpp", "src/sim/engine.cpp"}},
-      {"outbox_",
-       {"src/sim/sharded_engine.hpp", "src/sim/sharded_engine.cpp"}},
-  };
-  config.predicate_purity_dirs = {"src/", "bench/", "examples/"};
-  config.float_accumulation_dirs = {"src/", "bench/", "examples/"};
+  config.unordered_iteration_dirs = {"src/", "bench/", "examples/"};
   config.index_dirs = {"src/"};
   config.hot_path_dirs = {"src/"};
-  config.shard_affinity_dirs = {"src/cluster/"};
   return config;
 }
 

@@ -101,10 +101,21 @@ TEST(LintDeterminism, SilentOnCleanCode) {
 }
 
 TEST(LintDeterminism, DoesNotApplyOutsideSimulatedDirs) {
-  // Same violating file, analyzed as analysis-layer code: the
-  // per-directory config switches the determinism rule off.
+  // Same violating file, analyzed outside the simulated dirs: the
+  // per-directory config switches the host-read checks off. The two
+  // unordered-container loops still land in src/, bench/ and examples/
+  // (their output reaches the golden bytes, and a float sum in bucket
+  // order varies even over the same elements); tests are exempt.
+  const std::multiset<RuleLine> loops = {{"determinism", 37},
+                                         {"determinism", 40}};
   expect_exactly("determinism_bad.cpp",
-                 "src/core/fixture_determinism_bad.cpp", {});
+                 "src/core/fixture_determinism_bad.cpp", loops);
+  expect_exactly("determinism_bad.cpp", "bench/fixture_determinism_bad.cpp",
+                 loops);
+  expect_exactly("determinism_bad.cpp",
+                 "examples/fixture_determinism_bad.cpp", loops);
+  expect_exactly("determinism_bad.cpp",
+                 "tests/os/fixture_determinism_bad.cpp", {});
 }
 
 // --- ordering -------------------------------------------------------------
@@ -120,87 +131,6 @@ TEST(LintOrdering, SilentOnStableKeysAndAnnotated) {
 TEST(LintOrdering, DoesNotApplyOutsideSimulatedDirs) {
   expect_exactly("ordering_bad.cpp", "tests/virt/fixture_ordering_bad.cpp",
                  {});
-}
-
-// --- index-safety ---------------------------------------------------------
-
-TEST(LintIndexSafety, FlagsRawSubscriptsOutsideOwners) {
-  expect_markers("index_safety_bad.cpp",
-                 "src/os/fixture_index_safety_bad.cpp");
-}
-
-TEST(LintIndexSafety, OwnerFileMayTouchItsOwnIndex) {
-  // As the rq_index owner, the park_index, slot_of_ and outbox_
-  // findings remain (their owners are cgroup.cpp, the engine and the
-  // sharded engine respectively).
-  expect_exactly("index_safety_bad.cpp", "src/os/runqueue.cpp",
-                 {{"index-safety", 23},
-                  {"index-safety", 26},
-                  {"index-safety", 36}});
-}
-
-TEST(LintIndexSafety, ShardedOwnersMayTouchTheirOwnIndexes) {
-  // The sharded engine owns outbox_; the other guarded fields still
-  // flag there.
-  expect_exactly("index_safety_bad.cpp", "src/sim/sharded_engine.cpp",
-                 {{"index-safety", 20},
-                  {"index-safety", 23},
-                  {"index-safety", 26}});
-}
-
-TEST(LintIndexSafety, SilentOnReadsLambdasAndAnnotated) {
-  expect_exactly("index_safety_ok.cpp",
-                 "src/os/fixture_index_safety_ok.cpp", {});
-}
-
-// --- predicate-purity -----------------------------------------------------
-
-TEST(LintPredicatePurity, FlagsMutableGlobalsInRunUntilPredicates) {
-  expect_markers("predicate_purity_bad.cpp",
-                 "src/core/fixture_predicate_purity_bad.cpp");
-}
-
-TEST(LintPredicatePurity, SilentOnCapturedStateAndAnnotated) {
-  expect_exactly("predicate_purity_ok.cpp",
-                 "src/core/fixture_predicate_purity_ok.cpp", {});
-}
-
-TEST(LintPredicatePurity, DoesNotApplyOutsideConfiguredDirs) {
-  // Test code may drive run_until off counters however it likes.
-  expect_exactly("predicate_purity_bad.cpp",
-                 "tests/sim/fixture_predicate_purity_bad.cpp", {});
-}
-
-// --- float-accumulation ---------------------------------------------------
-
-TEST(LintFloatAccumulation, FlagsUnorderedFloatReductions) {
-  expect_markers("float_accumulation_bad.cpp",
-                 "src/core/fixture_float_accumulation_bad.cpp");
-}
-
-TEST(LintFloatAccumulation, SilentOnOrderedIntegerAndAnnotated) {
-  expect_exactly("float_accumulation_ok.cpp",
-                 "src/core/fixture_float_accumulation_ok.cpp", {});
-}
-
-TEST(LintFloatAccumulation, DoesNotApplyOutsideConfiguredDirs) {
-  // Test code may reduce floats however it likes.
-  expect_exactly("float_accumulation_bad.cpp",
-                 "tests/core/fixture_float_accumulation_bad.cpp", {});
-}
-
-TEST(LintFloatAccumulation, StacksWithDeterminismInSimulatedDirs) {
-  // In a simulated dir the same loops also violate the determinism
-  // rule (range-for over an unordered container); both rules land,
-  // each on its own anchor line.
-  expect_exactly("float_accumulation_bad.cpp",
-                 "src/os/fixture_float_accumulation_bad.cpp",
-                 {{"determinism", 12},
-                  {"determinism", 20},
-                  {"determinism", 26},
-                  {"float-accumulation", 13},
-                  {"float-accumulation", 20},
-                  {"float-accumulation", 27}});
 }
 
 // --- hygiene --------------------------------------------------------------
