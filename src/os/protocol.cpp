@@ -51,7 +51,6 @@ void TaskTable::retire(Task& task, SimTime now) {
 void TaskTable::run_on_exit(Task& task) {
   // Moved out first: the hook may create tasks, which can reallocate
   // on_exit_ while it runs. A move allocates nothing.
-  // pinsim-lint: allow(hot-path)
   const std::function<void(Task&)> on_exit =
       std::exchange(on_exit_[static_cast<std::size_t>(task.id())], nullptr);
   if (on_exit) on_exit(task);

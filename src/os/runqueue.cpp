@@ -38,7 +38,6 @@ void Runqueue::sift_down(std::size_t index) {
   place(index, moving);
 }
 
-// pinsim-lint: hot
 void Runqueue::enqueue(Task& task) {
   PINSIM_CHECK_MSG(!contains(task),
                    "task " << task.name() << " enqueued twice");
@@ -72,7 +71,6 @@ Task* Runqueue::peek_min() const {
   return heap_.front().task;
 }
 
-// pinsim-lint: hot
 Task& Runqueue::pop_min() {
   PINSIM_CHECK(!heap_.empty());
   Task& task = *heap_.front().task;

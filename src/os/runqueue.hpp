@@ -27,8 +27,9 @@ class Runqueue {
   bool contains(const Task& task) const;
 
   /// Pre-size the heap so enqueue never reallocates on the hot path.
-  /// The kernel calls this as tasks start: the live task count bounds
-  /// any single queue, and it reserves twice that as the count grows.
+  /// Both kernels call this as tasks start (os::reserve_runqueues): the
+  /// live task count bounds any single queue, and they reserve twice
+  /// that as the count grows.
   void reserve(std::size_t n) { heap_.reserve(n); }
   /// Slots the heap holds before enqueue would reallocate.
   std::size_t capacity() const { return heap_.capacity(); }

@@ -126,9 +126,6 @@ void Engine::sift_down(std::size_t i) {
 // Cold: one call per 256 nodes. Out of line (and never inlined) so
 // acquire_node() stays small enough to inline into the schedule path.
 __attribute__((noinline)) void Engine::grow_slab() {
-  // The slab growth itself is the sanctioned cold-path allocation: one
-  // call per 256 nodes, explicitly kept out of line.
-  // pinsim-lint: allow(hot-path)
   chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
   slot_of_.resize(chunks_.size() << kChunkShift);
   // Every heap entry and every free-list entry refers to a distinct live

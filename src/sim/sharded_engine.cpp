@@ -35,17 +35,10 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config) : config_(config) {
   for (std::size_t s = 0; s < n; ++s) {
     engines_.push_back(std::make_unique<Engine>());
   }
-  rngs_.assign(n, Rng());
   outbox_.resize(n * n);
   post_seq_.assign(n, 0);
   cross_posts_.assign(n, 0);
   local_posts_.assign(n, 0);
-}
-
-void ShardedEngine::seed_rngs(Rng source) {
-  for (Rng& rng : rngs_) {
-    rng = source.fork();
-  }
 }
 
 SimTime ShardedEngine::now() const {

@@ -1,14 +1,13 @@
 // Sharded discrete-event engine: one simulation, many event heaps.
 //
 // A ShardedEngine partitions a simulation into `shards` domains, each
-// owning a private sim::Engine (heap + clock + sequence space) and a
-// private Rng stream. Shards advance in bounded rounds under
-// conservative synchronization: every cross-shard interaction must be
-// posted with a delay of at least the configured `lookahead` (the
-// smallest latency of any cross-shard interaction the simulation makes
-// — cluster::Fleet's dispatch latency; never below
-// hw::CostModel::min_cross_shard_latency()), so a round may safely
-// advance every shard to
+// owning a private sim::Engine (heap + clock + sequence space). Shards
+// advance in bounded rounds under conservative synchronization: every
+// cross-shard interaction must be posted with a delay of at least the
+// configured `lookahead` (the smallest latency of any cross-shard
+// interaction the simulation makes — cluster::Fleet's dispatch
+// latency; never below hw::CostModel::min_cross_shard_latency()), so a
+// round may safely advance every shard to
 //
 //   window = min_s(shard s's next event) + lookahead
 //
@@ -42,7 +41,6 @@
 
 #include "sim/engine.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace pinsim::sim {
@@ -84,14 +82,6 @@ class ShardedEngine {
   /// workload) schedules its intra-shard events here directly.
   Engine& shard(int s) { return *engines_[checked(s)]; }
   const Engine& shard(int s) const { return *engines_[checked(s)]; }
-
-  /// The shard's private random stream, forked from the seeding Rng in
-  /// shard order. Domains on different shards never share a stream, so
-  /// draw counts on one shard cannot perturb another.
-  Rng& rng(int s) { return rngs_[static_cast<std::size_t>(checked(s))]; }
-
-  /// Seed the per-shard Rng streams (fork per shard, in shard order).
-  void seed_rngs(Rng source);
 
   /// The common round clock: every shard's clock equals this at a
   /// window boundary (between rounds and after run() returns).
@@ -162,7 +152,6 @@ class ShardedEngine {
 
   ShardedEngineConfig config_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<Rng> rngs_;
   /// Mailbox matrix, row-major by source: outbox_[src * shards + dst].
   /// A row is written only by shard src's executor during the advance
   /// phase and drained only by the coordinator between rounds.

@@ -4,13 +4,14 @@
 // experiment; `std::function` pays for copyability it never uses and its
 // small-object threshold (16 B on libstdc++) spills the common
 // "this + two captures" lambda to the heap. MoveFunction stores any
-// callable up to kInlineSize bytes inline (48 B covers every callback in
-// the simulator today) and falls back to a single heap allocation for
-// larger ones. Trivially-copyable callables (lambdas capturing pointers
-// and scalars — the overwhelming majority) move by memcpy with no
-// indirect call and destroy as a no-op. Move-only, so it also holds
-// non-copyable callables such as `std::packaged_task` — the thread
-// pool's work items use it too.
+// callable up to kInlineSize bytes inline and falls back to a single
+// heap allocation for larger ones, so a per-event callback over 48 B
+// costs one allocation per event: tests/alloc/ counts allocations in
+// real runs and fails on it. Trivially-copyable callables (lambdas
+// capturing pointers and scalars — the overwhelming majority) move by
+// memcpy with no indirect call and destroy as a no-op. Move-only, so
+// it also holds non-copyable callables such as `std::packaged_task` —
+// the thread pool's work items use it too.
 #pragma once
 
 #include <cstddef>

@@ -46,6 +46,10 @@ os::Task& GuestKernel::create_task(std::string name,
 
 void GuestKernel::start_task(os::Task& task) {
   tasks_.start(task, host_->engine().now());
+  os::reserve_runqueues(tasks_.live(), vcpus(), &rq_reserved_,
+                        [this](int vcpu) -> os::Runqueue& {
+                          return vcpus_[static_cast<std::size_t>(vcpu)].rq;
+                        });
   task.overhead_debt += host_->costs().sched_pick;
   ensure_housekeeping();
   const int vcpu = place_task(task);
@@ -141,10 +145,9 @@ os::StealPick GuestKernel::find_steal_for(int vcpu) const {
       all_vcpus_, vcpu);
 }
 
-// Every host grant to a vCPU starts here, so the guest's per-grant
-// path (and the shared CFS steps it runs) is held to the hot-path
-// allocation rules, like the host's boundary handler.
-// pinsim-lint: hot
+// Every host grant to a vCPU starts here. Like the host's boundary
+// handler, the guest's per-grant path (and the shared CFS steps it
+// runs) allocates nothing in steady state (tests/alloc/ counts it).
 std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
   PINSIM_CHECK_MSG(v.pending_guest == 0 && v.poll_pending == 0,

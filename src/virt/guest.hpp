@@ -30,6 +30,7 @@
 // grants and compute inflation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -188,6 +189,7 @@ class GuestKernel {
   hw::CpuSet queued_;
   hw::CpuSet idle_;
   os::TaskTable tasks_;
+  std::size_t rq_reserved_ = 0;  // capacity reserved on every runqueue
   os::CgroupTable cgroups_;
   bool housekeeping_active_ = false;
   sim::Timer housekeeping_;  // the guest's cgroup / balance tick

@@ -205,16 +205,6 @@ TEST(ShardedEngineDeterminismTest, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(fired1, fired0);
 }
 
-TEST(ShardedEngineDeterminismTest, ShardRngStreamsAreStablePerShard) {
-  ShardedEngine a(config_for(4));
-  ShardedEngine b(config_for(4));
-  a.seed_rngs(Rng(123));
-  b.seed_rngs(Rng(123));
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(a.rng(s).next_u64(), b.rng(s).next_u64()) << "shard " << s;
-  }
-}
-
 TEST(ShardedEngineStatsTest, EngineStatsFoldEqualsPerShardSum) {
   ShardedEngine sharded(config_for(3));
   for (int s = 0; s < 3; ++s) {

@@ -13,8 +13,8 @@ bool ident_char(char c) {
 }
 bool mark_word_char(char c) { return ident_char(c) || c == '-'; }
 
-/// Parse everything after "pinsim-lint:" in a comment body: allow(a, b)
-/// suppressions and the index annotation `hot`.
+/// Record the allow(a, b) suppressions after "pinsim-lint:" in a
+/// comment body; any other word after the marker is prose and ignored.
 /// `line` is where the comment starts, `end_line` where it ends (they
 /// differ for block comments and backslash-continued line comments);
 /// the annotation-above form attaches one line past the END, so a
@@ -25,26 +25,6 @@ void record_marks(std::string_view comment, int line, int end_line,
   const std::size_t at = comment.find(marker);
   if (at == std::string_view::npos) return;
 
-  const auto attach = [&](std::map<int, std::set<std::string>>* map,
-                          const std::string& value) {
-    (*map)[line].insert(value);
-    if (whole_line) (*map)[end_line + 1].insert(value);
-  };
-  // The argument list of the word starting at `i`, or npos when there
-  // is none; advances `i` past the close paren on success.
-  const auto paren_arg = [&](std::size_t* i) -> std::string_view {
-    std::size_t open = *i;
-    while (open < comment.size() &&
-           std::isspace(static_cast<unsigned char>(comment[open])) != 0) {
-      ++open;
-    }
-    if (open >= comment.size() || comment[open] != '(') return {};
-    const std::size_t close = comment.find(')', open);
-    if (close == std::string_view::npos) return {};
-    *i = close + 1;
-    return comment.substr(open + 1, close - open - 1);
-  };
-
   std::size_t i = at + marker.size();
   while (i < comment.size()) {
     if (!mark_word_char(comment[i])) {
@@ -53,23 +33,27 @@ void record_marks(std::string_view comment, int line, int end_line,
     }
     const std::size_t start = i;
     while (i < comment.size() && mark_word_char(comment[i])) ++i;
-    const std::string_view word = comment.substr(start, i - start);
-    if (word == "allow") {
-      std::string_view names = paren_arg(&i);
-      std::size_t p = 0;
-      while (p < names.size()) {
-        if (!mark_word_char(names[p])) {
-          ++p;
-          continue;
-        }
-        const std::size_t s = p;
-        while (p < names.size() && mark_word_char(names[p])) ++p;
-        attach(&out->allows, std::string(names.substr(s, p - s)));
-      }
-    } else if (word == "hot") {
-      attach(&out->annotations, std::string(word));
+    if (comment.substr(start, i - start) != "allow") continue;
+    std::size_t open = i;
+    while (open < comment.size() &&
+           std::isspace(static_cast<unsigned char>(comment[open])) != 0) {
+      ++open;
     }
-    // Any other word after the marker is prose; ignore it.
+    if (open >= comment.size() || comment[open] != '(') continue;
+    const std::size_t close = comment.find(')', open);
+    if (close == std::string_view::npos) continue;
+    for (std::size_t p = open + 1; p < close;) {
+      if (!mark_word_char(comment[p])) {
+        ++p;
+        continue;
+      }
+      const std::size_t s = p;
+      while (p < close && mark_word_char(comment[p])) ++p;
+      const std::string rule(comment.substr(s, p - s));
+      out->allows[line].insert(rule);
+      if (whole_line) out->allows[end_line + 1].insert(rule);
+    }
+    i = close + 1;
   }
 }
 

@@ -2,16 +2,12 @@
 //
 // Comments and string/char literals are consumed (their contents never
 // reach the rule passes), preprocessor directives are collapsed into
-// one token per logical line. Two comment-borne side channels are
-// collected while lexing:
-//
-//   * `// pinsim-lint: allow(a, b)` suppressions, recorded into a
-//     per-line allow map (the line of the comment, plus the next line
-//     when the comment stands alone — the annotation-above form).
-//   * the cross-file index's one symbol annotation, `hot`, recorded
-//     into a per-line annotation map with the same attachment rules.
-//     Unknown words after the marker are ignored so prose that merely
-//     mentions "pinsim-lint:" cannot annotate code by accident.
+// one token per logical line. One comment-borne side channel is
+// collected while lexing: `// pinsim-lint: allow(a, b)` suppressions,
+// recorded into a per-line allow map (the line of the comment, plus the
+// next line when the comment stands alone — the annotation-above form).
+// Any other word after the marker is ignored, so prose that merely
+// mentions "pinsim-lint:" cannot suppress anything by accident.
 //
 // Line accounting is exact for the constructs that span physical
 // lines: backslash-continued `//` comments cover every continued line
@@ -41,8 +37,6 @@ struct LexResult {
   std::vector<Token> tokens;
   /// line -> rules allowed on that line ("all" allows everything).
   std::map<int, std::set<std::string>> allows;
-  /// line -> index annotations attached to that line ("hot").
-  std::map<int, std::set<std::string>> annotations;
 };
 
 LexResult lex(std::string_view src);

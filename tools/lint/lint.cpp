@@ -1,6 +1,7 @@
 #include "lint.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -11,10 +12,11 @@
 namespace pinsim::lint {
 namespace {
 
+namespace fs = std::filesystem;
+
 // ---------------------------------------------------------------------------
-// Rule-pass helpers. The lexer (and the allow/annotation side
-// channels) lives in lexer.{hpp,cpp}, shared with the cross-file index
-// in index.{hpp,cpp}.
+// Rule-pass helpers. The lexer (and its allow() side channel) lives in
+// lexer.{hpp,cpp}.
 // ---------------------------------------------------------------------------
 
 class Checker {
@@ -363,8 +365,6 @@ Config default_config() {
                            "src/virt/",     "src/workload/", "src/cluster/"};
   config.output_allowed = {"bench/", "examples/", "tools/"};
   config.unordered_iteration_dirs = {"src/", "bench/", "examples/"};
-  config.index_dirs = {"src/"};
-  config.hot_path_dirs = {"src/"};
   return config;
 }
 
@@ -382,15 +382,67 @@ void analyze_file(const Config& config, std::string_view path,
                    });
 }
 
-bool analyze_path(const Config& config, const std::string& root,
-                  const std::string& rel_path, std::vector<Diagnostic>* out) {
-  const std::string full = root.empty() ? rel_path : root + "/" + rel_path;
-  std::ifstream in(full, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-  analyze_file(config, rel_path, contents, out);
+namespace {
+
+bool source_file(const fs::path& p) {
+  const std::string ext = p.extension().string();
+  return ext == ".cpp" || ext == ".hpp" || ext == ".h";
+}
+
+bool skipped_dir(const fs::path& p) {
+  const std::string name = p.filename().string();
+  return name == "fixtures" || name.rfind("build", 0) == 0 ||
+         name.rfind('.', 0) == 0;
+}
+
+/// Append the repo-relative source paths under `rel` (a file or a
+/// directory), skipping fixture corpora, build trees and dot-dirs.
+bool collect_sources(const std::string& root, const std::string& rel,
+                     std::vector<std::string>* out, std::string* error) {
+  const fs::path full = fs::path(root) / rel;
+  std::error_code ec;
+  if (fs::is_regular_file(full, ec)) {
+    out->push_back(rel);
+    return true;
+  }
+  if (!fs::is_directory(full, ec)) {
+    *error = "no such file or directory: " + full.string();
+    return false;
+  }
+  fs::recursive_directory_iterator it(full, ec), end;
+  for (; !ec && it != end; it.increment(ec)) {
+    if (it->is_directory() && skipped_dir(it->path())) {
+      it.disable_recursion_pending();
+    } else if (it->is_regular_file() && source_file(it->path())) {
+      out->push_back(fs::relative(it->path(), root).generic_string());
+    }
+  }
+  if (ec) *error = "cannot walk " + full.string() + ": " + ec.message();
+  return !ec;
+}
+
+}  // namespace
+
+bool scan_tree(const Config& config, const std::string& root,
+               const std::vector<std::string>& paths, TreeScanResult* result,
+               std::string* error) {
+  std::vector<std::string> files;
+  for (const std::string& p : paths) {
+    if (!collect_sources(root, p, &files, error)) return false;
+  }
+  std::sort(files.begin(), files.end());
+  files.erase(std::unique(files.begin(), files.end()), files.end());
+  for (const std::string& rel : files) {
+    std::ifstream in(fs::path(root) / rel, std::ios::binary);
+    if (!in) {
+      *error = "cannot read " + rel;
+      return false;
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    analyze_file(config, rel, buffer.str(), &result->diags);
+  }
+  result->files = std::move(files);
   return true;
 }
 

@@ -28,14 +28,8 @@
 //                 at namespace scope in headers, no std::cout/printf
 //                 outside bench/, examples/ and tools/.
 //
-// On top of the per-file passes, a second pass runs over a cross-file
-// symbol index (function definitions, an approximate call graph, and
-// the `// pinsim-lint: hot` annotation — see index.hpp):
-//
-//   hot-path      no allocation (`new`, make_unique/make_shared,
-//                 push_back into a never-reserved container),
-//                 or std::function construction reachable from a
-//                 function annotated hot.
+// Allocation on the per-event paths is not a lint rule: the
+// steady-state allocation test (tests/alloc/) counts it on real runs.
 //
 // Which rules apply to a file is decided from its repo-relative path by
 // a Config (see default_config()), so the policy lives in one place and
@@ -73,18 +67,6 @@ struct Config {
 
   /// Paths where std::cout/printf are legitimate (CLIs).
   std::vector<std::string> output_allowed;
-
-  // --- cross-file (pass 2) policy -----------------------------------------
-
-  /// Directories whose files feed the cross-file symbol index. Every
-  /// file under these prefixes is summarized even when only a subset
-  /// of the tree is being analyzed, so reachability sees whole call
-  /// chains.
-  std::vector<std::string> index_dirs;
-
-  /// Directory prefixes where hot-path findings are reported (the
-  /// whole index is still traversed for reachability).
-  std::vector<std::string> hot_path_dirs;
 };
 
 /// The policy shipped with the repo (matches the layout under src/).
@@ -98,9 +80,17 @@ bool path_matches(std::string_view path, std::string_view pattern);
 void analyze_file(const Config& config, std::string_view path,
                   std::string_view contents, std::vector<Diagnostic>* out);
 
-/// Analyze a file on disk (path used both for IO and rule policy after
-/// stripping `root/`). Returns false when the file cannot be read.
-bool analyze_path(const Config& config, const std::string& root,
-                  const std::string& rel_path, std::vector<Diagnostic>* out);
+struct TreeScanResult {
+  std::vector<std::string> files;  // analyzed files, path-sorted
+  std::vector<Diagnostic> diags;
+};
+
+/// Analyze every source file under `paths` (repo-relative files or
+/// directories; fixture corpora, build trees and dot-directories are
+/// skipped) below `root`, once each, in path order. Returns false, with
+/// `*error` set, when a path cannot be read or walked.
+bool scan_tree(const Config& config, const std::string& root,
+               const std::vector<std::string>& paths, TreeScanResult* result,
+               std::string* error);
 
 }  // namespace pinsim::lint

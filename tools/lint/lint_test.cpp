@@ -3,7 +3,8 @@
 // the exact (rule, line) diagnostics are asserted. Triggering fixtures
 // carry `// expect: <rule>` markers on the lines findings must land
 // on; non-triggering fixtures and cross-directory re-analyses assert
-// explicit expectation lists.
+// explicit expectation lists. The lexer's line accounting is also
+// checked through lex() directly.
 #include "lint.hpp"
 
 #include <fstream>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "lexer.hpp"
 
 namespace pinsim::lint {
 namespace {
@@ -228,6 +231,28 @@ TEST(LintInfra, RawStringClosingLineCountsAsCode) {
   // the closing line was treated as whole-line, so its allow() leaked
   // onto the next line and masked a real finding there.
   expect_markers("lexer_rawstring_lines.cpp", "src/os/raw_lines.cpp");
+}
+
+// Lexer line accounting, observed through lex() directly.
+TEST(LexerLines, RawStringTokenAnchorsOnStartLine) {
+  const LexResult r = lex("int x = R\"(a\nb)\";\nint y;\n");
+  bool saw_literal = false;
+  for (const Token& t : r.tokens) {
+    if (t.kind != Token::kLiteral) continue;
+    saw_literal = true;
+    EXPECT_EQ(t.line, 1);
+  }
+  EXPECT_TRUE(saw_literal);
+}
+
+TEST(LexerLines, ContinuedCommentSwallowsNextLine) {
+  const LexResult r = lex("// swallowed \\\nint not_code;\nint code;\n");
+  for (const Token& t : r.tokens) {
+    EXPECT_NE(t.text, "not_code");
+  }
+  ASSERT_FALSE(r.tokens.empty());
+  EXPECT_EQ(r.tokens[0].text, "int");
+  EXPECT_EQ(r.tokens[0].line, 3);
 }
 
 }  // namespace

@@ -5,17 +5,14 @@
 // Paths are repo-relative files or directories (default: src tests
 // bench examples tools). Directories are walked recursively for
 // .cpp/.hpp/.h files; the lint's own fixture corpus (any directory
-// named `fixtures`) and build trees are skipped. On top of the
-// per-file passes, the whole of src/ is summarized into the cross-file
-// symbol index so hot-path sees whole call chains. Exit status: 0
-// clean, 1 findings, 2 usage or IO error — same convention as the
-// benches.
+// named `fixtures`) and build trees are skipped. Every rule is a
+// per-file pass. Exit status: 0 clean, 1 findings, 2 usage or IO
+// error — same convention as the benches.
 #include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "index.hpp"
 #include "lint.hpp"
 
 namespace fs = std::filesystem;
@@ -25,9 +22,8 @@ namespace {
 int usage(int code) {
   std::cout << "usage: pinsim_lint [--root DIR] [path...]\n"
                "  Checks pinsim's determinism / ordering / hygiene\n"
-               "  invariants, plus the cross-file hot-path reachability\n"
-               "  rule. Paths are repo-relative (default: src tests bench\n"
-               "  examples tools). Suppress a finding with\n"
+               "  invariants. Paths are repo-relative (default: src tests\n"
+               "  bench examples tools). Suppress a finding with\n"
                "  // pinsim-lint: allow(<rule>)\n";
   return code;
 }
