@@ -3,7 +3,7 @@
 // honours the instance's core count.
 #include "bench_common.hpp"
 #include "core/chr_advisor.hpp"
-#include "virt/container.hpp"
+#include "virt/native.hpp"
 #include "virt/vm.hpp"
 
 int main() {
@@ -23,11 +23,11 @@ int main() {
                         {virt::PlatformKind::Vm, virt::CpuMode::Vanilla,
                          instance});
     virt::Host host2(host_topology, hw::CostModel{}, 1);
-    virt::ContainerPlatform cn(
+    virt::NativePlatform cn(
         host2,
         {virt::PlatformKind::Container, virt::CpuMode::Pinned, instance});
     const bool ok = vm.guest().vcpus() == instance.cores &&
-                    cn.cgroup().cpuset().count() == instance.cores;
+                    cn.cgroup()->cpuset().count() == instance.cores;
     std::ostringstream chr;
     chr << std::fixed << std::setprecision(3)
         << core::chr_of(instance, host_topology);

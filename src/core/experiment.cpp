@@ -27,14 +27,7 @@ workload::RunResult ExperimentRunner::run_once(
 
 Measurement ExperimentRunner::measure(const virt::PlatformSpec& spec,
                                       const WorkloadFactory& factory) const {
-  PINSIM_CHECK(config_.repetitions >= 1);
-  Measurement measurement;
-  measurement.spec = spec;
-  for (int rep = 0; rep < config_.repetitions; ++rep) {
-    measurement.samples.add(
-        run_once(spec, factory, seed_for(rep)).metric_seconds);
-  }
-  return measurement;
+  return measure_all({SweepCell{spec, factory, std::nullopt}}, 1).front();
 }
 
 std::vector<Measurement> ExperimentRunner::measure_all(
@@ -80,8 +73,8 @@ std::vector<Measurement> ExperimentRunner::measure_all(
     }
   }
 
-  // Accumulate in (cell, rep) order — the exact order measure() adds
-  // samples — so means/CIs are bit-identical to the serial path.
+  // Accumulate in (cell, rep) order, whatever order the workers finished
+  // in, so means/CIs are bit-identical to the serial path.
   std::vector<Measurement> measurements(cell_count);
   for (std::size_t c = 0; c < cell_count; ++c) {
     measurements[c].spec = cells[c].spec;

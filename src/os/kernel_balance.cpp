@@ -18,8 +18,6 @@ void Kernel::steal_for(hw::CpuId cpu) {
   // mask in ascending cpu order (the historical visitation order, so
   // every tie-break is unchanged) instead of walking all num_cpus()
   // runqueues. This cpu's runqueue is empty, so it is never in the mask.
-  // Quiet cores are never victims either — their runqueue is empty by
-  // the window invariant, so they are not in the mask.
   const StealPick steal = find_steal(
       queued_,
       [this](hw::CpuId other) -> const Runqueue& {

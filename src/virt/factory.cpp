@@ -1,10 +1,8 @@
 #include "virt/factory.hpp"
 
 #include "util/check.hpp"
-#include "virt/bare_metal.hpp"
-#include "virt/container.hpp"
+#include "virt/native.hpp"
 #include "virt/vm.hpp"
-#include "virt/vm_container.hpp"
 
 namespace pinsim::virt {
 
@@ -20,13 +18,11 @@ std::unique_ptr<Platform> make_platform(Host& host,
                                         const PlatformSpec& spec) {
   switch (spec.kind) {
     case PlatformKind::BareMetal:
-      return std::make_unique<BareMetalPlatform>(host, spec);
     case PlatformKind::Container:
-      return std::make_unique<ContainerPlatform>(host, spec);
+      return std::make_unique<NativePlatform>(host, spec);
     case PlatformKind::Vm:
-      return std::make_unique<VmPlatform>(host, spec);
     case PlatformKind::VmContainer:
-      return std::make_unique<VmContainerPlatform>(host, spec);
+      return std::make_unique<VmPlatform>(host, spec);
   }
   PINSIM_CHECK_MSG(false, "unknown platform kind");
   return nullptr;

@@ -7,6 +7,14 @@
 
 namespace pinsim::virt {
 
+namespace {
+
+/// Upper bound on one execution grant; keeps guest IO latency and
+/// intra-guest wakeup latency at sub-slice granularity.
+constexpr SimDuration kBurstCap = msec(4);
+
+}  // namespace
+
 GuestKernel::GuestKernel(Host& host, Config config)
     : host_(&host),
       config_(config),
@@ -15,7 +23,6 @@ GuestKernel::GuestKernel(Host& host, Config config)
   PINSIM_CHECK(config.vcpus >= 1);
   PINSIM_CHECK(config.vcpus <= hw::CpuSet::kMaxCpus);
   PINSIM_CHECK(config.compute_inflation >= 1.0);
-  PINSIM_CHECK(config.burst_cap > 0);
   os::validate(config.params);
   all_vcpus_ = hw::CpuSet::first_n(config.vcpus);
   idle_ = all_vcpus_;  // every vCPU starts idle
@@ -219,7 +226,7 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
 
     SimDuration len = os::remaining_cost(task);
     len = std::min(len, v.slice_length - v.slice_used);
-    len = std::min(len, config_.burst_cap);
+    len = std::min(len, kBurstCap);
     if (task.cgroup != nullptr && task.cgroup->has_quota()) {
       len = std::min(len, costs.cgroup_aggregate_interval);
       len = std::min(len, task.cgroup->runtime_horizon(vcpu));

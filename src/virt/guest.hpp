@@ -5,7 +5,7 @@
 // half: a CFS-like scheduler over the guest's vCPUs whose cpu time only
 // advances when the host grants the corresponding vCPU task a slice.
 //
-// Execution protocol (driven by virt::Vm's vCPU task drivers):
+// Execution protocol (driven by VmPlatform's vCPU task drivers):
 //   1. next_burst(vcpu) picks the next guest task for that vCPU and
 //      returns how long the vCPU should execute on the host — the guest
 //      mini-burst (bounded by the guest scheduling slice, the task's
@@ -69,9 +69,6 @@ class GuestKernel {
     double compute_inflation = 1.95;
     /// Guest scheduler parameters.
     os::SchedParams params;
-    /// Upper bound on one execution grant; keeps guest IO latency and
-    /// intra-guest wakeup latency at sub-slice granularity.
-    SimDuration burst_cap = msec(4);
   };
 
   GuestKernel(Host& host, Config config);

@@ -7,6 +7,11 @@
 // CPU-provisioning mode. Workloads are written once against this
 // interface and run unmodified on every platform; what differs is what
 // each action costs, which is the paper's subject.
+//
+// One class per executor: NativePlatform (virt/native.hpp) runs BM and
+// CN on the host kernel, VmPlatform (virt/vm.hpp) runs VM and VMCN on a
+// guest kernel. A container is its executor plus a cgroup, so CN and
+// VMCN differ from BM and VM only by the cgroup their tasks join.
 #pragma once
 
 #include <functional>

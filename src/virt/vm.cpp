@@ -7,6 +7,10 @@ namespace pinsim::virt {
 
 namespace {
 
+/// Hot guest state a vCPU thread drags along when the host migrates it
+/// (guest kernel + the share of the app working set it runs).
+constexpr double kVcpuWorkingSetMb = 16.0;
+
 /// Host-task driver backing one vCPU: runs guest bursts while the guest
 /// core has work, halts (blocks) otherwise until kicked.
 class VcpuDriver final : public os::TaskDriver {
@@ -36,20 +40,17 @@ class VcpuDriver final : public os::TaskDriver {
   bool outstanding_ = false;
 };
 
-GuestKernel::Config guest_config(const Host& host, const PlatformSpec& spec,
-                                 const VmConfig& vm_config) {
+GuestKernel::Config guest_config(const Host& host, const PlatformSpec& spec) {
   GuestKernel::Config config;
   config.vcpus = spec.instance.cores;
   config.compute_inflation = host.costs().guest_compute_inflation;
-  config.params = vm_config.guest_params;
   return config;
 }
 
 }  // namespace
 
-VmPlatform::VmPlatform(Host& host, PlatformSpec spec, VmConfig vm_config)
-    : Platform(host, std::move(spec)),
-      guest_(host, guest_config(host, spec_, vm_config)) {
+VmPlatform::VmPlatform(Host& host, PlatformSpec spec)
+    : Platform(host, std::move(spec)), guest_(host, guest_config(host, spec_)) {
   PINSIM_CHECK(spec_.kind == PlatformKind::Vm ||
                spec_.kind == PlatformKind::VmContainer);
   PINSIM_CHECK_MSG(spec_.instance.cores <= host.topology().num_cpus(),
@@ -62,7 +63,7 @@ VmPlatform::VmPlatform(Host& host, PlatformSpec spec, VmConfig vm_config)
 
   for (int vcpu = 0; vcpu < spec_.instance.cores; ++vcpu) {
     os::TaskConfig config;
-    config.working_set_mb = vm_config.vcpu_working_set_mb;
+    config.working_set_mb = kVcpuWorkingSetMb;
     if (spec_.mode == CpuMode::Pinned) {
       config.affinity =
           hw::CpuSet::of({pin_map[static_cast<std::size_t>(vcpu)]});
@@ -74,26 +75,37 @@ VmPlatform::VmPlatform(Host& host, PlatformSpec spec, VmConfig vm_config)
     vcpu_tasks_.push_back(&task);
     host.kernel().start_task(task);
   }
+
+  if (spec_.kind == PlatformKind::VmContainer) {
+    os::Cgroup::Config cgroup;
+    cgroup.name = "vmcn-" + spec_.instance.name;
+    // docker --cpus=<instance cores> inside the guest.
+    cgroup.cpu_limit = static_cast<double>(spec_.instance.cores);
+    if (spec_.mode == CpuMode::Pinned) {
+      // --cpuset-cpus over the guest's vCPUs.
+      cgroup.cpuset = hw::CpuSet::first_n(spec_.instance.cores);
+    }
+    cgroup_ = &guest_.create_cgroup(std::move(cgroup));
+  }
 }
 
-os::TaskConfig VmPlatform::guest_task_config(const WorkTaskConfig& config) {
+os::Task& VmPlatform::spawn(WorkTaskConfig config,
+                            std::unique_ptr<os::TaskDriver> driver) {
   os::TaskConfig task_config;
   task_config.working_set_mb = config.working_set_mb;
   task_config.weight = config.weight;
+  task_config.cgroup = cgroup_;
   // The hypervisor's measured compute inflation, scaled by how much of
   // this task's time is really user-space compute.
   task_config.compute_inflation =
       1.0 + (host_->costs().guest_compute_inflation - 1.0) *
                 config.guest_inflation_sensitivity;
-  return task_config;
-}
-
-os::Task& VmPlatform::spawn(WorkTaskConfig config,
-                            std::unique_ptr<os::TaskDriver> driver) {
-  os::TaskConfig task_config = guest_task_config(config);
   task_config.on_exit = std::move(config.on_exit);
-  return guest_.create_task(std::move(config.name), std::move(driver),
-                            std::move(task_config));
+  os::Task& task = guest_.create_task(std::move(config.name),
+                                      std::move(driver),
+                                      std::move(task_config));
+  task.sticky_wakeup = cgroup_ != nullptr && spec_.mode == CpuMode::Pinned;
+  return task;
 }
 
 void VmPlatform::start(os::Task& task) { guest_.start_task(task); }

@@ -1,4 +1,4 @@
-#include "virt/container.hpp"
+#include "virt/native.hpp"
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,7 @@ struct ContainerHarness {
         platform(host, spec) {}
   PlatformSpec spec;
   Host host;
-  ContainerPlatform platform;
+  NativePlatform platform;
 };
 
 TEST(ContainerTest, QuotaEnforcedOnBigHost) {
@@ -55,7 +55,7 @@ TEST(ContainerTest, QuotaEnforcedOnBigHost) {
   EXPECT_EQ(done, 4);
   // 200 ms of work at 2 cpus of quota: at least ~100 ms.
   EXPECT_GE(h.host.engine().now(), msec(95));
-  EXPECT_GT(h.platform.cgroup().stats().usage, msec(195));
+  EXPECT_GT(h.platform.cgroup()->stats().usage, msec(195));
 }
 
 TEST(ContainerTest, PinnedContainerStaysInCpuset) {
@@ -104,7 +104,7 @@ TEST(ContainerTest, VanillaContainerSpreadsButPinnedDoesNot) {
     }
     h.host.engine().run_until([&] { return done == 16; }, sec(30));
     EXPECT_EQ(done, 16);
-    return h.platform.cgroup().stats().max_spread;
+    return h.platform.cgroup()->stats().max_spread;
   };
   EXPECT_GT(spread_of(CpuMode::Vanilla), 8);
   EXPECT_LE(spread_of(CpuMode::Pinned), 4);

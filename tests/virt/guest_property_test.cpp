@@ -7,7 +7,6 @@
 
 #include "virt/factory.hpp"
 #include "virt/vm.hpp"
-#include "virt/vm_container.hpp"
 #include "workload/ffmpeg.hpp"
 
 namespace pinsim::virt {
@@ -120,7 +119,7 @@ TEST(GuestPropertyTest, VmcnQuotaBoundsGuestUsage) {
   const PlatformSpec spec{PlatformKind::VmContainer, CpuMode::Vanilla,
                           instance_by_name("Large")};
   Host host(hw::Topology::dell_r830(), hw::CostModel{}, 9);
-  VmContainerPlatform platform(host, spec);
+  VmPlatform platform(host, spec);
   int done = 0;
   for (int i = 0; i < 6; ++i) {
     WorkTaskConfig config;
@@ -133,7 +132,7 @@ TEST(GuestPropertyTest, VmcnQuotaBoundsGuestUsage) {
   ASSERT_TRUE(host.engine().run_until([&] { return done == 6; },
                                       sec(300)));
   const double wall = to_seconds(host.engine().now());
-  EXPECT_LE(to_seconds(platform.guest_cgroup().stats().usage),
+  EXPECT_LE(to_seconds(platform.cgroup()->stats().usage),
             2.0 * wall + 0.03);
 }
 
@@ -178,7 +177,7 @@ TEST(GuestPropertyTest, QueuedMaskMatchesTheRunqueuesAfterEveryEvent) {
       const PlatformSpec spec{PlatformKind::VmContainer, mode,
                               instance_by_name("xLarge")};
       Host host(hw::Topology::dell_r830(), hw::CostModel{}, 21);
-      VmContainerPlatform platform(host, spec);
+      VmPlatform platform(host, spec);
       int done = 0;
       for (int i = 0; i < mix.tasks; ++i) {
         auto rounds = std::make_shared<int>(0);
@@ -221,7 +220,7 @@ TEST(GuestPropertyTest, QueuedMaskMatchesTheRunqueuesAfterEveryEvent) {
           },
           sec(60)));
       EXPECT_GT(non_empty, 100);
-      throttles += platform.guest_cgroup().stats().throttles;
+      throttles += platform.cgroup()->stats().throttles;
     }
   }
   EXPECT_GT(throttles, 0);

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "util/check.hpp"
-#include "virt/bare_metal.hpp"
 #include "virt/factory.hpp"
+#include "virt/native.hpp"
+#include "virt/vm.hpp"
 
 namespace pinsim::virt {
 namespace {
@@ -18,6 +20,14 @@ std::unique_ptr<os::TaskDriver> compute_once(SimDuration work) {
     *state = true;
     return os::Action::compute(work);
   });
+}
+
+/// The cgroup a platform puts its workload tasks in, or null.
+const os::Cgroup* platform_cgroup(Platform& platform) {
+  if (auto* native = dynamic_cast<NativePlatform*>(&platform)) {
+    return native->cgroup();
+  }
+  return dynamic_cast<VmPlatform&>(platform).cgroup();
 }
 
 TEST(PlatformSpecTest, LabelsMatchPaperLegend) {
@@ -70,11 +80,49 @@ TEST(FactoryTest, MakesEveryKind) {
   }
 }
 
+TEST(FactoryTest, SpawnedTaskMatchesPlatformTable) {
+  // One task through make_platform on every series (plus a pinned BM,
+  // which the paper does not plot): where it runs, which cgroup it
+  // joins, how it wakes and what the hypervisor inflates.
+  const hw::Topology full = hw::Topology::dell_r830();
+  const hw::CostModel costs;
+  const InstanceType& xlarge = instance_by_name("xLarge");
+  std::vector<PlatformSpec> specs = paper_series(xlarge);
+  specs.push_back({PlatformKind::BareMetal, CpuMode::Pinned, xlarge});
+  constexpr double kSensitivity = 0.5;
+  for (const PlatformSpec& spec : specs) {
+    SCOPED_TRACE(spec.label());
+    const bool guest = spec.kind == PlatformKind::Vm ||
+                       spec.kind == PlatformKind::VmContainer;
+    const bool grouped = spec.kind == PlatformKind::Container ||
+                         spec.kind == PlatformKind::VmContainer;
+    const bool pinned = spec.mode == CpuMode::Pinned;
+    Host host(host_topology_for(spec, full), costs, 42);
+    auto platform = make_platform(host, spec);
+    WorkTaskConfig config;
+    config.guest_inflation_sensitivity = kSensitivity;
+    const os::Task& task =
+        platform->spawn(std::move(config), compute_once(msec(1)));
+
+    const os::Cgroup* cgroup = platform_cgroup(*platform);
+    EXPECT_EQ(cgroup != nullptr, grouped);
+    EXPECT_EQ(task.cgroup, cgroup);
+    EXPECT_EQ(task.sticky_wakeup, grouped && pinned);
+    EXPECT_DOUBLE_EQ(
+        task.compute_inflation,
+        guest ? 1.0 + (costs.guest_compute_inflation - 1.0) * kSensitivity
+              : 1.0);
+    EXPECT_EQ(task.numa_home != nullptr, !guest);
+    const bool sees_host = spec.kind == PlatformKind::Container && !pinned;
+    EXPECT_EQ(platform->visible_cpus(), sees_host ? full.num_cpus() : 4);
+  }
+}
+
 TEST(BareMetalTest, RequiresLimitedHost) {
   const InstanceType& large = instance_by_name("Large");
   const PlatformSpec spec{PlatformKind::BareMetal, CpuMode::Vanilla, large};
   Host full_host(hw::Topology::dell_r830(), hw::CostModel{}, 1);
-  EXPECT_THROW(BareMetalPlatform(full_host, spec), InvariantViolation);
+  EXPECT_THROW(NativePlatform(full_host, spec), InvariantViolation);
 }
 
 TEST(BareMetalTest, RunsWorkloadToCompletion) {

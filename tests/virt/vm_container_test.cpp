@@ -1,4 +1,4 @@
-#include "virt/vm_container.hpp"
+#include "virt/vm.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,15 +26,28 @@ struct VmcnHarness {
         platform(host, spec) {}
   PlatformSpec spec;
   Host host;
-  VmContainerPlatform platform;
+  VmPlatform platform;
 };
 
 TEST(VmContainerTest, TasksJoinGuestCgroup) {
   VmcnHarness h(CpuMode::Vanilla, "Large");
   WorkTaskConfig config;
   os::Task& task = h.platform.spawn(std::move(config), compute_once(msec(1)));
-  EXPECT_EQ(task.cgroup, &h.platform.guest_cgroup());
+  EXPECT_EQ(task.cgroup, h.platform.cgroup());
   EXPECT_FALSE(task.sticky_wakeup);
+}
+
+TEST(VmContainerTest, VmPlatformFromVmcnSpecHasGuestCgroup) {
+  // Built directly rather than through make_platform, a VMCN spec still
+  // gives the VM its guest cgroup, and a spawned task joins it.
+  const PlatformSpec spec{PlatformKind::VmContainer, CpuMode::Vanilla,
+                          instance_by_name("Large")};
+  Host host(hw::Topology::dell_r830(), hw::CostModel{}, 3);
+  VmPlatform platform(host, spec);
+  ASSERT_NE(platform.cgroup(), nullptr);
+  WorkTaskConfig config;
+  os::Task& task = platform.spawn(std::move(config), compute_once(msec(1)));
+  EXPECT_EQ(task.cgroup, platform.cgroup());
 }
 
 TEST(VmContainerTest, PinnedModePinsBothLevels) {
@@ -44,7 +57,7 @@ TEST(VmContainerTest, PinnedModePinsBothLevels) {
     EXPECT_EQ(vcpu->affinity.count(), 1);
   }
   // Level 2: container pinned over the guest's vCPUs, sticky wakeups.
-  EXPECT_EQ(h.platform.guest_cgroup().cpuset().count(), 2);
+  EXPECT_EQ(h.platform.cgroup()->cpuset().count(), 2);
   WorkTaskConfig config;
   os::Task& task = h.platform.spawn(std::move(config), compute_once(msec(1)));
   EXPECT_TRUE(task.sticky_wakeup);
@@ -63,7 +76,7 @@ TEST(VmContainerTest, WorkloadCompletes) {
   }
   h.host.engine().run_until([&] { return done == 6; }, sec(30));
   EXPECT_EQ(done, 6);
-  EXPECT_GT(h.platform.guest_cgroup().stats().usage, 0);
+  EXPECT_GT(h.platform.cgroup()->stats().usage, 0);
 }
 
 TEST(VmContainerTest, AtLeastAsSlowAsPlainVm) {

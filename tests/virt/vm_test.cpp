@@ -309,15 +309,15 @@ TEST(VmTest, GuestTaskMayNotJoinAnotherKernelsCgroup) {
 TEST(VmTest, RejectsGuestParamsWithZeroLatencyOrGranularity) {
   // The guest validates its scheduler parameters like the host kernel:
   // zeros would otherwise turn every grant into a 1 ns burst.
-  const PlatformSpec spec{PlatformKind::Vm, CpuMode::Vanilla,
-                          instance_by_name("2xLarge")};
   Host host(hw::Topology::dell_r830(), hw::CostModel{}, 3);
-  VmConfig zero_latency;
-  zero_latency.guest_params.sched_latency = 0;
-  EXPECT_THROW(VmPlatform(host, spec, zero_latency), InvariantViolation);
-  VmConfig zero_granularity;
-  zero_granularity.guest_params.min_granularity = 0;
-  EXPECT_THROW(VmPlatform(host, spec, zero_granularity), InvariantViolation);
+  GuestKernel::Config zero_latency;
+  zero_latency.vcpus = 8;
+  zero_latency.params.sched_latency = 0;
+  EXPECT_THROW(GuestKernel(host, zero_latency), InvariantViolation);
+  GuestKernel::Config zero_granularity;
+  zero_granularity.vcpus = 8;
+  zero_granularity.params.min_granularity = 0;
+  EXPECT_THROW(GuestKernel(host, zero_granularity), InvariantViolation);
 }
 
 }  // namespace
