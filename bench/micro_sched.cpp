@@ -197,11 +197,11 @@ BENCHMARK(BM_WakeSleepCycle)->Arg(8)->Arg(32);
 void BM_SpawnFinish(benchmark::State& state) {
   // One short request's life on a 16-cpu host: join the pinned
   // container's cgroup, start, compute briefly, exit. The argument is
-  // how many requests the host already served. Finished tasks stay in
-  // the kernel and in their cgroup (workloads read their stats after the
-  // run), so a flat row means a spawn costs O(live tasks), not O(tasks
-  // ever created). Fixed iterations keep the growth during measurement
-  // below the smallest nonzero gap between arguments.
+  // how many requests the host already served. A finished task leaves
+  // its cgroup, folds into the kernel's totals and frees its slot for
+  // the next spawn, so a flat row means a spawn costs O(live tasks), not
+  // O(tasks ever created). Fixed iterations keep the served count during
+  // measurement below the smallest nonzero gap between arguments.
   const auto served = state.range(0);
   sim::Engine engine;
   const hw::Topology topo(1, 16, 1, 16.0);

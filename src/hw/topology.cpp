@@ -55,11 +55,6 @@ Topology Topology::limited_to(int n) const {
                   llc_mb_per_socket_, private_cache_mb_, n);
 }
 
-int Topology::socket_of(CpuId cpu) const {
-  PINSIM_CHECK(cpu >= 0 && cpu < num_cpus_);
-  return cpu / (cores_per_socket_ * threads_per_core_);
-}
-
 int Topology::core_of(CpuId cpu) const {
   PINSIM_CHECK(cpu >= 0 && cpu < num_cpus_);
   return cpu / threads_per_core_;

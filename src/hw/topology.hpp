@@ -10,6 +10,7 @@
 #include <string>
 
 #include "hw/cpuset.hpp"
+#include "util/check.hpp"
 
 namespace pinsim::hw {
 
@@ -55,7 +56,11 @@ class Topology {
 
   CpuSet all_cpus() const { return CpuSet::first_n(num_cpus_); }
 
-  int socket_of(CpuId cpu) const;
+  /// Inline: the schedulers call it on every dispatch and mask refresh.
+  int socket_of(CpuId cpu) const {
+    PINSIM_CHECK(cpu >= 0 && cpu < num_cpus_);
+    return cpu / (cores_per_socket_ * threads_per_core_);
+  }
   /// Physical-core index (global across sockets); SMT siblings share it.
   int core_of(CpuId cpu) const;
 

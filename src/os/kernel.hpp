@@ -73,10 +73,11 @@ class Kernel {
   // --- setup ---------------------------------------------------------------
   Cgroup& create_cgroup(Cgroup::Config config);
 
-  /// A new task, not yet started. The reference stays valid for the
-  /// kernel's life: when the task exits, the kernel keeps its record
-  /// (id, name, state, stats; listed by tasks()) and destroys its
-  /// driver, NUMA home reference and exit hook.
+  /// A new task, not yet started. The reference is valid until the
+  /// task finishes: it then folds into finished_totals(), its driver,
+  /// NUMA home reference and exit hook are destroyed, and any later
+  /// create may reuse its slot. Keep a TaskRef to hold a task across
+  /// events.
   Task& create_task(std::string name, std::unique_ptr<TaskDriver> driver,
                     TaskConfig config = {});
 
@@ -109,6 +110,10 @@ class Kernel {
     return rq_[static_cast<std::size_t>(cpu)];
   }
   const KernelStats& stats() const { return stats_; }
+  /// Sums over every task this kernel has finished.
+  const TaskTotals& finished_totals() const { return tasks_.totals(); }
+  /// Every task slot (see TaskTable::tasks): a finished task's record
+  /// is readable here only until a later create reuses its slot.
   const std::vector<std::unique_ptr<Task>>& tasks() const {
     return tasks_.tasks();
   }

@@ -7,10 +7,21 @@ namespace pinsim::os {
 
 Task& TaskTable::create(std::string name, std::unique_ptr<TaskDriver> driver,
                         TaskConfig config, const hw::CpuSet& cpus) {
-  const Task::Id id = static_cast<Task::Id>(tasks_.size());
-  tasks_.push_back(
-      std::make_unique<Task>(id, std::move(name), std::move(driver)));
-  Task& task = *tasks_.back();
+  const Task::Id id = next_id_++;
+  std::size_t slot = tasks_.size();
+  if (free_.empty()) {
+    tasks_.push_back(
+        std::make_unique<Task>(id, std::move(name), std::move(driver)));
+    on_exit_.emplace_back();
+    // Sized with the table, so freeing a slot never allocates.
+    free_.reserve(tasks_.capacity());
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    *tasks_[slot] = Task(id, std::move(name), std::move(driver));
+  }
+  Task& task = *tasks_[slot];
+  task.slot_ = slot;
   task.affinity = config.affinity;
   if (!task.affinity.empty()) {
     PINSIM_CHECK_MSG(!(task.affinity & cpus).empty(),
@@ -25,7 +36,7 @@ Task& TaskTable::create(std::string name, std::unique_ptr<TaskDriver> driver,
   if (config.cgroup != nullptr) {
     config.cgroup->add_member(task);
   }
-  on_exit_.push_back(std::move(config.on_exit));
+  on_exit_[slot] = std::move(config.on_exit);
   ++unretired_;
   return task;
 }
@@ -41,6 +52,13 @@ void TaskTable::retire(Task& task, SimTime now) {
   PINSIM_CHECK(task.state == TaskState::Running);
   task.state = TaskState::Finished;
   task.stats.finished_at = now;
+  const TaskStats& s = task.stats;
+  totals_.lifetime += s.finished_at - s.started_at;
+  totals_.cpu_time += s.cpu_time;
+  totals_.block_time += s.block_time;
+  totals_.wait_time += s.wait_time;
+  totals_.io_ops += s.io_ops;
+  totals_.messages_sent += s.messages_sent;
   --live_;
   --unretired_;
   if (task.cgroup != nullptr) task.cgroup->remove_member(task);
@@ -49,11 +67,14 @@ void TaskTable::retire(Task& task, SimTime now) {
 }
 
 void TaskTable::run_on_exit(Task& task) {
+  PINSIM_CHECK(task.state == TaskState::Finished);
   // Moved out first: the hook may create tasks, which can reallocate
   // on_exit_ while it runs. A move allocates nothing.
   const std::function<void(Task&)> on_exit =
-      std::exchange(on_exit_[static_cast<std::size_t>(task.id())], nullptr);
+      std::exchange(on_exit_[task.slot_], nullptr);
   if (on_exit) on_exit(task);
+  // Freed only now, so a task the hook created took another slot.
+  free_.push_back(task.slot_);
 }
 
 }  // namespace pinsim::os

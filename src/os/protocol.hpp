@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -42,40 +44,64 @@ struct TaskConfig {
   std::function<void(Task&)> on_exit;
 };
 
-/// An executor's tasks, their exit hooks, and how many are live
-/// (started, not yet finished) and unretired (created, not yet
-/// finished). A finished task stays in the table as its record (id,
-/// name, state, stats), so a Task& stays valid for the executor's
-/// life; its driver, NUMA home reference and exit hook, which only a
-/// live task needs, are destroyed when it exits.
+/// What measure_profile reads of the tasks an executor has finished,
+/// summed as each one retires: integer ns and counts, so the sums do
+/// not depend on the order tasks finish in.
+struct TaskTotals {
+  SimDuration lifetime = 0;  // finished_at - started_at
+  SimDuration cpu_time = 0;
+  SimDuration block_time = 0;
+  SimDuration wait_time = 0;
+  std::int64_t io_ops = 0;
+  std::int64_t messages_sent = 0;
+};
+
+/// An executor's task slots, their exit hooks, and how many tasks are
+/// live (started, not yet finished) and unretired (created, not yet
+/// finished). A finished task folds into totals(); after its exit hook
+/// returns, its slot goes on a free list, and a later create
+/// reinitialises that Task in place. So the table holds as many slots
+/// as the executor ever had tasks at once (plus one per exit hook that
+/// creates), not one per task it ever ran. Task ids keep counting up,
+/// so a reused slot is told apart by its id (see TaskRef).
 class TaskTable {
  public:
-  /// A new task configured from `config`. A non-empty affinity must
-  /// intersect `cpus`, the executor's cpu (or vCPU) range.
+  /// A new task configured from `config`, in a free slot if there is
+  /// one. A non-empty affinity must intersect `cpus`, the executor's
+  /// cpu (or vCPU) range.
   Task& create(std::string name, std::unique_ptr<TaskDriver> driver,
                TaskConfig config, const hw::CpuSet& cpus);
   /// Created -> live: counts the task and stamps its start time.
   void start(Task& task, SimTime now);
-  /// Running -> Finished: stamps the finish time, drops the task from
-  /// the live count and from its cgroup, and destroys its driver and
-  /// its NUMA home reference. The exit hook is the caller's to run (see
-  /// run_on_exit), after its own finish-time bookkeeping.
+  /// Running -> Finished: stamps the finish time, folds the task into
+  /// totals(), drops it from the live count and from its cgroup, and
+  /// destroys its driver and its NUMA home reference. The exit hook is
+  /// the caller's to run (see run_on_exit), after its own finish-time
+  /// bookkeeping.
   void retire(Task& task, SimTime now);
-  /// Run the task's exit hook once and destroy it. The hook may create
-  /// tasks on this executor.
+  /// Run the task's exit hook once and destroy it, then free the slot.
+  /// The hook may create tasks on this executor; they never get the
+  /// slot of the task whose hook is running. The caller must not touch
+  /// the task afterwards.
   void run_on_exit(Task& task);
 
   int live() const { return live_; }
   /// Created and not yet retired: every task that may be a cgroup
   /// member (a task joins its group at create, before start).
   int unretired() const { return unretired_; }
+  const TaskTotals& totals() const { return totals_; }
+  /// Every slot: the created and live tasks, and the records of
+  /// finished tasks whose slot no create has reused yet.
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
 
  private:
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::function<void(Task&)>> on_exit_;  // parallel to tasks_
+  std::vector<std::size_t> free_;  // slots of finished tasks
+  Task::Id next_id_ = 0;
   int live_ = 0;
   int unretired_ = 0;
+  TaskTotals totals_;
 };
 
 /// Running -> Blocked at `now`.
@@ -85,11 +111,15 @@ inline void block_task(Task& task, SimTime now) {
   task.blocked_at = now;
 }
 
-/// Queue `count` messages on `to`. Returns true when that completes a
-/// blocking Recv: one message is consumed and the caller must wake the
-/// task along its level's wake path.
+/// Queue `count` messages on `to`, which must not have finished.
+/// Returns true when that completes a blocking Recv: one message is
+/// consumed and the caller must wake the task along its level's wake
+/// path.
 inline bool accept_messages(Task& to, int count) {
   PINSIM_CHECK(count >= 1);
+  // A finished task's slot may already hold a later task.
+  PINSIM_CHECK_MSG(to.state != TaskState::Finished,
+                   "message posted to finished task " << to.name());
   to.pending_msgs += count;
   if (to.state != TaskState::Blocked || !to.recv_waiting) return false;
   to.recv_waiting = false;

@@ -8,6 +8,7 @@
 // action costs, which is exactly the paper's subject.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -109,7 +110,8 @@ class Task {
     return *driver_;
   }
   /// Destroy the driver: the task has exited and asks for no more
-  /// actions. Its record (id, name, state, stats) stays.
+  /// actions. Its record (id, name, state, stats) stays until its
+  /// executor reuses the slot.
   void release_driver() { driver_.reset(); }
 
   // --- Fields owned by the executor. Kept public: Task is an internal
@@ -182,9 +184,38 @@ class Task {
   TaskStats stats;
 
  private:
+  // A finished task's slot is reused in place: TaskTable move-assigns a
+  // fresh Task over the record, so the object is never freed.
+  friend class TaskTable;
+  Task& operator=(Task&&) = default;
+  /// Index in the executor's TaskTable.
+  std::size_t slot_ = 0;
+
   Id id_;
   std::string name_;
   std::unique_ptr<TaskDriver> driver_;
+};
+
+/// A checked reference to a task, for holders that outlive one event
+/// (an MPI rank table, a server pool). A Task& is valid until the task
+/// finishes, and a later create may reuse its slot; task ids are never
+/// reused, so the id kept here serves as the slot's generation. get()
+/// throws InvariantViolation once the task has finished, whether or not
+/// its slot holds a later task yet.
+class TaskRef {
+ public:
+  explicit TaskRef(Task& task) : task_(&task), id_(task.id()) {}
+
+  Task& get() const {
+    PINSIM_CHECK_MSG(task_->id() == id_ &&
+                         task_->state != TaskState::Finished,
+                     "task " << id_ << " has finished");
+    return *task_;
+  }
+
+ private:
+  Task* task_;
+  Task::Id id_;
 };
 
 /// Convenience driver built from a lambda: `fn(task)` returns the next

@@ -89,6 +89,7 @@ class GuestKernel {
   // --- guest task management ------------------------------------------------
   os::Cgroup& create_cgroup(os::Cgroup::Config config);
 
+  /// As os::Kernel::create_task: valid until the task finishes.
   os::Task& create_task(std::string name,
                         std::unique_ptr<os::TaskDriver> driver,
                         os::TaskConfig config = {});
@@ -109,6 +110,9 @@ class GuestKernel {
   const hw::CpuSet& idle_vcpus() const { return idle_; }
   int live_tasks() const { return tasks_.live(); }
   const GuestStats& stats() const { return stats_; }
+  /// Sums over every guest task this kernel has finished.
+  const os::TaskTotals& finished_totals() const { return tasks_.totals(); }
+  /// Every guest task slot (see os::TaskTable::tasks).
   const std::vector<std::unique_ptr<os::Task>>& tasks() const {
     return tasks_.tasks();
   }

@@ -115,6 +115,8 @@ class Platform {
 
   /// Create a task governed by this platform's executor (host kernel or
   /// guest kernel) and resource controls (cgroup, affinity, pinning).
+  /// The reference is valid until the task finishes; its slot may then
+  /// be reused by any later spawn (hold an os::TaskRef across events).
   virtual os::Task& spawn(WorkTaskConfig config,
                           std::unique_ptr<os::TaskDriver> driver) = 0;
 

@@ -143,10 +143,10 @@ class ServerPool {
       auto driver = std::make_unique<ServerThreadDriver>(
           config, cache_hit, share, platform.disk(), rng.fork());
       drivers_.push_back(driver.get());
-      threads_.push_back(
-          &platform.spawn(std::move(task_config), std::move(driver)));
+      threads_.emplace_back(
+          platform.spawn(std::move(task_config), std::move(driver)));
     }
-    for (os::Task* thread : threads_) platform.start(*thread);
+    for (const os::TaskRef& thread : threads_) platform.start(thread.get());
   }
 
   // Submit callbacks hold the pool's address.
@@ -156,12 +156,11 @@ class ServerPool {
   std::size_t size() const { return threads_.size(); }
 
   /// Hand thread `target` one op now; `done` runs when its response is
-  /// sent. The thread must not have finished.
+  /// sent. The thread must not have finished (the TaskRef checks).
   void submit(std::size_t target, OpDone done) {
-    PINSIM_CHECK_MSG(threads_[target]->state != os::TaskState::Finished,
-                     "op submitted to finished " << threads_[target]->name());
+    os::Task& thread = threads_[target].get();
     drivers_[target]->enqueue(std::move(done));
-    platform_->post(*threads_[target], 1);
+    platform_->post(thread, 1);
   }
 
  private:
@@ -169,7 +168,7 @@ class ServerPool {
   // Owned by their tasks, which destroy them when they finish: valid
   // only while threads_[i] has not finished (submit checks).
   std::vector<ServerThreadDriver*> drivers_;
-  std::vector<os::Task*> threads_;
+  std::vector<os::TaskRef> threads_;
 };
 
 /// Serving counterpart of the stress run: the same pool with no op

@@ -16,11 +16,11 @@ namespace {
 class EncoderDriver final : public os::TaskDriver {
  public:
   EncoderDriver(SimDuration total, SimDuration chunk, double jitter,
-                os::Task*& coordinator, Rng rng)
+                os::TaskRef coordinator, Rng rng)
       : remaining_(total),
         chunk_(chunk),
         jitter_(jitter),
-        coordinator_(&coordinator),
+        coordinator_(coordinator),
         rng_(rng) {}
 
   os::Action next(os::Task&) override {
@@ -34,8 +34,7 @@ class EncoderDriver final : public os::TaskDriver {
     }
     if (!reported_) {
       reported_ = true;
-      PINSIM_CHECK(*coordinator_ != nullptr);
-      return os::Action::post(**coordinator_);
+      return os::Action::post(coordinator_.get());
     }
     return os::Action::exit();
   }
@@ -44,7 +43,7 @@ class EncoderDriver final : public os::TaskDriver {
   SimDuration remaining_;
   SimDuration chunk_;
   double jitter_;
-  os::Task** coordinator_;
+  os::TaskRef coordinator_;
   bool reported_ = false;
   Rng rng_;
 };
@@ -115,13 +114,9 @@ RunResult Ffmpeg::run(virt::Platform& platform, Rng rng) {
   const double worker_ws = std::max(
       6.0, config_.working_set_mb / static_cast<double>(threads));
 
-  // Encoder drivers post through these, so they need stable addresses.
-  std::vector<std::unique_ptr<os::Task*>> coordinators;
   std::vector<os::Task*> to_start;
 
   for (int p = 0; p < config_.processes; ++p) {
-    coordinators.push_back(std::make_unique<os::Task*>(nullptr));
-    os::Task*& coordinator = *coordinators.back();
     // All threads of one transcode share frame buffers: one NUMA home.
     auto numa_home = std::make_shared<int>(-1);
 
@@ -131,11 +126,11 @@ RunResult Ffmpeg::run(virt::Platform& platform, Rng rng) {
     coord_config.numa_home = numa_home;
     coord_config.on_exit = completion.tracker(start);
     completion.expect(1);
-    coordinator = &platform.spawn(
+    os::Task& coordinator = platform.spawn(
         std::move(coord_config),
         std::make_unique<CoordinatorDriver>(startup, serial, chunk,
                                             threads));
-    to_start.push_back(coordinator);
+    to_start.push_back(&coordinator);
 
     for (int t = 0; t < threads; ++t) {
       virt::WorkTaskConfig config;
@@ -148,7 +143,8 @@ RunResult Ffmpeg::run(virt::Platform& platform, Rng rng) {
       os::Task& worker = platform.spawn(
           std::move(config),
           std::make_unique<EncoderDriver>(parallel_share, chunk,
-                                          config_.jitter, coordinator,
+                                          config_.jitter,
+                                          os::TaskRef(coordinator),
                                           rng.fork()));
       to_start.push_back(&worker);
     }

@@ -11,7 +11,7 @@ namespace {
 
 /// Shared rank table so every rank can address its peers.
 struct RankTable {
-  std::vector<os::Task*> ranks;
+  std::vector<os::TaskRef> ranks;
 };
 
 /// One MPI rank. Per iteration:
@@ -39,7 +39,7 @@ class RankDriver final : public os::TaskDriver {
         return next_compute();
       case Phase::Send: {  // non-root: send partial result to root
         phase_ = Phase::WaitBroadcast;
-        return os::Action::post(*table_->ranks[0]);
+        return os::Action::post(table_->ranks[0].get());
       }
       case Phase::WaitBroadcast: {  // non-root: wait for the broadcast
         advance_iteration();
@@ -56,7 +56,8 @@ class RankDriver final : public os::TaskDriver {
       }
       case Phase::Broadcast: {  // root: notify every peer
         if (peer_ < nranks_) {
-          os::Task& target = *table_->ranks[static_cast<std::size_t>(peer_)];
+          os::Task& target =
+              table_->ranks[static_cast<std::size_t>(peer_)].get();
           ++peer_;
           return os::Action::post(target);
         }
@@ -125,9 +126,9 @@ RunResult run_mpi(const MpiConfig& config, const std::string& label,
         std::make_unique<RankDriver>(table, rank, nranks, config.iterations,
                                      compute_per_iter, config.jitter,
                                      rng.fork()));
-    table->ranks.push_back(&task);
+    table->ranks.emplace_back(task);
   }
-  for (os::Task* rank : table->ranks) platform.start(*rank);
+  for (const os::TaskRef& rank : table->ranks) platform.start(rank.get());
 
   run_to_completion(platform, completion, start + config.horizon, label);
 

@@ -61,22 +61,13 @@ MeasuredProfile measure_profile(Workload& workload, int cores,
 
   MeasuredProfile profile;
   profile.metric_seconds = result.metric_seconds;
-  double lifetime = 0.0;
-  double cpu = 0.0;
-  double blocked = 0.0;
-  double waiting = 0.0;
-  double io_ops = 0.0;
-  double messages = 0.0;
-  for (const auto& task : host.kernel().tasks()) {
-    const auto& s = task->stats;
-    if (s.started_at < 0 || s.finished_at < 0) continue;
-    lifetime += to_seconds(s.finished_at - s.started_at);
-    cpu += to_seconds(s.cpu_time);
-    blocked += to_seconds(s.block_time);
-    waiting += to_seconds(s.wait_time);
-    io_ops += static_cast<double>(s.io_ops);
-    messages += static_cast<double>(s.messages_sent);
-  }
+  const os::TaskTotals& totals = host.kernel().finished_totals();
+  const double lifetime = to_seconds(totals.lifetime);
+  const double cpu = to_seconds(totals.cpu_time);
+  const double blocked = to_seconds(totals.block_time);
+  const double waiting = to_seconds(totals.wait_time);
+  const auto io_ops = static_cast<double>(totals.io_ops);
+  const auto messages = static_cast<double>(totals.messages_sent);
   PINSIM_CHECK(lifetime > 0.0);
   profile.cpu_fraction = cpu / lifetime;
   profile.block_fraction = blocked / lifetime;

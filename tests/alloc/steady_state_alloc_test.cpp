@@ -17,10 +17,14 @@
 // Cells: the Fig. 4 (MPI Search) and Fig. 3 (FFmpeg) recipes on all
 // seven paper series at two instance sizes, and a fixed set of looping
 // compute, disk and NIC tasks (a disk backlog, quota throttling, IRQs,
-// virtio exits) on all seven series. WordPress is left out: it creates
-// a task per request by design. So is Cassandra: an open-loop backlog
-// can first reach a new depth inside the window, and that one-time
-// growth of the disk's FIFO looks the same as a per-event allocation.
+// virtio exits) on all seven series. The Fig. 5 WordPress recipe
+// creates a task per request by design, so its window counts only
+// allocations of a task record (exactly sizeof(os::Task)): a finished
+// request's slot is reused, so a record is allocated only when the
+// host holds more tasks at once than ever before. Cassandra is left
+// out: an open-loop backlog can first reach a new depth inside the
+// window, and that one-time growth of the disk's FIFO looks the same as
+// a per-event allocation.
 //
 // It is its own executable because a replaced operator new in
 // pinsim_tests would turn off ASan's new/delete checks for every other
@@ -43,6 +47,7 @@
 #include "virt/vm.hpp"
 #include "workload/ffmpeg.hpp"
 #include "workload/mpi.hpp"
+#include "workload/wordpress.hpp"
 #include "workload/workload.hpp"
 
 // --- counting operator new ---------------------------------------------------
@@ -53,12 +58,14 @@ constexpr int kKeptSizes = 8;
 
 bool g_counting = false;
 std::int64_t g_allocations = 0;
+std::int64_t g_task_allocations = 0;   // of exactly sizeof(os::Task)
 std::size_t g_sizes[kKeptSizes] = {};  // the first counted request sizes
 
 void* allocate(std::size_t size, std::size_t align) {
   if (g_counting) {
     if (g_allocations < kKeptSizes) g_sizes[g_allocations] = size;
     ++g_allocations;
+    if (size == sizeof(pinsim::os::Task)) ++g_task_allocations;
   }
   // aligned_alloc takes a nonzero multiple of the alignment.
   const std::size_t bytes = (std::max<std::size_t>(size, 1) + align - 1) /
@@ -194,6 +201,8 @@ void run_recipe(const std::string& recipe, virt::Platform& platform) {
     workload::MpiSearch().run(platform, rng);
   } else if (recipe == "ffmpeg") {
     workload::Ffmpeg().run(platform, rng);
+  } else if (recipe == "wordpress") {
+    workload::WordPress().run(platform, rng);
   } else {
     run_io_loop(platform);
   }
@@ -231,7 +240,43 @@ struct Outcome {
   std::int64_t allocations = 0;
   std::size_t sizes[kKeptSizes] = {};
   Paths paths = {};
+  /// Task records allocated and host tasks created in the window, and
+  /// the host's task slots when it opened and closed, and at the end of
+  /// the run.
+  std::int64_t task_allocations = 0;
+  os::Task::Id created = 0;
+  std::size_t slots_open = 0;
+  std::size_t slots_close = 0;
+  std::size_t slots_end = 0;
+  /// The most host tasks live at once over the run.
+  int peak_live = 0;
 };
+
+/// Reads the host's live-task count whenever a task leaves its cpu.
+/// A finishing task leaves its cpu just before it retires, the only
+/// step that lowers the count, so the largest reading is the peak.
+class PeakLive final : public os::SchedObserver {
+ public:
+  explicit PeakLive(const os::Kernel& kernel) : kernel_(&kernel) {}
+  void on_slice(const os::Task&, int, SimDuration) override {
+    peak_ = std::max(peak_, kernel_->live_tasks());
+  }
+  int peak() const { return peak_; }
+
+ private:
+  const os::Kernel* kernel_;
+  int peak_ = 0;
+};
+
+/// One past the largest id the kernel has given a task: ids count up
+/// from 0 in creation order, and the newest task still holds its slot.
+os::Task::Id next_task_id(const os::Kernel& kernel) {
+  os::Task::Id next = 0;
+  for (const auto& task : kernel.tasks()) {
+    next = std::max(next, task->id() + 1);
+  }
+  return next;
+}
 
 /// Run `recipe` on `spec`. With `window_end` > 0, count allocations
 /// between two fire-once events at `window_begin` and `window_end`.
@@ -246,6 +291,9 @@ Outcome run_cell(const std::string& recipe, const virt::PlatformSpec& spec,
                     vm != nullptr ? vm->guest().stats() : virt::GuestStats{}};
   };
 
+  PeakLive peak_live(host.kernel());
+  host.kernel().add_observer(peak_live);
+
   Outcome out;
   Snapshot before;
   int backlog_at_open = 0;
@@ -253,12 +301,18 @@ Outcome run_cell(const std::string& recipe, const virt::PlatformSpec& spec,
     host.engine().schedule_detached_at(window_begin, [&] {
       before = snapshot();
       backlog_at_open = host.disk().queue_depth();
+      out.slots_open = host.kernel().tasks().size();
+      out.created = -next_task_id(host.kernel());
       g_allocations = 0;
+      g_task_allocations = 0;
       g_counting = true;
     });
     host.engine().schedule_detached_at(window_end, [&] {
       g_counting = false;
       out.allocations = g_allocations;
+      out.task_allocations = g_task_allocations;
+      out.slots_close = host.kernel().tasks().size();
+      out.created += next_task_id(host.kernel());
       std::copy(std::begin(g_sizes), std::end(g_sizes), std::begin(out.sizes));
       const Snapshot after = snapshot();
       const os::KernelStats& h0 = before.host;
@@ -285,6 +339,8 @@ Outcome run_cell(const std::string& recipe, const virt::PlatformSpec& spec,
   g_counting = false;
   out.end = host.engine().now();
   out.fired = host.engine().stats().fired;
+  out.slots_end = host.kernel().tasks().size();
+  out.peak_live = peak_live.peak();
   return out;
 }
 
@@ -345,6 +401,37 @@ INSTANTIATE_TEST_SUITE_P(IoLoop, SteadyStateAllocTest,
                          ::testing::Combine(::testing::Values("io"),
                                             ::testing::Values("Large"),
                                             ::testing::Range(0, 7)),
+                         cell_name);
+
+// Fig. 5 WordPress on the host series (CN vanilla, CN pinned, BM): a
+// process per request, so a 1,000-request burst allocates drivers and
+// exit hooks throughout. Its task records, though, are allocated only
+// as the table grows, and the table never holds more than the most
+// tasks live at once (plus the slot of a task whose exit hook runs).
+// At 8xLarge and 16xLarge requests finish as fast as they arrive, so
+// the window sees hundreds start; on smaller instances the burst
+// queues and the window opens after the last arrival.
+class WordPressTaskRecordTest : public ::testing::TestWithParam<CellParam> {};
+
+TEST_P(WordPressTaskRecordTest, RecordsOnlyAtANewLivePeak) {
+  const auto& [recipe, size, index] = GetParam();
+  const Outcome out = windowed(recipe, series(size, index));
+  RecordProperty("task_allocations", std::to_string(out.task_allocations));
+  RecordProperty("created", std::to_string(out.created));
+  RecordProperty("peak_live", std::to_string(out.peak_live));
+  EXPECT_GT(out.created, 0);
+  EXPECT_LE(out.task_allocations,
+            static_cast<std::int64_t>(out.slots_close - out.slots_open))
+      << "slots " << out.slots_open << " -> " << out.slots_close;
+  EXPECT_LE(out.slots_end, static_cast<std::size_t>(out.peak_live) + 1)
+      << "task records allocated in the window: " << out.task_allocations;
+}
+
+INSTANTIATE_TEST_SUITE_P(Fig5Host, WordPressTaskRecordTest,
+                         ::testing::Combine(::testing::Values("wordpress"),
+                                            ::testing::Values("8xLarge",
+                                                              "16xLarge"),
+                                            ::testing::Range(4, 7)),
                          cell_name);
 
 // A window that never takes a path proves nothing about it. Across the

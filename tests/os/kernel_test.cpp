@@ -305,12 +305,15 @@ struct ChurnRun {
   SimTime end = 0;
   int peak_live = 0;
   std::size_t peak_capacity = 0;
+  std::size_t slots = 0;
 };
 
 /// 5,000 short requests on a 16-cpu host, at most 8 live at a time: each
 /// exit spawns the next request. Even requests are pinned to cpus 0-1 so
 /// some queues hold several tasks. `reserve_eagerly` pre-sizes every
 /// queue for all 5,000 tasks, the reservation the kernel once made.
+/// Each request's record is read in its exit hook: a later request
+/// reuses its slot.
 ChurnRun run_request_churn(bool reserve_eagerly) {
   constexpr int kTotal = 5000;
   constexpr int kLive = 8;
@@ -322,7 +325,11 @@ ChurnRun run_request_churn(bool reserve_eagerly) {
     }
   }
   ChurnRun out;
+  out.finished_at.resize(kTotal, -1);
+  out.cpu_time.resize(kTotal, -1);
+  out.last_cpu.resize(kTotal, -1);
   int created = 0;
+  int finished = 0;
   std::function<void()> spawn = [&] {
     const int i = created++;
     auto phase = std::make_shared<int>(0);
@@ -341,7 +348,13 @@ ChurnRun run_request_churn(bool reserve_eagerly) {
     TaskConfig config;
     if (i % 2 == 0) config.affinity = hw::CpuSet::range(0, 2);
     // Spawn from a fresh event: on_exit runs inside the kernel.
-    config.on_exit = [&](Task&) {
+    config.on_exit = [&, i](Task& task) {
+      EXPECT_EQ(task.state, TaskState::Finished);
+      const auto at = static_cast<std::size_t>(i);
+      out.finished_at[at] = task.stats.finished_at;
+      out.cpu_time[at] = task.stats.cpu_time;
+      out.last_cpu[at] = task.last_cpu;
+      ++finished;
       if (created < kTotal) h.engine.schedule_detached(0, [&] { spawn(); });
     };
     Task& task = h.kernel.create_task("r" + std::to_string(i),
@@ -352,13 +365,8 @@ ChurnRun run_request_churn(bool reserve_eagerly) {
   for (int i = 0; i < kLive; ++i) spawn();
   EXPECT_TRUE(h.engine.run_until(
       [&] { return created == kTotal && h.kernel.live_tasks() == 0; }));
-  EXPECT_EQ(static_cast<int>(h.kernel.tasks().size()), kTotal);
-  for (const auto& task : h.kernel.tasks()) {
-    EXPECT_EQ(task->state, TaskState::Finished);
-    out.finished_at.push_back(task->stats.finished_at);
-    out.cpu_time.push_back(task->stats.cpu_time);
-    out.last_cpu.push_back(task->last_cpu);
-  }
+  EXPECT_EQ(finished, kTotal);
+  out.slots = h.kernel.tasks().size();
   // A queue's capacity never shrinks, so its final value is its peak.
   for (int cpu = 0; cpu < 16; ++cpu) {
     out.peak_capacity =
@@ -377,6 +385,8 @@ TEST(KernelTest, RunqueueReservationBoundedByLiveTasks) {
   EXPECT_EQ(lazy.peak_live, 8);
   EXPECT_GT(lazy.peak_capacity, 0u);
   EXPECT_LE(lazy.peak_capacity, 2u * static_cast<std::size_t>(lazy.peak_live));
+  // So is the task table: finished requests' slots are reused.
+  EXPECT_LE(lazy.slots, static_cast<std::size_t>(lazy.peak_live) + 1);
   // Reservation is invisible to the simulation.
   const ChurnRun eager = run_request_churn(true);
   EXPECT_GE(eager.peak_capacity, 5000u);

@@ -1,6 +1,6 @@
-// A finished task keeps its record (id, name, state, stats) and drops
-// what only a live task needs: its driver, its exit hook and its NUMA
-// home reference.
+// A finished task keeps its record (id, name, state, stats) until a
+// later create reuses its slot, and drops what only a live task needs:
+// its driver, its exit hook and its NUMA home reference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -217,7 +217,8 @@ TEST(TaskReleaseTest, FinishedGuestTasksKeepOnlyTheirRecord) {
 }
 
 /// A closed-loop client on one kernel: each request's exit hook starts
-/// the next request, so the hook creates a task while it runs.
+/// the next request, so the hook creates a task while it runs. The hook
+/// records what the finished task's slot holds when the hook returns.
 class ClosedLoopClient {
  public:
   ClosedLoopClient(Kernel& kernel, int requests)
@@ -229,7 +230,7 @@ class ClosedLoopClient {
     TaskConfig config;
     config.on_exit = [this](Task& task) {
       if (spawned_ < requests_) spawn();
-      finished_.push_back(task.id());
+      finished_.push_back({task.id(), task.state, task.stats});
     };
     Task& task = kernel_->create_task(
         "req" + std::to_string(id),
@@ -247,13 +248,18 @@ class ClosedLoopClient {
     kernel_->start_task(task);
   }
 
-  const std::vector<Task::Id>& finished() const { return finished_; }
+  struct Record {
+    Task::Id id;
+    TaskState state;
+    TaskStats stats;
+  };
+  const std::vector<Record>& finished() const { return finished_; }
 
  private:
   Kernel* kernel_;
   int requests_;
   int spawned_ = 0;
-  std::vector<Task::Id> finished_;
+  std::vector<Record> finished_;
 };
 
 TEST(TaskReleaseTest, ExitHookMayStartTheNextTaskOnItsKernel) {
@@ -263,16 +269,18 @@ TEST(TaskReleaseTest, ExitHookMayStartTheNextTaskOnItsKernel) {
   client.spawn();
   EXPECT_TRUE(h.kernel.run_until_quiescent());
 
-  const auto& tasks = h.kernel.tasks();
-  ASSERT_EQ(tasks.size(), static_cast<std::size_t>(kRequests));
-  ASSERT_EQ(client.finished().size(), static_cast<std::size_t>(kRequests));
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const Task& task = *tasks[i];
-    EXPECT_EQ(client.finished()[i], static_cast<Task::Id>(i));
-    EXPECT_EQ(task.state, TaskState::Finished);
+  // The hook's own task keeps its slot while the hook creates the next
+  // one, so one request at a time needs two slots.
+  EXPECT_EQ(h.kernel.tasks().size(), 2u);
+  const auto& finished = client.finished();
+  ASSERT_EQ(finished.size(), static_cast<std::size_t>(kRequests));
+  for (std::size_t i = 0; i < finished.size(); ++i) {
+    EXPECT_EQ(finished[i].id, static_cast<Task::Id>(i));
+    EXPECT_EQ(finished[i].state, TaskState::Finished);
     // One request at a time: each starts at its predecessor's exit.
     if (i > 0) {
-      EXPECT_EQ(task.stats.started_at, tasks[i - 1]->stats.finished_at);
+      EXPECT_EQ(finished[i].stats.started_at,
+                finished[i - 1].stats.finished_at);
     }
   }
 }
