@@ -126,7 +126,7 @@ inline core::ExperimentRunner make_runner(int paper_reps,
               << " repetitions (paper protocol: " << paper_reps << ")\n";
   }
   if (options.jobs > 1) {
-    std::cerr << "[note] sweeping with " << options.jobs
+    std::cerr << "[note] sweeping with up to " << options.jobs
               << " worker threads (results identical to --jobs 1)\n";
   }
   return core::ExperimentRunner(config);

@@ -59,9 +59,6 @@ BENCHMARK(BM_ArrivalsDiurnal);
 void balancer_loop(benchmark::State& state, cluster::BalancerPolicy policy) {
   const int backends = static_cast<int>(state.range(0));
   cluster::LoadBalancer lb(policy, backends);
-  for (int b = 0; b < backends; b += 3) {
-    lb.set_chr_in_range(b, false);
-  }
   for (auto _ : state) {
     const int pick = lb.pick();
     lb.add_outstanding(pick, 1);
@@ -79,11 +76,6 @@ void BM_BalancerLeastOutstanding(benchmark::State& state) {
   balancer_loop(state, cluster::BalancerPolicy::LeastOutstanding);
 }
 BENCHMARK(BM_BalancerLeastOutstanding)->Arg(8)->Arg(64);
-
-void BM_BalancerChrAware(benchmark::State& state) {
-  balancer_loop(state, cluster::BalancerPolicy::ChrAware);
-}
-BENCHMARK(BM_BalancerChrAware)->Arg(8)->Arg(64);
 
 void BM_SloRecord(benchmark::State& state) {
   cluster::SloTracker tracker{cluster::SloConfig{}};

@@ -1,5 +1,5 @@
-// Cluster scenario: 10M daily users across a 50-host fleet — pinning
-// and CHR-aware autoscaling at the tail.
+// Cluster scenario: 10M daily users across a 50-host fleet — pinning,
+// CHR sizing and autoscaling at the tail.
 //
 // The paper benchmarks one platform on one host with closed request
 // bursts; this scenario composes those calibrated service recipes into
@@ -13,8 +13,11 @@
 //   pinned      the paper's headline fix (pinned containers,
 //               least-outstanding routing), every host always on;
 //   chr-scaled  the §VI controller: instances sized+pinned by the CHR
-//               advisor, CHR-aware routing, watermark autoscaling that
-//               pays a provisioning delay per scale-out.
+//               advisor, least-outstanding routing, watermark
+//               autoscaling that pays a provisioning delay per
+//               scale-out. It differs from `pinned` only by sizing and
+//               autoscaling: every host runs the same spec, so routing
+//               by CHR could not tell the hosts apart.
 //
 // The WordPress day is compressed to 60 simulated seconds at the mean
 // rate of 10M requests/day (116/s); Cassandra sees flash-crowd bursts.
@@ -23,6 +26,7 @@
 // parallelism notes go to stderr). Each fleet runs serially
 // (shards = threads = 1): at 50 hosts the threaded round loop is
 // slower than one engine.
+#include <algorithm>
 #include <future>
 #include <sstream>
 #include <vector>
@@ -91,7 +95,7 @@ void make_cells(const cluster::FleetConfig& base, int min_instances,
 
   Cell scaled{"chr-scaled", base};
   scaled.config.pinning = cluster::PinningPolicy::ChrAdvisor;
-  scaled.config.balancer = cluster::BalancerPolicy::ChrAware;
+  scaled.config.balancer = cluster::BalancerPolicy::LeastOutstanding;
   scaled.config.autoscale = true;
   scaled.config.autoscaler.min_instances = min_instances;
   // Outstanding includes requests parked in backend waits, so the
@@ -174,22 +178,27 @@ int main(int argc, char** argv) {
 
   const int reps = options.reps_override > 0 ? options.reps_override
                                              : bench::repetitions_or(3);
-  if (options.jobs > 1) {
-    std::cerr << "[note] sweeping with " << options.jobs
-              << " worker threads (results identical to --jobs 1)\n";
-  }
-  util::ThreadPool pool(options.jobs);
-
   std::vector<Cell> wordpress_cells;
   make_cells(wordpress_base(), 10, 4, wordpress_cells);
+  std::vector<Cell> cassandra_cells;
+  make_cells(cassandra_base(), 4, 3, cassandra_cells);
+
+  // measure() gathers one fleet's runs before the next fleet submits
+  // its own, so no more than one fleet's runs are ever in flight.
+  const std::size_t cells =
+      std::max(wordpress_cells.size(), cassandra_cells.size());
+  util::ThreadPool pool(std::min(options.jobs, static_cast<int>(cells) * reps));
+  if (pool.size() > 1) {
+    std::cerr << "[note] sweeping with " << pool.size()
+              << " worker threads (results identical to --jobs 1)\n";
+  }
+
   std::cout << "\nWordPress fleet (50 hosts, compressed diurnal day, "
             << reps << " reps):\n";
   const stats::Figure wordpress =
       measure("Cluster — WordPress fleet (50 hosts, 100M req/day, SLO 0.35 s)",
               wordpress_cells, reps, pool);
 
-  std::vector<Cell> cassandra_cells;
-  make_cells(cassandra_base(), 4, 3, cassandra_cells);
   std::cout << "\nCassandra fleet (10 hosts, flash-crowd bursts, " << reps
             << " reps):\n";
   const stats::Figure cassandra =

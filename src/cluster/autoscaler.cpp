@@ -11,7 +11,6 @@ Autoscaler::Autoscaler(AutoscalerConfig config) : config_(config) {
   PINSIM_CHECK(config_.max_instances >= config_.min_instances);
   PINSIM_CHECK(config_.high_watermark > config_.low_watermark);
   PINSIM_CHECK(config_.low_watermark >= 0.0);
-  PINSIM_CHECK(config_.evaluation_period > 0);
   PINSIM_CHECK(config_.provisioning_delay >= 0);
   PINSIM_CHECK(config_.cooldown >= 0);
   PINSIM_CHECK(config_.step >= 1);

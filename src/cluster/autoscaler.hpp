@@ -24,6 +24,9 @@
 
 namespace pinsim::cluster {
 
+/// How often the fleet asks the autoscaler for a decision.
+inline constexpr SimDuration kEvaluationPeriod = msec(500);
+
 struct AutoscalerConfig {
   int min_instances = 1;
   int max_instances = 1 << 16;  // callers clamp to the fleet size
@@ -31,7 +34,6 @@ struct AutoscalerConfig {
   /// instance above which the fleet grows / below which it shrinks.
   double high_watermark = 8.0;
   double low_watermark = 2.0;
-  SimDuration evaluation_period = msec(500);
   /// Container cold-start: a scale-up becomes routable this much later.
   SimDuration provisioning_delay = sec(2);
   SimDuration cooldown = sec(5);

@@ -18,7 +18,8 @@ std::unique_ptr<workload::RequestSource> make_source(const FleetConfig& config,
                                                      virt::Platform& platform,
                                                      Rng rng) {
   if (config.app == workload::AppClass::IoWeb) {
-    return workload::make_wordpress_source(platform, config.wordpress, rng);
+    return workload::make_wordpress_source(platform,
+                                           workload::WordPressConfig{}, rng);
   }
   return workload::make_cassandra_source(platform, config.cassandra, rng);
 }
@@ -44,15 +45,12 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
                    "fleet needs >= 1 thread (got " << config_.threads << ")");
   PINSIM_CHECK_MSG(config_.traffic_seconds > 0.0,
                    "traffic window must be positive");
-  PINSIM_CHECK_MSG(config_.drain_seconds > 0.0, "drain window must be positive");
+  PINSIM_CHECK_MSG(config_.drain_seconds > 0.0,
+                   "drain window must be positive");
   PINSIM_CHECK_MSG(config_.app == workload::AppClass::IoWeb ||
                        config_.app == workload::AppClass::IoNoSql,
                    "the serving layer models the paper's request-serving "
                    "applications (IoWeb -> WordPress, IoNoSql -> Cassandra)");
-  PINSIM_CHECK_MSG(
-      config_.initial_instances >= 0 &&
-          config_.initial_instances <= config_.hosts,
-      "initial_instances " << config_.initial_instances << " out of range");
   PINSIM_CHECK_MSG(config_.autoscaler.min_instances <= config_.hosts,
                    "autoscaler floor exceeds the fleet size");
   config_.autoscaler.max_instances =
@@ -69,33 +67,20 @@ int Fleet::shard_of(int host) const {
   return host_shard_[static_cast<std::size_t>(host)];
 }
 
-std::vector<virt::PlatformSpec> Fleet::resolved_specs() const {
-  std::vector<virt::PlatformSpec> out;
-  out.reserve(static_cast<std::size_t>(config_.hosts));
-  std::optional<virt::InstanceType> advised;
+virt::PlatformSpec Fleet::resolved_spec() const {
+  virt::PlatformSpec spec = config_.spec;
   if (config_.pinning == PinningPolicy::ChrAdvisor) {
-    advised = core::recommend_instance(config_.app, config_.full_host);
-    if (!advised) {
-      advised = virt::largest_instance_within(config_.full_host.num_cpus());
-    }
+    std::optional<virt::InstanceType> advised =
+        core::recommend_instance(config_.app, config_.full_host);
+    spec.instance = advised ? *advised
+                            : virt::largest_instance_within(
+                                  config_.full_host.num_cpus());
+    spec.mode = virt::CpuMode::Pinned;
   }
-  for (int h = 0; h < config_.hosts; ++h) {
-    virt::PlatformSpec spec =
-        config_.host_specs.empty()
-            ? config_.spec
-            : config_.host_specs[static_cast<std::size_t>(h) %
-                                 config_.host_specs.size()];
-    if (advised) {
-      spec.instance = *advised;
-      spec.mode = virt::CpuMode::Pinned;
-    }
-    out.push_back(std::move(spec));
-  }
-  return out;
+  return spec;
 }
 
 int Fleet::initial_active() const {
-  if (config_.initial_instances > 0) return config_.initial_instances;
   if (config_.autoscale) {
     return std::min(config_.autoscaler.min_instances, config_.hosts);
   }
@@ -105,21 +90,23 @@ int Fleet::initial_active() const {
 ClusterResult Fleet::run() {
   const int n = config_.hosts;
   const SimDuration min_latency = config_.costs.min_cross_shard_latency();
-  PINSIM_CHECK_MSG(config_.dispatch_latency >= min_latency,
-                   "dispatch latency " << config_.dispatch_latency
+  PINSIM_CHECK_MSG(kDispatchLatency >= min_latency,
+                   "dispatch latency " << kDispatchLatency
                                        << " below the cross-shard floor "
                                        << min_latency);
 
   // Both cross-shard legs (dispatch and completion) carry
-  // dispatch_latency, so that is the lookahead the round loop may use.
+  // kDispatchLatency, so that is the lookahead the round loop may use.
   sim::ShardedEngine sharded(sim::ShardedEngineConfig{
-      config_.shards, config_.dispatch_latency, config_.threads});
+      config_.shards, kDispatchLatency, config_.threads});
 
   // Host h runs with repetition h's seed, so it matches a solo-engine
   // run of the same spec. Construction is interleaved per host: host
   // h's initial kernel events and its source's keep their relative
   // order whichever hosts share its shard.
-  const std::vector<virt::PlatformSpec> specs = resolved_specs();
+  const virt::PlatformSpec spec = resolved_spec();
+  const hw::Topology topology =
+      virt::host_topology_for(spec, config_.full_host);
   std::vector<std::unique_ptr<virt::Host>> hosts;
   std::vector<std::unique_ptr<virt::Platform>> platforms;
   std::vector<std::unique_ptr<workload::RequestSource>> sources;
@@ -127,14 +114,11 @@ ClusterResult Fleet::run() {
   platforms.reserve(static_cast<std::size_t>(n));
   sources.reserve(static_cast<std::size_t>(n));
   for (int h = 0; h < n; ++h) {
-    const std::size_t i = static_cast<std::size_t>(h);
     const std::uint64_t seed =
         config_.base_seed + 1000003ull * static_cast<std::uint64_t>(h);
     hosts.push_back(std::make_unique<virt::Host>(
-        sharded.shard(shard_of(h)),
-        virt::host_topology_for(specs[i], config_.full_host), config_.costs,
-        seed));
-    platforms.push_back(virt::make_platform(*hosts.back(), specs[i]));
+        sharded.shard(shard_of(h)), topology, config_.costs, seed));
+    platforms.push_back(virt::make_platform(*hosts.back(), spec));
     sources.push_back(make_source(config_, *platforms.back(),
                                   Rng(seed ^ 0x517cc1b727220a95ull)));
   }
@@ -143,13 +127,6 @@ ClusterResult Fleet::run() {
   // events, so it needs no locks and behaves identically for every
   // thread and shard count.
   LoadBalancer balancer(config_.balancer, n);
-  const core::ChrRange band = core::paper_chr_range(config_.app);
-  std::vector<double> chr(static_cast<std::size_t>(n), 0.0);
-  for (int h = 0; h < n; ++h) {
-    const std::size_t i = static_cast<std::size_t>(h);
-    chr[i] = core::chr_of(specs[i].instance, config_.full_host);
-    balancer.set_chr_in_range(h, band.contains(chr[i]));
-  }
   const int initial = initial_active();
   for (int h = 0; h < n; ++h) balancer.set_active(h, h < initial);
 
@@ -182,19 +159,19 @@ ClusterResult Fleet::run() {
     ClusterResult* result = &out;
     LoadBalancer* lb = &balancer;
     const int shard = shard_of(host);
-    const SimDuration leg = config_.dispatch_latency;
     net->post(
-        0, shard, leg,
-        [net, front_engine, result, lb, source, shard, leg, id, host] {
-          source->inject([net, front_engine, result, lb, shard, leg, id,
-                          host] {
-            net->post(shard, 0, leg, [front_engine, result, lb, id, host] {
-              RequestRecord& record =
-                  result->trace[static_cast<std::size_t>(id)];
-              record.latency = front_engine->now() - record.arrival;
-              lb->add_outstanding(host, -1);
-              ++result->completed;
-            });
+        0, shard, kDispatchLatency,
+        [net, front_engine, result, lb, source, shard, id, host] {
+          source->inject([net, front_engine, result, lb, shard, id, host] {
+            net->post(
+                shard, 0, kDispatchLatency,
+                [front_engine, result, lb, id, host] {
+                  RequestRecord& record =
+                      result->trace[static_cast<std::size_t>(id)];
+                  record.latency = front_engine->now() - record.arrival;
+                  lb->add_outstanding(host, -1);
+                  ++result->completed;
+                });
           });
         });
   };
@@ -238,20 +215,13 @@ ClusterResult Fleet::run() {
   };
   auto scale_up = [&](int count) {
     for (int k = 0; k < count; ++k) {
-      int pick = -1;
-      // Prefer instances whose CHR sits in the recommended band.
-      for (int pass = 0; pass < 2 && pick < 0; ++pass) {
-        for (int h = 0; h < n; ++h) {
-          if (balancer.active(h) ||
-              provisioning[static_cast<std::size_t>(h)] != 0) {
-            continue;
-          }
-          if (pass == 0 && !balancer.chr_in_range(h)) continue;
-          pick = h;
-          break;
-        }
+      // The lowest-index instance neither active nor provisioning.
+      int pick = 0;
+      while (pick < n && (balancer.active(pick) ||
+                          provisioning[static_cast<std::size_t>(pick)] != 0)) {
+        ++pick;
       }
-      if (pick < 0) return;
+      if (pick == n) return;
       activate_later(pick);
     }
   };
@@ -279,13 +249,11 @@ ClusterResult Fleet::run() {
                               provisioning_count, balancer.total_outstanding());
       if (delta > 0) scale_up(delta);
       if (delta < 0) scale_down(-delta);
-      if (front.now() + config_.autoscaler.evaluation_period <= horizon) {
-        front.schedule_detached(config_.autoscaler.evaluation_period,
-                                [&] { tick(); });
+      if (front.now() + kEvaluationPeriod <= horizon) {
+        front.schedule_detached(kEvaluationPeriod, [&] { tick(); });
       }
     };
-    front.schedule_detached(config_.autoscaler.evaluation_period,
-                            [&] { tick(); });
+    front.schedule_detached(kEvaluationPeriod, [&] { tick(); });
   }
 
   const auto drained = [&generating, &out] {
@@ -308,13 +276,8 @@ ClusterResult Fleet::run() {
   out.hosts.reserve(static_cast<std::size_t>(n));
   for (int h = 0; h < n; ++h) {
     const std::size_t i = static_cast<std::size_t>(h);
-    FleetHostReport report;
-    report.spec = specs[i];
-    report.chr = chr[i];
-    report.chr_in_range = balancer.chr_in_range(h);
-    report.dispatched = dispatched_per_host[i];
-    report.served = sources[i]->served();
-    out.hosts.push_back(std::move(report));
+    out.hosts.push_back(
+        FleetHostReport{dispatched_per_host[i], sources[i]->served()});
   }
   out.final_active = balancer.active_count();
   out.shard_stats = sharded.stats();

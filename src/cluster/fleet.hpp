@@ -6,23 +6,24 @@
 // open-loop traffic from a front end living on shard 0:
 //
 //   Arrivals ----> LoadBalancer ----> host h's RequestSource
-//      |  pick()+dispatch   \--- post(0, shard(h), dispatch_latency)
+//      |  pick()+dispatch   \--- post(0, shard(h), kDispatchLatency)
 //      |                          inject() ... request executes ...
-//      |              completion: post(shard(h), 0, dispatch_latency)
+//      |              completion: post(shard(h), 0, kDispatchLatency)
 //      v
 //   Autoscaler tick: watermark decisions -> provisioning timers ->
 //   activate/deactivate instances in the balancer
 //
 // The pinning controller (PinningPolicy::ChrAdvisor) turns the paper's
 // post-hoc CHR table into placement policy: every host's container is
-// sized by core::recommend_instance for the app class and pinned.
+// sized by core::recommend_instance for the app class and pinned. Every
+// host runs the same spec, so the fleet is homogeneous.
 //
 // Determinism contract (tests/cluster/fleet_test.cpp): a fixed config +
 // seed yields a byte-identical request trace and ClusterResult summary
 // for any `threads` and any `shards`. The load-bearing choices:
 //  - every front-end structure (balancer, autoscaler, trace, counters)
 //    is touched only by shard-0 events; hosts are reached exclusively
-//    through ShardedEngine::post with dispatch_latency (the round
+//    through ShardedEngine::post with kDispatchLatency (the round
 //    loop's lookahead), and completions notify the front end the same
 //    way, so all cross-shard influence travels the canonical mailbox
 //    merge;
@@ -51,13 +52,12 @@
 #include "virt/factory.hpp"
 #include "workload/cassandra.hpp"
 #include "workload/profiles.hpp"
-#include "workload/wordpress.hpp"
 
 namespace pinsim::cluster {
 
 /// How the fleet sizes and pins its per-host instances.
 enum class PinningPolicy {
-  /// Run FleetConfig::spec / host_specs exactly as given.
+  /// Run FleetConfig::spec exactly as given.
   AsConfigured,
   /// Size every host by core::recommend_instance (smallest instance in
   /// the app class's recommended CHR band, pinned); fall back to the
@@ -66,6 +66,11 @@ enum class PinningPolicy {
 };
 
 const char* to_string(PinningPolicy policy);
+
+/// Simulated front-end <-> host network latency, each way, and the
+/// sharded round loop's lookahead. Must be >= the cost model's
+/// min_cross_shard_latency() (checked).
+inline constexpr SimDuration kDispatchLatency = usec(200);
 
 struct FleetConfig {
   int hosts = 4;
@@ -76,13 +81,10 @@ struct FleetConfig {
   int threads = 1;
   /// Serving application (IoWeb -> WordPress, IoNoSql -> Cassandra).
   workload::AppClass app = workload::AppClass::IoWeb;
-  /// Platform every host runs, unless host_specs or the pinning policy
-  /// overrides it.
+  /// Platform every host runs, unless the pinning policy overrides it.
   virt::PlatformSpec spec{virt::PlatformKind::Container,
                           virt::CpuMode::Vanilla,
                           virt::instance_by_name("xLarge")};
-  /// Optional heterogeneous fleet: host h runs host_specs[h % size()].
-  std::vector<virt::PlatformSpec> host_specs;
   PinningPolicy pinning = PinningPolicy::AsConfigured;
   hw::Topology full_host = hw::Topology::small_host_16();
   hw::CostModel costs;
@@ -97,22 +99,16 @@ struct FleetConfig {
 
   BalancerPolicy balancer = BalancerPolicy::LeastOutstanding;
 
+  /// Without autoscaling every host is active throughout; with it,
+  /// autoscaler.min_instances hosts are active at t = 0.
   bool autoscale = false;
   AutoscalerConfig autoscaler;
-  /// Active instances at t = 0; 0 means "all hosts" without
-  /// autoscaling and autoscaler.min_instances with it.
-  int initial_instances = 0;
 
   SloConfig slo;
 
-  /// Simulated front-end <-> host network latency, each way, and the
-  /// sharded round loop's lookahead. Must be >= the cost model's
-  /// min_cross_shard_latency() (checked).
-  SimDuration dispatch_latency = usec(200);
-
-  /// Service-recipe tuning for the serving sources (batch-only fields
-  /// are ignored; see workload/request_source.hpp).
-  workload::WordPressConfig wordpress;
+  /// Service-recipe tuning for the Cassandra source (batch-only fields
+  /// are ignored; see workload/request_source.hpp). WordPress hosts run
+  /// the default WordPressConfig.
   workload::CassandraConfig cassandra;
 };
 
@@ -128,9 +124,6 @@ struct RequestRecord {
 };
 
 struct FleetHostReport {
-  virt::PlatformSpec spec;
-  double chr = 0.0;
-  bool chr_in_range = false;
   std::int64_t dispatched = 0;
   std::int64_t served = 0;
 };
@@ -159,9 +152,9 @@ class Fleet {
   /// Shard hosting host `h` (checked accessor for the host_shard_ map).
   int shard_of(int host) const;
 
-  /// Per-host platform specs after host_specs cycling and the pinning
-  /// policy are applied.
-  std::vector<virt::PlatformSpec> resolved_specs() const;
+  /// The platform spec every host runs, after the pinning policy is
+  /// applied.
+  virt::PlatformSpec resolved_spec() const;
 
   /// Build the fleet, run the traffic, drain, and summarize.
   ClusterResult run();

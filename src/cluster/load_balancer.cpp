@@ -10,8 +10,6 @@ const char* to_string(BalancerPolicy policy) {
       return "round-robin";
     case BalancerPolicy::LeastOutstanding:
       return "least-outstanding";
-    case BalancerPolicy::ChrAware:
-      return "chr-aware";
   }
   return "?";
 }
@@ -49,14 +47,6 @@ int LoadBalancer::active_count() const {
   return count;
 }
 
-void LoadBalancer::set_chr_in_range(int backend, bool in_range) {
-  slot(backend).in_range = in_range;
-}
-
-bool LoadBalancer::chr_in_range(int backend) const {
-  return slot(backend).in_range;
-}
-
 void LoadBalancer::add_outstanding(int backend, int delta) {
   Backend& b = slot(backend);
   b.outstanding += delta;
@@ -75,12 +65,11 @@ std::int64_t LoadBalancer::total_outstanding() const {
   return total;
 }
 
-int LoadBalancer::pick_least(bool require_in_range) const {
+int LoadBalancer::pick_least() const {
   int best = -1;
   for (int i = 0; i < backends(); ++i) {
     const Backend& b = backends_[static_cast<std::size_t>(i)];
     if (!b.active) continue;
-    if (require_in_range && !b.in_range) continue;
     if (best < 0 ||
         b.outstanding < backends_[static_cast<std::size_t>(best)].outstanding) {
       best = i;
@@ -105,11 +94,7 @@ int LoadBalancer::pick() {
       break;
     }
     case BalancerPolicy::LeastOutstanding:
-      choice = pick_least(false);
-      break;
-    case BalancerPolicy::ChrAware:
-      choice = pick_least(true);
-      if (choice < 0) choice = pick_least(false);
+      choice = pick_least();
       break;
   }
   if (choice >= 0) ++decisions_;

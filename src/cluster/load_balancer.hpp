@@ -3,18 +3,17 @@
 // The LoadBalancer is pure bookkeeping: it holds what the front end
 // knows about every backend instance — active or not, outstanding
 // requests as seen from the front end (dispatches minus completion
-// notifications, so the view lags the hosts by the network latency),
-// and whether the instance's container-to-host core ratio sits inside
-// the paper's recommended band for the application class. pick() is a
-// deterministic pure function of that state:
+// notifications, so the view lags the hosts by the network latency).
+// pick() is a deterministic pure function of that state:
 //
 //   RoundRobin        next active backend after the previous pick;
 //   LeastOutstanding  active backend with the fewest outstanding
-//                     requests, ties to the lowest index;
-//   ChrAware          LeastOutstanding restricted to backends whose CHR
-//                     is in the recommended band (paper §VI best
-//                     practice 5 as a live routing policy), falling
-//                     back to all active backends when none qualify.
+//                     requests, ties to the lowest index.
+//
+// Every host of a fleet runs the same spec, so every backend has the
+// same container-to-host core ratio; the paper's CHR band (§VI best
+// practice 5) is applied when sizing the instance
+// (cluster::PinningPolicy::ChrAdvisor), not when routing.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +21,7 @@
 
 namespace pinsim::cluster {
 
-enum class BalancerPolicy { RoundRobin, LeastOutstanding, ChrAware };
+enum class BalancerPolicy { RoundRobin, LeastOutstanding };
 
 const char* to_string(BalancerPolicy policy);
 
@@ -39,9 +38,6 @@ class LoadBalancer {
   bool active(int backend) const;
   int active_count() const;
 
-  void set_chr_in_range(int backend, bool in_range);
-  bool chr_in_range(int backend) const;
-
   void add_outstanding(int backend, int delta);
   int outstanding(int backend) const;
   std::int64_t total_outstanding() const;
@@ -56,13 +52,12 @@ class LoadBalancer {
  private:
   struct Backend {
     bool active = true;
-    bool in_range = true;
     int outstanding = 0;
   };
 
   Backend& slot(int backend);
   const Backend& slot(int backend) const;
-  int pick_least(bool require_in_range) const;
+  int pick_least() const;
 
   BalancerPolicy policy_;
   std::vector<Backend> backends_;

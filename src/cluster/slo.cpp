@@ -5,7 +5,7 @@
 namespace pinsim::cluster {
 
 SloTracker::SloTracker(SloConfig config)
-    : config_(config), histogram_(config.bucket_seconds, config.max_buckets) {
+    : config_(config), histogram_(kSloBucketSeconds, kSloMaxBuckets) {
   PINSIM_CHECK(config_.target_seconds > 0.0);
 }
 

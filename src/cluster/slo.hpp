@@ -17,13 +17,15 @@
 
 namespace pinsim::cluster {
 
+/// Histogram resolution backing the percentile estimates: samples at
+/// or above kSloBucketSeconds * kSloMaxBuckets (20 s) clamp into the
+/// last bucket.
+inline constexpr double kSloBucketSeconds = 0.001;
+inline constexpr std::size_t kSloMaxBuckets = 20000;
+
 struct SloConfig {
   /// Per-request latency objective.
   double target_seconds = 0.5;
-  /// Histogram resolution backing the percentile estimates; samples at
-  /// or above bucket_seconds * max_buckets clamp into the last bucket.
-  double bucket_seconds = 0.001;
-  std::size_t max_buckets = 20000;
 };
 
 struct SloSummary {

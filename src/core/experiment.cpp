@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <future>
 #include <utility>
 
@@ -51,7 +52,9 @@ std::vector<Measurement> ExperimentRunner::measure_all(
       }
     }
   } else {
-    util::ThreadPool pool(jobs);
+    // No more workers than runs: a surplus worker would only idle.
+    const int runs = static_cast<int>(cell_count) * reps;
+    util::ThreadPool pool(std::min(jobs, runs));
     std::vector<std::future<double>> futures;
     futures.reserve(cell_count * static_cast<std::size_t>(reps));
     for (std::size_t c = 0; c < cell_count; ++c) {

@@ -67,9 +67,10 @@ class ExperimentRunner {
   Measurement measure(const virt::PlatformSpec& spec,
                       const WorkloadFactory& factory) const;
 
-  /// A whole sweep, fanned across `jobs` worker threads (jobs <= 1 runs
-  /// inline). Returns one Measurement per cell, in cell order, with
-  /// samples bit-identical to calling measure() per cell.
+  /// A whole sweep, fanned across `jobs` worker threads, never more
+  /// than the sweep has runs (jobs <= 1 runs inline). Returns one
+  /// Measurement per cell, in cell order, with samples bit-identical to
+  /// calling measure() per cell.
   std::vector<Measurement> measure_all(const std::vector<SweepCell>& cells,
                                        int jobs) const;
 

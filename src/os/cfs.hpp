@@ -5,8 +5,8 @@
 // decision differ. os::Kernel and virt::GuestKernel both call the one
 // copy of each step here, over their own runqueues and cpu (or vCPU)
 // range:
-//  - the parameters and their validation, the slice length and a
-//    task's remaining cost;
+//  - the scheduler constants, the slice length and a task's remaining
+//    cost;
 //  - the allowed set and steal eligibility;
 //  - the steal search and the queued-task move it feeds;
 //  - the random picks (uniform over a set, least-loaded with random
@@ -40,34 +40,25 @@
 
 namespace pinsim::os {
 
-struct SchedParams {
-  /// Target latency: every runnable task runs once per this window.
-  SimDuration sched_latency = msec(12);
-  /// Minimum slice regardless of queue depth.
-  SimDuration min_granularity = msec(1);
-  /// A waking task preempts the running one only if it is behind by at
-  /// least this much vruntime.
-  SimDuration wakeup_preempt_granularity = msec(1);
-  /// Periodic load-balance interval.
-  SimDuration balance_interval = msec(8);
-  /// Sleeper credit: a waking task's vruntime is floored at
-  /// (queue min_vruntime − sched_latency).
-  bool sleeper_credit = true;
-};
+/// Target latency: every runnable task runs once per this window.
+inline constexpr SimDuration kSchedLatency = msec(12);
+/// Minimum slice regardless of queue depth.
+inline constexpr SimDuration kMinGranularity = msec(1);
+/// A waking task preempts the running one only if it is behind by at
+/// least this much vruntime.
+inline constexpr SimDuration kWakeupPreemptGranularity = msec(1);
+/// Periodic load-balance interval.
+inline constexpr SimDuration kBalanceInterval = msec(8);
 
-/// CHECKs what every level's slice arithmetic relies on: a zero latency
-/// or granularity would cut every slice down to a 1 ns grant.
-inline void validate(const SchedParams& params) {
-  PINSIM_CHECK_MSG(params.sched_latency > 0, "sched_latency must be > 0");
-  PINSIM_CHECK_MSG(params.min_granularity > 0,
-                   "min_granularity must be > 0");
-}
+// Every level's slice arithmetic relies on these: a zero latency or
+// granularity would cut every slice down to a 1 ns grant.
+static_assert(kSchedLatency > 0, "sched latency must be > 0");
+static_assert(kMinGranularity > 0, "min granularity must be > 0");
 
 /// Slice on a queue of `runnable` tasks, the running one included:
-/// the latency window shared evenly, never below min_granularity.
-inline SimDuration slice_length(const SchedParams& params, int runnable) {
-  return std::max(params.min_granularity,
-                  params.sched_latency / std::max(1, runnable));
+/// the latency window shared evenly, never below kMinGranularity.
+inline SimDuration slice_length(int runnable) {
+  return std::max(kMinGranularity, kSchedLatency / std::max(1, runnable));
 }
 
 /// Executor time `task` needs before its next action: debt, then burst.
@@ -220,13 +211,10 @@ inline SimDuration account_wake(Task& task, SimTime now) {
 }
 
 /// Sleeper credit: a waking task placed on `rq` keeps at most
-/// sched_latency of lag behind its minimum, so a long sleeper cannot
+/// kSchedLatency of lag behind its minimum, so a long sleeper cannot
 /// monopolize the cpu with an ancient vruntime.
-inline void sleeper_floor(Task& task, const Runqueue& rq,
-                          const SchedParams& params) {
-  if (!params.sleeper_credit) return;
-  task.vruntime =
-      std::max(task.vruntime, rq.min_vruntime() - params.sched_latency);
+inline void sleeper_floor(Task& task, const Runqueue& rq) {
+  task.vruntime = std::max(task.vruntime, rq.min_vruntime() - kSchedLatency);
 }
 
 /// A kernel's cgroups and their bandwidth-period cadence.

@@ -11,16 +11,12 @@
 namespace pinsim::os {
 
 Kernel::Kernel(sim::Engine& engine, const hw::Topology& topology,
-               const hw::CostModel& costs, Rng rng, SchedParams params,
-               std::string name)
+               const hw::CostModel& costs, Rng rng)
     : engine_(&engine),
       topology_(&topology),
       costs_(&costs),
       cache_model_(topology, costs),
-      rng_(rng),
-      params_(params),
-      name_(std::move(name)) {
-  validate(params_);
+      rng_(rng) {
   const auto n = static_cast<std::size_t>(topology.num_cpus());
   current_.resize(n, nullptr);
   rq_.resize(n);

@@ -63,8 +63,7 @@ struct KernelStats {
 class Kernel {
  public:
   Kernel(sim::Engine& engine, const hw::Topology& topology,
-         const hw::CostModel& costs, Rng rng, SchedParams params = {},
-         std::string name = "host");
+         const hw::CostModel& costs, Rng rng);
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
@@ -102,7 +101,6 @@ class Kernel {
   SimTime now() const { return engine_->now(); }
   const hw::Topology& topology() const { return *topology_; }
   const hw::CostModel& costs() const { return *costs_; }
-  const std::string& name() const { return name_; }
 
   int live_tasks() const { return tasks_.live(); }
   /// Run queue of `cpu`, read-only (its reservation is observable).
@@ -145,7 +143,7 @@ class Kernel {
     return rq_[i].size() + (current_[i] != nullptr ? 1 : 0);
   }
   SimDuration slice_for(hw::CpuId cpu) const {
-    return slice_length(params_, load_of(cpu));
+    return slice_length(load_of(cpu));
   }
   /// NUMA slowdown factor for running `task` on `cpu` (>= 1.0).
   double numa_slowdown(const Task& task, hw::CpuId cpu) const;
@@ -193,8 +191,6 @@ class Kernel {
   const hw::CostModel* costs_;
   hw::CacheModel cache_model_;
   Rng rng_;
-  SchedParams params_;
-  std::string name_;
 
   // Struct-of-arrays per-core scheduler state, indexed by cpu id.
   // Canonical task fields (vruntime, burst, debt) stay on os::Task.

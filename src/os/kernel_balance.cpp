@@ -88,7 +88,7 @@ void Kernel::periodic_balance() {
 void Kernel::ensure_housekeeping() {
   if (housekeeping_active_) return;
   housekeeping_active_ = true;
-  next_balance_ = now() + params_.balance_interval;
+  next_balance_ = now() + kBalanceInterval;
   cgroups_.restart(now());
   housekeeping_.arm(now() + costs_->cgroup_aggregate_interval);
 }
@@ -107,7 +107,7 @@ void Kernel::housekeeping_tick() {
       [this](Task& task, hw::CpuId cpu) { enqueue_task(task, cpu); });
   if (now() >= next_balance_) {
     periodic_balance();
-    next_balance_ = now() + params_.balance_interval;
+    next_balance_ = now() + kBalanceInterval;
   }
   housekeeping_.arm(now() + costs_->cgroup_aggregate_interval);
 }

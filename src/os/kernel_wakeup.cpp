@@ -92,8 +92,7 @@ void Kernel::enqueue_task(Task& task, hw::CpuId cpu) {
   // the boundary keeps this safe even when the wakeup happens while the
   // running task is mid-action (e.g. it posted the message).
   Task& running = *current_[i];
-  if (running.vruntime - task.vruntime >
-      params_.wakeup_preempt_granularity) {
+  if (running.vruntime - task.vruntime > kWakeupPreemptGranularity) {
     charge_running(cpu);
     slice_length_[i] = now() - slice_started_[i];
     // The running task may be mid-action (it might be the waker) with no
@@ -117,7 +116,7 @@ void Kernel::wake_common(Task& task, SimDuration extra_debt,
   // still holds the task's state — ignore the waker locality hint.
   if (blocked < costs_->cache_hot_window) hint = -1;
   const hw::CpuId cpu = place_task(task, hint);
-  sleeper_floor(task, rq_[static_cast<std::size_t>(cpu)], params_);
+  sleeper_floor(task, rq_[static_cast<std::size_t>(cpu)]);
   enqueue_task(task, cpu);
 }
 

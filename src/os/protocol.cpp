@@ -28,7 +28,6 @@ Task& TaskTable::create(std::string name, std::unique_ptr<TaskDriver> driver,
                      "task " << task.name()
                              << " affinity disjoint from the executor's cpus");
   }
-  task.weight = config.weight;
   task.working_set_mb = config.working_set_mb;
   task.compute_inflation = config.compute_inflation;
   task.numa_home = std::move(config.numa_home);

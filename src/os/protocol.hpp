@@ -32,7 +32,6 @@ struct TaskConfig {
   /// Allowed cpus; empty = all cpus of this kernel.
   hw::CpuSet affinity;
   Cgroup* cgroup = nullptr;
-  double weight = 1.0;
   double working_set_mb = 5.0;
   /// Multiplier from pure work to cpu time (used by the VM layer).
   double compute_inflation = 1.0;
@@ -150,8 +149,7 @@ inline void charge_task(Task* task, hw::CpuId cpu, SimDuration elapsed,
                      task->compute_inflation));
   }
   task->stats.cpu_time += elapsed;
-  task->vruntime += static_cast<SimDuration>(
-      static_cast<double>(elapsed) / task->weight);
+  task->vruntime += elapsed;
   if (task->cgroup != nullptr) {
     const SimDuration accounting = task->cgroup->charge(cpu, elapsed);
     if (accounting > 0) task->overhead_debt += accounting;

@@ -1,8 +1,10 @@
 // Per-cpu run queue ordered by virtual runtime.
 //
 // The CFS analogue: the task with the smallest (vruntime, id) key runs
-// next, so CPU time is shared in proportion to weight. The kernel keeps
-// one Runqueue per logical cpu; the guest kernel keeps one per vCPU.
+// next. Every task has the same weight (vruntime advances by the cpu
+// time it ran), so runnable tasks share cpu time equally. The kernel
+// keeps one Runqueue per logical cpu; the guest kernel keeps one per
+// vCPU.
 //
 // Implemented as an indexed flat binary min-heap: slots live in one
 // vector (no per-enqueue node allocation after warmup) and each queued

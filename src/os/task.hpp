@@ -119,7 +119,6 @@ class Task {
   // accessors would only add noise. External code should treat everything
   // below as read-only and use the stats() snapshot.
   TaskState state = TaskState::Created;
-  double weight = 1.0;
   SimDuration vruntime = 0;
   hw::CpuSet affinity;          // empty = all cpus of the executor
   Cgroup* cgroup = nullptr;

@@ -28,8 +28,9 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config) : config_(config) {
                                                           << ")");
   PINSIM_CHECK_MSG(config.shards == 1 || config.lookahead > 0,
                    "multi-shard ShardedEngine needs a positive lookahead");
-  PINSIM_CHECK_MSG(config.threads >= 0,
-                   "threads must be >= 0 (0 = one per shard)");
+  PINSIM_CHECK_MSG(config.threads >= 1,
+                   "ShardedEngine needs >= 1 thread (got " << config.threads
+                                                           << ")");
   const std::size_t n = static_cast<std::size_t>(config.shards);
   engines_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
@@ -111,8 +112,7 @@ std::int64_t ShardedEngine::run_rounds(SimTime horizon,
                                        const std::function<bool()>* predicate,
                                        bool* predicate_held) {
   const int n = shards();
-  int workers = config_.threads == 0 ? n : std::min(config_.threads, n);
-  workers = std::max(workers, 1);
+  const int workers = std::min(config_.threads, n);
 
   // Round state shared with the worker pool. The coordinator's writes
   // (window, done) happen-before the workers' reads through the start

@@ -53,9 +53,9 @@ struct ShardedEngineConfig {
   /// would make the synchronization window empty.
   SimDuration lookahead = 0;
   /// Executors for the round advance phase, including the calling
-  /// thread; 1 = fully single-threaded, 0 = one per shard. The value
-  /// changes wall-clock behaviour only — simulated results are
-  /// bit-identical for every thread count.
+  /// thread (>= 1; at most one per shard is used); 1 = fully
+  /// single-threaded. The value changes wall-clock behaviour only —
+  /// simulated results are bit-identical for every thread count.
   int threads = 1;
 };
 

@@ -37,9 +37,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-int ThreadPool::default_jobs() {
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware == 0 ? 1 : static_cast<int>(hardware);
-}
-
 }  // namespace pinsim::util

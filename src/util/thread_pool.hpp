@@ -48,9 +48,6 @@ class ThreadPool {
     return future;
   }
 
-  /// A sensible default worker count for this host (>= 1).
-  static int default_jobs();
-
  private:
   void worker_loop();
 

@@ -15,16 +15,14 @@ constexpr SimDuration kBurstCap = msec(4);
 
 }  // namespace
 
-GuestKernel::GuestKernel(Host& host, Config config)
+GuestKernel::GuestKernel(Host& host, int vcpus)
     : host_(&host),
-      config_(config),
       rng_(host.fork_rng()),
-      vcpus_(static_cast<std::size_t>(config.vcpus)) {
-  PINSIM_CHECK(config.vcpus >= 1);
-  PINSIM_CHECK(config.vcpus <= hw::CpuSet::kMaxCpus);
-  PINSIM_CHECK(config.compute_inflation >= 1.0);
-  os::validate(config.params);
-  all_vcpus_ = hw::CpuSet::first_n(config.vcpus);
+      vcpus_(static_cast<std::size_t>(vcpus)) {
+  PINSIM_CHECK(vcpus >= 1);
+  PINSIM_CHECK(vcpus <= hw::CpuSet::kMaxCpus);
+  PINSIM_CHECK(host.costs().guest_compute_inflation >= 1.0);
+  all_vcpus_ = hw::CpuSet::first_n(vcpus);
   idle_ = all_vcpus_;  // every vCPU starts idle
   housekeeping_ = host.engine().make_timer([this] { housekeeping_tick(); });
 }
@@ -77,8 +75,7 @@ void GuestKernel::wake(os::Task& task, SimDuration extra_debt) {
   task.overhead_debt +=
       host_->costs().sched_pick + host_->costs().kernel_entry + extra_debt;
   const int vcpu = place_task(task);
-  os::sleeper_floor(task, vcpus_[static_cast<std::size_t>(vcpu)].rq,
-                    config_.params);
+  os::sleeper_floor(task, vcpus_[static_cast<std::size_t>(vcpu)].rq);
   enqueue_task(task, vcpu);
 }
 
@@ -199,7 +196,7 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
       v.current = next;
       refresh_masks(vcpu);
       v.slice_used = 0;
-      v.slice_length = os::slice_length(config_.params, v.rq.size() + 1);
+      v.slice_length = os::slice_length(v.rq.size() + 1);
     }
     v.halted = false;
 
@@ -221,7 +218,7 @@ std::optional<SimDuration> GuestKernel::next_burst(int vcpu) {
         continue;
       }
       v.slice_used = 0;
-      v.slice_length = os::slice_length(config_.params, v.rq.size() + 1);
+      v.slice_length = os::slice_length(v.rq.size() + 1);
     }
 
     SimDuration len = os::remaining_cost(task);
@@ -406,7 +403,7 @@ void GuestKernel::housekeeping_tick() {
   const auto& costs = host_->costs();
   stats_.unthrottle_events += cgroups_.tick(
       host_->engine().now(), costs,
-      [this](os::Cgroup& group) {
+      [this, &costs](os::Cgroup& group) {
         const SimDuration cost = group.aggregate();
         if (cost == 0) return;
         // Charge the (inflated) kernel-space walk to the first running
@@ -414,7 +411,7 @@ void GuestKernel::housekeeping_tick() {
         for (auto& v : vcpus_) {
           if (v.current != nullptr && v.current->cgroup == &group) {
             v.current->overhead_debt += static_cast<SimDuration>(
-                static_cast<double>(cost) * config_.compute_inflation);
+                static_cast<double>(cost) * costs.guest_compute_inflation);
             break;
           }
         }

@@ -63,15 +63,9 @@ struct GuestStats {
 
 class GuestKernel {
  public:
-  struct Config {
-    int vcpus = 1;
-    /// Multiplier applied to guest user-mode compute (PTO).
-    double compute_inflation = 1.95;
-    /// Guest scheduler parameters.
-    os::SchedParams params;
-  };
-
-  GuestKernel(Host& host, Config config);
+  /// A guest of `vcpus` vCPUs on `host`; its user-mode compute (PTO)
+  /// is inflated by the host's costs().guest_compute_inflation.
+  GuestKernel(Host& host, int vcpus);
 
   GuestKernel(const GuestKernel&) = delete;
   GuestKernel& operator=(const GuestKernel&) = delete;
@@ -176,7 +170,6 @@ class GuestKernel {
   void rotate_surplus_task();
 
   Host* host_;
-  Config config_;
   Rng rng_;
   std::vector<VcpuState> vcpus_;
   /// {0, ..., vcpus()-1}, built once: every allowed-mask query starts

@@ -29,7 +29,6 @@ os::Task& NativePlatform::spawn(WorkTaskConfig config,
                                 std::unique_ptr<os::TaskDriver> driver) {
   os::TaskConfig task_config;
   task_config.working_set_mb = config.working_set_mb;
-  task_config.weight = config.weight;
   task_config.cgroup = cgroup_;
   task_config.on_exit = std::move(config.on_exit);
   task_config.numa_home = config.numa_home != nullptr

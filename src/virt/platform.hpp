@@ -88,7 +88,6 @@ class Host {
 struct WorkTaskConfig {
   std::string name = "task";
   double working_set_mb = 5.0;
-  double weight = 1.0;
   std::function<void(os::Task&)> on_exit;
   /// First-touch NUMA home shared between sibling threads of one
   /// process. Leave null for a private per-task home; host platforms

@@ -40,17 +40,10 @@ class VcpuDriver final : public os::TaskDriver {
   bool outstanding_ = false;
 };
 
-GuestKernel::Config guest_config(const Host& host, const PlatformSpec& spec) {
-  GuestKernel::Config config;
-  config.vcpus = spec.instance.cores;
-  config.compute_inflation = host.costs().guest_compute_inflation;
-  return config;
-}
-
 }  // namespace
 
 VmPlatform::VmPlatform(Host& host, PlatformSpec spec)
-    : Platform(host, std::move(spec)), guest_(host, guest_config(host, spec_)) {
+    : Platform(host, std::move(spec)), guest_(host, spec_.instance.cores) {
   PINSIM_CHECK(spec_.kind == PlatformKind::Vm ||
                spec_.kind == PlatformKind::VmContainer);
   PINSIM_CHECK_MSG(spec_.instance.cores <= host.topology().num_cpus(),
@@ -93,7 +86,6 @@ os::Task& VmPlatform::spawn(WorkTaskConfig config,
                             std::unique_ptr<os::TaskDriver> driver) {
   os::TaskConfig task_config;
   task_config.working_set_mb = config.working_set_mb;
-  task_config.weight = config.weight;
   task_config.cgroup = cgroup_;
   // The hypervisor's measured compute inflation, scaled by how much of
   // this task's time is really user-space compute.

@@ -34,27 +34,6 @@ TEST(LoadBalancerTest, LeastOutstandingPicksMinTiesToLowestIndex) {
   EXPECT_EQ(lb.total_outstanding(), 3);
 }
 
-TEST(LoadBalancerTest, ChrAwarePrefersInBandBackends) {
-  LoadBalancer lb(BalancerPolicy::ChrAware, 3);
-  lb.set_chr_in_range(0, false);
-  lb.set_chr_in_range(1, true);
-  lb.set_chr_in_range(2, true);
-  lb.add_outstanding(1, 5);  // in-band but busier than backend 0
-  EXPECT_EQ(lb.pick(), 2);
-  lb.add_outstanding(2, 6);
-  EXPECT_EQ(lb.pick(), 1);
-}
-
-TEST(LoadBalancerTest, ChrAwareFallsBackWhenNoBandMember) {
-  LoadBalancer lb(BalancerPolicy::ChrAware, 2);
-  lb.set_chr_in_range(0, false);
-  lb.set_chr_in_range(1, false);
-  lb.add_outstanding(0, 3);
-  EXPECT_EQ(lb.pick(), 1);
-  lb.set_active(1, false);
-  EXPECT_EQ(lb.pick(), 0);
-}
-
 TEST(LoadBalancerTest, NoActiveBackendReturnsMinusOne) {
   LoadBalancer lb(BalancerPolicy::RoundRobin, 2);
   lb.set_active(0, false);

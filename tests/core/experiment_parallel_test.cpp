@@ -2,6 +2,11 @@
 // serial measure() path for the same seeds, at any job count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
+
 #include "core/experiment.hpp"
 #include "workload/ffmpeg.hpp"
 #include "workload/wordpress.hpp"
@@ -128,6 +133,40 @@ TEST(ExperimentParallelTest, PerCellFactoriesStayDistinct) {
   const auto results = runner.measure_all(cells, 4);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_LT(results[0].samples.mean(), results[1].samples.mean());
+}
+
+/// Threads of this process now.
+long thread_count() {
+  return static_cast<long>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST(ExperimentParallelTest, StartsNoMoreWorkersThanRuns) {
+  // 8 jobs over 2 runs: the pool starts 2 workers beside the threads
+  // already running (the test's own, and any a sanitizer runtime
+  // keeps). Each factory call counts this process's threads.
+  ExperimentConfig config;
+  config.repetitions = 2;
+  const ExperimentRunner runner(config);
+  const std::vector<virt::PlatformSpec> specs = {
+      virt::PlatformSpec{virt::PlatformKind::BareMetal,
+                         virt::CpuMode::Vanilla,
+                         virt::instance_by_name("Large")}};
+  const long before = thread_count();
+  std::mutex mutex;
+  long most = 0;
+  const WorkloadFactory counting = [&] {
+    const long threads = thread_count();
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      most = std::max(most, threads);
+    }
+    return tiny_ffmpeg()();
+  };
+  runner.measure_all(specs, counting, 8);
+  EXPECT_GT(most, before);
+  EXPECT_LE(most, before + 2);
 }
 
 TEST(ExperimentParallelTest, WorkerExceptionPropagates) {

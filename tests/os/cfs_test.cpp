@@ -145,23 +145,11 @@ TEST(CfsPickTest, UniformPickDrawsOnlyOverANonEmptySet) {
 }
 
 TEST(CfsParamsTest, SliceSharesLatencyAboveTheGranularity) {
-  SchedParams params;
-  params.sched_latency = msec(12);
-  params.min_granularity = msec(2);
-  EXPECT_EQ(slice_length(params, 0), msec(12));
-  EXPECT_EQ(slice_length(params, 1), msec(12));
-  EXPECT_EQ(slice_length(params, 3), msec(4));
-  EXPECT_EQ(slice_length(params, 12), msec(2));
-}
-
-TEST(CfsParamsTest, ValidateRejectsZeroLatencyOrGranularity) {
-  SchedParams params;
-  EXPECT_NO_THROW(validate(params));
-  params.sched_latency = 0;
-  EXPECT_THROW(validate(params), InvariantViolation);
-  params = SchedParams{};
-  params.min_granularity = 0;
-  EXPECT_THROW(validate(params), InvariantViolation);
+  EXPECT_EQ(slice_length(0), msec(12));
+  EXPECT_EQ(slice_length(1), msec(12));
+  EXPECT_EQ(slice_length(3), msec(4));
+  EXPECT_EQ(slice_length(12), msec(1));
+  EXPECT_EQ(slice_length(24), msec(1));
 }
 
 TEST_F(CfsTest, CgroupTickReleasesParkedTasksInThrottleOrder) {

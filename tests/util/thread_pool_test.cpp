@@ -57,9 +57,5 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedWork) {
   EXPECT_EQ(calls.load(), 50);
 }
 
-TEST(ThreadPoolTest, DefaultJobsIsPositive) {
-  EXPECT_GE(ThreadPool::default_jobs(), 1);
-}
-
 }  // namespace
 }  // namespace pinsim::util

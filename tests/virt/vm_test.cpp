@@ -306,19 +306,5 @@ TEST(VmTest, GuestTaskMayNotJoinAnotherKernelsCgroup) {
                InvariantViolation);
 }
 
-TEST(VmTest, RejectsGuestParamsWithZeroLatencyOrGranularity) {
-  // The guest validates its scheduler parameters like the host kernel:
-  // zeros would otherwise turn every grant into a 1 ns burst.
-  Host host(hw::Topology::dell_r830(), hw::CostModel{}, 3);
-  GuestKernel::Config zero_latency;
-  zero_latency.vcpus = 8;
-  zero_latency.params.sched_latency = 0;
-  EXPECT_THROW(GuestKernel(host, zero_latency), InvariantViolation);
-  GuestKernel::Config zero_granularity;
-  zero_granularity.vcpus = 8;
-  zero_granularity.params.min_granularity = 0;
-  EXPECT_THROW(GuestKernel(host, zero_granularity), InvariantViolation);
-}
-
 }  // namespace
 }  // namespace pinsim::virt
